@@ -2,7 +2,9 @@
 
 Subcommands: p-value | curvature | flatness | sweep | asymptote | transport
 | verify.  Records go to stdout (or --output) as JSON lines or CSV with the
-fixed header ``model,corrected,k,re_s,im_s,log_p,kappa,method``.  Exit codes:
+fixed header ``model,corrected,k,re_s,im_s,log_p,kappa,method``; kappa and
+log_p of a record come from one quadrature pass.  ``--k`` takes integers
+(su2, tori, spheres, circles) or Dynkin labels ``a/b`` (su3).  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input.  QUANTFIELD_THREADS
 caps sweep parallelism; output ordering is canonical (k, then Im s) no matter
 how the pool schedules the work.
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import liecore
 from .hilbertfield import BasePath, abelian_area_example, parallel_transport
-from .quantization import (CurvatureOptions, ModelSpec, curvature,
-                           flatness_classify, model_log_p, sphere_asymptote)
+from .quantization import (ModelSpec, curvature, flatness_classify,
+                           model_log_p, sphere_asymptote)
 from .verify import run_all
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -42,8 +44,6 @@ class RunConfig:
     im_s: tuple = (1.0,)
     re_s: float = 0.0
     tol: float = 1e-5
-    h_rel: float = 1e-3
-    quad_h_rel: float = 3e-3
     fmt: str = "json"
     seed: int = 0
     output: Optional[str] = None
@@ -60,6 +60,8 @@ class RunConfig:
             m = int(arg)
             kvec = [k] * m if np.isscalar(k) else k
             return ModelSpec.torus(m, kvec, self.corrected)
+        if kind in ("sphere", "circle") and not np.isscalar(k):
+            raise ValueError(f"{kind} models take an integer k, got {k}")
         if kind == "sphere":
             return ModelSpec.sphere(int(arg), int(k))
         if kind == "circle":
@@ -71,13 +73,17 @@ class RunConfig:
     def s_grid(self) -> list:
         return [complex(self.re_s, y) for y in self.im_s]
 
-    def options(self) -> CurvatureOptions:
-        return CurvatureOptions(h_rel=self.h_rel, quad_h_rel=self.quad_h_rel)
-
 
 def _num(text: str) -> float:
     v = float(text)
     return v
+
+
+def _k_value(text: str):
+    """An integer character index, or Dynkin labels a/b as a tuple."""
+    if "/" in text:
+        return tuple(int(part) for part in text.split("/"))
+    return int(text)
 
 
 def _parse_list(text: str, cast) -> tuple:
@@ -105,11 +111,11 @@ def _load_config_file(path: str) -> dict:
 
 _CONFIG_CASTS = {
     "model": str, "corrected": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "k_values": lambda v: _parse_list(str(v), int) if isinstance(v, str)
-        else tuple(v),
+    "k_values": lambda v: _parse_list(v, _k_value) if isinstance(v, str)
+        else tuple(tuple(k) if isinstance(k, list) else k for k in v),
     "im_s": lambda v: _parse_list(str(v), float) if isinstance(v, str)
         else tuple(v),
-    "re_s": float, "tol": float, "h_rel": float, "quad_h_rel": float,
+    "re_s": float, "tol": float,
     "fmt": str, "seed": int, "output": str,
 }
 
@@ -127,8 +133,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     overrides = {}
     for name, attr in (("model", "model"), ("corrected", "corrected"),
                        ("k_values", "k"), ("im_s", "im_s"), ("re_s", "re_s"),
-                       ("tol", "tol"), ("h_rel", "h_rel"),
-                       ("quad_h_rel", "quad_h_rel"), ("fmt", "format"),
+                       ("tol", "tol"), ("fmt", "format"),
                        ("seed", "seed"), ("output", "output")):
         value = getattr(args, attr, None)
         if value is not None:
@@ -142,12 +147,17 @@ def _fmt_float(x: Optional[float]) -> str:
     return format(float(x), ".12g")
 
 
+def _fmt_k(k) -> str:
+    return "/".join(str(x) for x in k) if isinstance(k, list) else str(k)
+
+
 def _emit(records: list, cfg: RunConfig, stream) -> None:
     if cfg.fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow([r["model"], str(r["corrected"]).lower(), r["k"],
+            writer.writerow([r["model"], str(r["corrected"]).lower(),
+                             _fmt_k(r["k"]),
                              _fmt_float(r["s"]["re"]), _fmt_float(r["s"]["im"]),
                              _fmt_float(r.get("log_p")),
                              _fmt_float(r.get("kappa")), r["method"]])
@@ -175,8 +185,7 @@ def _record(cfg: RunConfig, model: ModelSpec, k, s: complex,
         "log_p": log_p,
         "kappa": kappa,
         "method": method,
-        "tolerances": {"tol": cfg.tol, "h_rel": cfg.h_rel,
-                       "quad_h_rel": cfg.quad_h_rel},
+        "tolerances": {"tol": cfg.tol},
     }
 
 
@@ -187,14 +196,11 @@ def _point_records(cfg: RunConfig, want_kappa: bool,
     def work(task):
         k, s = task
         model = cfg.model_spec(k)
-        log_p = model_log_p(model)(s).log_magnitude
-        kappa = None
-        method = "quadrature"
-        if want_kappa:
-            cd = curvature(model, s, cfg.options())
-            kappa = cd.kappa
-            method = cd.method
-        return _record(cfg, model, k, s, log_p, kappa, method)
+        if not want_kappa:
+            log_p = model_log_p(model)(s).log_magnitude
+            return _record(cfg, model, k, s, log_p, None, "quadrature")
+        cd = curvature(model, s)
+        return _record(cfg, model, k, s, cd.log_p, cd.kappa, cd.method)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -230,7 +236,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_flatness(cfg: RunConfig) -> int:
     base = cfg.model_spec(cfg.k_values[0])
     res = flatness_classify(base, list(cfg.k_values), cfg.s_grid(),
-                            tol=cfg.tol, options=cfg.options())
+                            tol=cfg.tol)
     payload = {
         "model": base.label(),
         "corrected": base.corrected,
@@ -257,7 +263,7 @@ def _cmd_asymptote(cfg: RunConfig) -> int:
     for k in cfg.k_values:
         for s in cfg.s_grid():
             model = cfg.model_spec(k)
-            cd = curvature(model, s, cfg.options())
+            cd = curvature(model, s)
             asym = sphere_asymptote(int(k), m, s)
             rec = _record(cfg, model, k, s, None, cd.kappa, cd.method)
             rec["asymptote"] = asym
@@ -325,15 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        "sphere:<m> | circle:<r>")
         p.add_argument("--corrected", action="store_true", default=None,
                        help="use the half-form corrected weight")
-        p.add_argument("--k", type=lambda t: _parse_list(t, int),
-                       help="comma-separated character indices")
+        p.add_argument("--k", type=lambda t: _parse_list(t, _k_value),
+                       help="comma-separated character indices; su3 takes "
+                       "Dynkin labels a/b")
         p.add_argument("--im-s", dest="im_s",
                        type=lambda t: _parse_list(t, _num),
                        help="comma-separated Im s values")
         p.add_argument("--re-s", dest="re_s", type=float)
         p.add_argument("--tol", type=float)
-        p.add_argument("--h-rel", dest="h_rel", type=float)
-        p.add_argument("--quad-h-rel", dest="quad_h_rel", type=float)
         p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--seed", type=int)
         p.add_argument("--output", help="write records here instead of stdout")
@@ -393,3 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

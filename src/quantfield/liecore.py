@@ -37,6 +37,8 @@ __all__ = [
     "so_pair_adjoint",
     "su2_weight",
     "torus_weight",
+    "fundamental_weights",
+    "highest_weight",
     "root_system_from_json",
     "root_product",
     "weyl_denominator",
@@ -351,6 +353,30 @@ def shifted_weight(rs: RootSystem, highest_weight: Sequence[float],
     """Builder that applies the rho-shift to a highest weight."""
     hw = np.asarray(highest_weight, dtype=float)
     return ShiftedWeight(tuple(hw + rs.rho()), source_label=label)
+
+
+def fundamental_weights(rs: RootSystem) -> np.ndarray:
+    """The fundamental weights as rows of linear forms, ordered like the
+    simple roots among the positive roots: <omega_i, alpha_j^vee> = delta_ij
+    for the metric dual of the Cartan metric."""
+    roots = rs.roots_array()
+    sums = {tuple(np.round(a + b, 9)) for a in roots for b in roots}
+    simple = np.array([a for a in roots if tuple(np.round(a, 9)) not in sums])
+    dual = np.linalg.inv(rs.gram())
+    coroots = 2.0 * simple / np.einsum("ij,jk,ik->i", simple, dual,
+                                       simple)[:, None]
+    return np.linalg.inv(dual @ coroots.T)
+
+
+def highest_weight(rs: RootSystem, labels: Sequence[int]) -> ShiftedWeight:
+    """Shifted weight of the irreducible with the given Dynkin labels."""
+    lab = np.asarray(labels, dtype=float)
+    if (lab.shape != (rs.rank,) or np.any(lab < 0)
+            or np.any(lab != np.round(lab))):
+        raise ValueError(f"need {rs.rank} nonnegative integer Dynkin labels, "
+                         f"got {tuple(labels)}")
+    return shifted_weight(rs, lab @ fundamental_weights(rs),
+                          label=tuple(int(x) for x in lab))
 
 
 def root_system_from_json(path_or_obj) -> RootSystem:

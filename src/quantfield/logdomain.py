@@ -103,9 +103,9 @@ def signed_logsumexp(log_magnitudes: Sequence[float] | np.ndarray,
                      signs: Sequence[int] | np.ndarray) -> LogValue:
     """Sum of sign_i * exp(log_i), returned as a LogValue.
 
-    Shifts by the maximum before exponentiating, so cancellation between
-    terms of opposite sign is benign down to machine epsilon of the
-    dominant scale.
+    Shifts by the maximum before exponentiating and adds the shifted terms
+    with ``math.fsum`` (exactly rounded), so cancellation between terms of
+    opposite sign loses nothing beyond the rounding of each exponential.
     """
     logs = np.asarray(log_magnitudes, dtype=float)
     sgns = np.asarray(signs, dtype=float)
@@ -115,7 +115,7 @@ def signed_logsumexp(log_magnitudes: Sequence[float] | np.ndarray,
     logs = logs[mask]
     sgns = sgns[mask]
     shift = float(logs.max())
-    total = float(np.sum(sgns * np.exp(logs - shift)))
+    total = math.fsum(sgns * np.exp(logs - shift))
     if total == 0.0:
         return LogValue.zero()
     return LogValue(shift + math.log(abs(total)), 1 if total > 0 else -1)

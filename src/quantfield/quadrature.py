@@ -6,13 +6,16 @@ The workhorses are:
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
 * ``integrate_log_panels``-- composite Gauss-Legendre of log-domain integrands
-                             on caller-chosen panels (smooth in parameters, so
-                             it can sit under finite differences),
+                             on caller-chosen panels, optionally with the
+                             mean and variance of a function under the
+                             normalised integrand (``Moments``),
 * ``mc_integrate``        -- seeded Monte Carlo oracle for n <= 4,
 * ``fd_laplacian`` / ``fd_derivative`` -- central stencils with optional
                              Richardson extrapolation,
 * ``kappa_from_log``      -- the scalar curvature density
-                             kappa(s) = (1/4) Laplacian_s log p(s).
+                             kappa(s) = (1/4) Laplacian_s log p(s) by finite
+                             differences of any log p (an oracle for the
+                             moment route of ``quantization``).
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ __all__ = [
     "integrate_1d",
     "gaussian_weighted",
     "integrate_log_panels",
+    "Moments",
+    "weighted_moments",
     "MCResult",
     "mc_integrate",
     "fd_laplacian",
@@ -125,18 +130,52 @@ def gaussian_weighted(g: Callable[[float], LogValue],
         if out.sign != 0 else out
 
 
+@dataclass(frozen=True)
+class Moments:
+    """A discrete integral sum_i w_i together with the mean and variance of
+    a function phi under the normalised weights w_i / sum_j w_j.  The
+    weights may change sign; the moments are then the formal ones, which is
+    what derivatives of log |sum w| need."""
+
+    integral: LogValue
+    mean: float
+    var: float
+
+
+def weighted_moments(logs: np.ndarray, signs: Optional[np.ndarray],
+                     phi: np.ndarray) -> Moments:
+    """Integral of the weights sign_i e^{logs_i} and the mean and variance of
+    phi_i under them.  The variance is taken about the mean (two passes).
+    Callers pass phi less a constant centre, so that the rounding of its
+    values stays far below its spread."""
+    if signs is None:
+        integral = LogValue.from_log(logsumexp_positive(logs), 1)
+    else:
+        integral = signed_logsumexp(logs, signs)
+    if integral.sign == 0:
+        return Moments(integral, math.nan, math.nan)
+    w = np.exp(logs - integral.log_magnitude)
+    if signs is not None:
+        w *= np.asarray(signs, dtype=float) * integral.sign
+    norm = float(np.sum(w))
+    mean = float(np.sum(w * phi)) / norm
+    dev = phi - mean
+    return Moments(integral, mean, float(np.sum(w * dev * dev)) / norm)
+
+
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
                          breakpoints: Sequence[float],
                          nodes_per_panel: int = 24,
                          signs_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         ) -> LogValue:
+                         phi_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                         ) -> LogValue | Moments:
     """Composite Gauss-Legendre quadrature of exp(log_f) over fixed panels.
 
     ``log_f`` maps an array of abscissae to log magnitudes; an optional
-    ``signs_f`` supplies pointwise signs (default: all positive).  Because the
-    node layout depends only on the breakpoints, the result is a smooth
-    function of any parameter the integrand carries, which keeps it usable
-    under finite differencing.
+    ``signs_f`` supplies pointwise signs (default: all positive).  Returns
+    the integral as a LogValue or, when ``phi_f`` is given, ``Moments``: the
+    integral with the mean and variance of phi_f under the normalised
+    integrand, from the same nodes.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
@@ -148,10 +187,13 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
     logw = np.log(np.outer(half, w)).ravel()
     logs = log_f(x) + logw
-    if signs_f is None:
+    signs = None if signs_f is None else signs_f(x)
+    if phi_f is not None:
+        return weighted_moments(logs, signs, phi_f(x))
+    if signs is None:
         total = logsumexp_positive(logs)
         return LogValue.from_log(total, 1) if total != NEG_INF else LogValue.zero()
-    return signed_logsumexp(logs, signs_f(x))
+    return signed_logsumexp(logs, signs)
 
 
 @dataclass(frozen=True)

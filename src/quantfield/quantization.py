@@ -10,6 +10,16 @@ Conventions:
   * a(s) = -1/Im s; b(s) = -m log Im s (bare) or -(m/2) log Im s (corrected);
   * kappa(s) = (1/4)(d^2/dx^2 + d^2/dy^2) log p(s), calibrated so the
     commutative bare case gives exactly m/(8 y^2).
+
+Every engine integrates e^{a(s) phi} against a weight that does not depend
+on s, where phi is a quadratic form (|u|^2, t^2 or zeta^2).  So log p is a
+function of y = Im s alone, and
+
+    4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y,
+
+with E_w and Var_w taken under the normalised integrand on the very nodes
+that give p.  Each engine therefore returns kappa with log p from one
+quadrature pass (``LogP``); closed forms return theirs analytically.
 """
 from __future__ import annotations
 
@@ -20,16 +30,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .logdomain import LogValue, logsumexp_positive, signed_logsumexp
+from .logdomain import LogValue, logsumexp_positive
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, gaussian_weighted,
-                         integrate_log_panels, kappa_from_log, mc_integrate,
-                         integrate_1d)
+from .quadrature import (DEFAULT_SPEC, Moments, QuadratureSpec,
+                         integrate_log_panels, mc_integrate, integrate_1d,
+                         weighted_moments)
 
 __all__ = [
     "PlanckPoint",
     "WeightParams",
+    "LogP",
     "ModelSpec",
     "CurvatureDensity",
     "CurvatureOptions",
@@ -52,6 +63,10 @@ __all__ = [
 ]
 
 MAX_SPHERE_INDEX = 200
+
+#: the quadrature and closed-form kappa must agree to this, relative to
+#: max(|kappa_closed|, m / (8 y^2))
+CLOSED_AGREEMENT_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,8 +106,36 @@ def weight_params(s, m: int, corrected: bool) -> WeightParams:
     b(s) = -(m/2) log Im s (corrected) or -m log Im s (bare)."""
     y = _as_complex(s).imag
     a = -1.0 / y
-    b = -(m / 2.0 if corrected else float(m)) * math.log(y)
+    b = -_volume_exponent(m, corrected) * math.log(y)
     return WeightParams(a=a, b=b, corrected=corrected, m=m)
+
+
+def _volume_exponent(m: int, corrected: bool) -> float:
+    """c in b(s) = -c log Im s."""
+    return m / 2.0 if corrected else float(m)
+
+
+@dataclass(frozen=True)
+class LogP(LogValue):
+    """log p(s) as an engine returns it, with kappa(s) from the same pass."""
+
+    kappa: float = math.nan
+
+
+def _log_p(mom: Moments, offset: float, centre_sq: float, y: float, m: int,
+           corrected: bool) -> LogP:
+    """The engine result: log of the integral plus ``offset``, with kappa
+    from the mean and variance of phi - centre_sq under the normalised
+    integrand.  p = e^{b(y)} int e^{-phi/y} w, so
+    d^2/dy^2 log p = Var[phi]/y^4 - 2 E[phi]/y^3 + c/y^2 (x does not enter).
+    """
+    out = mom.integral
+    if out.sign == 0:
+        return LogP(out.log_magnitude, 0)
+    c = _volume_exponent(m, corrected)
+    mean = centre_sq + mom.mean
+    kappa = 0.25 * (mom.var - 2.0 * y * mean + c * y * y) / y ** 4
+    return LogP(out.log_magnitude + offset, out.sign, kappa)
 
 
 @dataclass(frozen=True)
@@ -103,7 +146,7 @@ class ModelSpec:
 
     variant: str                      # group | torus | sphere | truncated-circle
     corrected: bool
-    weight_index: object              # int k or ShiftedWeight
+    weight_index: object              # int k, Dynkin labels or ShiftedWeight
     root_system: Optional[RootSystem] = None
     m: Optional[int] = None
     r: Optional[float] = None
@@ -156,15 +199,21 @@ class ModelSpec:
             return self.weight_index
         if self.variant == "group":
             rs = self.root_system
-            if rs.name == "su2":
+            if rs.name == "su2" and np.isscalar(self.weight_index):
                 return liecore.su2_weight(int(self.weight_index))
             if not rs.positive_roots:
                 return liecore.torus_weight(rs.rank, self.weight_index)
-            raise ValueError(
-                "pass a ShiftedWeight explicitly for this root system")
+            if np.isscalar(self.weight_index):
+                raise ValueError(
+                    f"{rs.name or 'this root system'} takes a highest weight "
+                    f"as {rs.rank} Dynkin labels (e.g. 1/0), not an integer")
+            return liecore.highest_weight(rs, self.weight_index)
         if self.variant == "torus":
             return liecore.torus_weight(self.m, self.weight_index)
         raise ValueError("sphere / truncated-circle models use an integer index")
+
+
+METHODS = ("closed-form", "quadrature+moments")
 
 
 @dataclass(frozen=True)
@@ -172,22 +221,23 @@ class CurvatureDensity:
     kappa: float
     s: complex
     weight_index: object
-    method: str                        # closed-form | quadrature+FD
+    method: str                        # closed-form | quadrature+moments
     cross_check: Optional[float] = None   # kappa from the other path, if any
+    log_p: Optional[float] = None      # log p of the path that gave kappa
 
     def __post_init__(self):
-        if self.method not in ("closed-form", "quadrature+FD"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
 class CurvatureOptions:
-    h_rel: float = 1e-3
-    quad_h_rel: float = 3e-3           # step for quadrature-backed log p
-    method: str = "auto"               # auto | closed-form | quadrature+FD
-    check_x_derivative: bool = False   # add the (identically zero) x-term
-    closed_agreement_factor: float = 10.0
+    method: str = "auto"               # auto | closed-form | quadrature+moments
     spec: QuadratureSpec = DEFAULT_SPEC
+
+    def __post_init__(self):
+        if self.method != "auto" and self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,46 +246,60 @@ class CurvatureOptions:
 
 def _tensor_hermite_log(dim: int, a: float, mu: np.ndarray,
                         poly_log: Optional[Callable[[np.ndarray], tuple]],
-                        order: int) -> LogValue:
-    """log of int_{R^dim} e^{a|u|^2 + 2 mu.u} P(u) du by centered tensor
-    Gauss-Hermite; poly_log maps a (N, dim) node array to (log|P|, sign P)."""
+                        order: int) -> Moments:
+    """int_{R^dim} e^{a|u|^2 + 2 mu.u} P(u) du by centred tensor Gauss-Hermite,
+    with the mean and variance of |u|^2 - |c|^2 under the normalised
+    integrand; poly_log maps an (N, dim) node array to (log|P|, sign P).
+
+    The nodes sit at u = c + v, c = mu/(-a), and |u|^2 - |c|^2 = 2 c.v + |v|^2
+    is evaluated from v, so the constant |c|^2 never enters a sum.  Without P
+    the integral separates: log p, E|u|^2 and Var|u|^2 are sums over axes of
+    one-dimensional rules, and no tensor grid is built.
+    """
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    sqa = math.sqrt(-a)
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)        # (N, dim)
-    logw = np.zeros(pts.shape[0])
-    for d in range(dim):
-        logw += np.log(weights)[np.searchsorted(nodes, pts[:, d])]
-    u = pts / sqa + mu[None, :] / (-a)
-    prefactor = float(mu @ mu) / (-a) - dim * math.log(sqa)
+    logw = np.log(weights)
+    v = nodes / math.sqrt(-a)
+    c = mu / (-a)
+    prefactor = float(mu @ mu) / (-a) - 0.5 * dim * math.log(-a)
     if poly_log is None:
-        return LogValue.from_log(logsumexp_positive(logw) + prefactor, 1)
-    plog, psign = poly_log(u)
-    out = signed_logsumexp(logw + plog, psign)
-    if out.sign == 0:
-        return out
-    return LogValue.from_log(out.log_magnitude + prefactor, out.sign)
+        axes = [weighted_moments(logw, None, (2.0 * cd + v) * v) for cd in c]
+        log_int = sum(m.integral.log_magnitude for m in axes)
+        return Moments(LogValue.from_log(log_int + prefactor, 1),
+                       sum(m.mean for m in axes), sum(m.var for m in axes))
+    vs = np.stack([g.ravel() for g in np.meshgrid(*([v] * dim),
+                                                    indexing="ij")], axis=-1)
+    logs = sum(g.ravel() for g in np.meshgrid(*([logw] * dim), indexing="ij"))
+    plog, psign = poly_log(c[None, :] + vs)
+    psi = vs @ (2.0 * c) + np.sum(vs * vs, axis=1)
+    mom = weighted_moments(logs + plog, psign, psi)
+    out = mom.integral
+    if out.sign != 0:
+        out = LogValue.from_log(out.log_magnitude + prefactor, out.sign)
+    return Moments(out, mom.mean, mom.var)
 
 
 def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
                        corrected: bool,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
     """The reduced torus integral for a compact group, up to constants.
 
     corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
     bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
 
     The corrected integrand is polynomial-times-Gaussian and is evaluated
-    exactly by centered tensor Gauss-Hermite in metric-orthonormal
+    exactly by centred tensor Gauss-Hermite in metric-orthonormal
     coordinates; the bare path (rank 1 only when roots are present) uses
-    fixed log-domain Gauss-Legendre panels so it stays smooth in s.
+    log-domain Gauss-Legendre panels.  Either way kappa comes from the
+    moments of |u|^2 on the same nodes.
     """
     sc = _as_complex(s)
     if rs.positive_roots and rs.rank > 2:
         raise ValueError("quadrature path with roots needs rank <= 2")
     if rs.rank > 4:
         raise ValueError("tensor quadrature capped at rank 4")
-    wp = weight_params(sc, rs.manifold_dim, corrected)
+    y = sc.imag
+    m = rs.manifold_dim
+    wp = weight_params(sc, m, corrected)
     a = wp.a
     M = liecore.orthonormal_change_of_basis(rs)
     lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
@@ -252,86 +316,109 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
                 sign = np.prod(np.sign(vals), axis=1).astype(int)
                 return logp, sign
         order = max(spec.hermite_order, 2 * len(rs.positive_roots) + 8)
-        out = _tensor_hermite_log(rs.rank, a, lam_u, poly, order)
-        return LogValue.from_log(out.log_magnitude + wp.b + log_det_M, out.sign)
+        mom = _tensor_hermite_log(rs.rank, a, lam_u, poly, order)
+        centre = lam_u * y                # mu / (-a)
+        return _log_p(mom, wp.b + log_det_M, float(centre @ centre), y, m,
+                      corrected)
 
     if rs.rank != 1:
         raise ValueError("bare quadrature with roots present needs rank 1")
-    lam1 = float(lam_u[0])
+    # 1/sinh|alpha u| decays like e^{-|alpha u|}, so for u > 0 the peak sits
+    # at c1 = (lambda - sum |alpha| / 2) y.  The nodes are offsets d = u - c1
+    # and the integrand is -d^2/y plus terms that stay small, with c1^2/y
+    # added back to log p.  That bounds it by a Gaussian about c1, so the
+    # panels cover d in [-R, R], R = truncation_radius_sigma sigma + 1.
     alphas = roots_u[:, 0]
-    y = sc.imag
+    half_sum = 0.5 * float(np.sum(np.abs(alphas)))
+    c1 = (float(lam_u[0]) - half_sum) * y
     sigma = math.sqrt(y / 2.0)
-    center = max(lam1 * y, 0.0)
-    lo = -(spec.truncation_radius_sigma * sigma + 1.0)
-    hi = center + spec.truncation_radius_sigma * sigma + 1.0
-    width = max(sigma / 2.0, (hi - lo) / 400.0)
-    n_panels = max(32, int(math.ceil((hi - lo) / width)))
-    breakpoints = np.linspace(lo, hi, n_panels + 1)
+    reach = spec.truncation_radius_sigma * sigma + 1.0
+    n_panels = max(32, int(math.ceil(2.0 * reach / (sigma / 2.0))))
+    breakpoints = np.linspace(-reach, reach, n_panels + 1)
 
-    def log_f(u: np.ndarray) -> np.ndarray:
-        out = a * u * u + 2.0 * lam1 * u
+    def log_f(d: np.ndarray) -> np.ndarray:
+        u = c1 + d
+        out = a * d * d + 4.0 * half_sum * np.minimum(u, 0.0)
         for al in alphas:
-            x = al * u
-            ax = np.abs(x)
-            # log |alpha^2 / sinh alpha|, stable for large |x|
-            log_sinh = ax + np.log1p(-np.exp(-2 * ax)) - math.log(2.0)
+            ax = np.abs(al * u)
+            # log |alpha^2 / sinh alpha| + |alpha u|, stable for large |x|
+            excess = np.log1p(-np.exp(-2 * ax)) - math.log(2.0)
             small = ax < 1e-8
-            log_sinh = np.where(small, np.log(np.maximum(ax, 1e-300)), log_sinh)
-            out += 2.0 * np.log(np.maximum(ax, 1e-300)) - log_sinh
+            excess = np.where(small, np.log(np.maximum(ax, 1e-300)) - ax, excess)
+            out += 2.0 * np.log(np.maximum(ax, 1e-300)) - excess
         return out
 
-    def signs_f(u: np.ndarray) -> np.ndarray:
-        sgn = np.ones_like(u)
+    def signs_f(d: np.ndarray) -> np.ndarray:
+        sgn = np.ones_like(d)
         for al in alphas:
-            sgn *= np.sign(al * u)
+            sgn *= np.sign(al * (c1 + d))
         return sgn.astype(int)
 
-    out = integrate_log_panels(log_f, breakpoints, spec.panel_nodes, signs_f)
-    if out.sign == 0:
-        return out
-    return LogValue.from_log(out.log_magnitude + wp.b + log_det_M, out.sign)
+    mom = integrate_log_panels(log_f, breakpoints, spec.panel_nodes, signs_f,
+                               phi_f=lambda d: d * (d + 2.0 * c1))
+    return _log_p(mom, wp.b + log_det_M + c1 * c1 / y, c1 * c1, y, m,
+                  corrected)
 
 
-def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogValue:
+def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP:
     """Corrected group manifolds: log p = |lambda*|^2 Im s + const.
 
     The Im s power vanishes because the manifold dimension satisfies
-    m = rank + 2 |R+|, which the RootSystem invariant enforces.
+    m = rank + 2 |R+|, which the RootSystem invariant enforces; log p is
+    linear in Im s, so kappa = 0.
     """
     y = _as_complex(s).imag
-    return LogValue.from_log(liecore.dual_norm_sq(rs, lam) * y, 1)
+    return LogP(liecore.dual_norm_sq(rs, lam) * y, 1, 0.0)
 
 
-def p_torus_closed(s, m: int, lam: ShiftedWeight, corrected: bool) -> LogValue:
+def p_torus_closed(s, m: int, lam: ShiftedWeight, corrected: bool) -> LogP:
     """Commutative closed form: the Gaussian integral evaluates exactly,
-    log p = (m/2) log y + b(s) + |lambda*|^2 y + const."""
+    log p = (m/2) log y + b(s) + |lambda*|^2 y + const, so
+    kappa = (c - m/2) / (4 y^2): m/(8 y^2) bare, 0 corrected."""
     y = _as_complex(s).imag
     wp = weight_params(s, m, corrected)
     lv = lam.as_array()
     if lv.size != m:
         raise ValueError("weight length != torus rank")
-    return LogValue.from_log((m / 2.0) * math.log(y) + wp.b + float(lv @ lv) * y, 1)
+    kappa = 0.25 * (_volume_exponent(m, corrected) - m / 2.0) / (y * y)
+    return LogP((m / 2.0) * math.log(y) + wp.b + float(lv @ lv) * y, 1, kappa)
 
 
-def p_su2_closed(s, k: int) -> LogValue:
-    """Bare SU(2): log of (Im s)^{-3/2} sum_j e^{(k-2j)^2 y} (1 + 2 (k-2j)^2 y)."""
+def p_su2_closed(s, k: int) -> LogP:
+    """Bare SU(2): log of (Im s)^{-3/2} f(y), f = sum_j e^{n_j y} (1 + 2 n_j y),
+    n_j = (k-2j)^2.
+
+    kappa = (3/(2y^2) + f''/f - (f'/f)^2) / 4 with f''/f - (f'/f)^2 written
+    as a mean plus a variance over the terms of f, both free of cancellation:
+    per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
+    derivative less A^2 is -4 n^2/(1 + 2ny)^2.
+    """
     if k < 0 or int(k) != k:
         raise ValueError("k must be a nonnegative integer")
     y = _as_complex(s).imag
-    logs = [(k - 2 * j) ** 2 * y + math.log1p(2.0 * (k - 2 * j) ** 2 * y)
-            for j in range(k + 1)]
-    return LogValue.from_log(logsumexp_positive(logs) - 1.5 * math.log(y), 1)
+    n = (k - 2.0 * np.arange(k + 1)) ** 2
+    g = 1.0 + 2.0 * n * y
+    logs = n * y + np.log1p(2.0 * n * y)
+    mom = weighted_moments(logs, None, n * (3.0 + 2.0 * n * y) / g)
+    w = np.exp(logs - mom.integral.log_magnitude)
+    d2 = 1.5 / (y * y) + mom.var - float(np.sum(w * 4.0 * n * n / (g * g)))
+    return LogP(mom.integral.log_magnitude - 1.5 * math.log(y), 1, 0.25 * d2)
 
 
 # ---------------------------------------------------------------------------
 # spheres
 # ---------------------------------------------------------------------------
 
-def _log_cosh_arg(t, c):
-    """log(cosh 2t + sinh 2t * c) for t >= 0, c in [-1, 1], overflow-safe."""
+def _log_cosh_excess(t, c):
+    """log(cosh 2t + sinh 2t * c) - 2t for t >= 0, c in [-1, 1]."""
     t = np.asarray(t, dtype=float)
     c = np.asarray(c, dtype=float)
-    return 2.0 * t - math.log(2.0) + np.log((1.0 + c) + np.exp(-4.0 * t) * (1.0 - c))
+    return np.log((1.0 + c) + np.exp(-4.0 * t) * (1.0 - c)) - math.log(2.0)
+
+
+def _log_cosh_arg(t, c):
+    """log(cosh 2t + sinh 2t * c) for t >= 0, c in [-1, 1], overflow-safe."""
+    return 2.0 * np.asarray(t, dtype=float) + _log_cosh_excess(t, c)
 
 
 def _jacobi_nodes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,20 +451,22 @@ def legendre_value(k: int, x: float) -> float:
     return cur
 
 
-def _log_sinh_pos(x: np.ndarray) -> np.ndarray:
-    """log sinh x for x > 0, overflow-safe, -inf at 0."""
-    with np.errstate(divide="ignore"):
-        return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
-
-
 def p_sphere(s, k: int, m: int,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
+             spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
     """Half-form corrected sphere engine:
 
     log p = b(s) + log int_0^inf e^{a t^2} (sinh 2t)^q t^q phi_k(t) dt,
-    q = (m-1)/2, with both integrals in the log domain.  The outer panels
-    follow the Gaussian peak at t = (k+q) Im s smoothly in s, keeping the
-    result differentiable under the curvature stencil.
+    q = (m-1)/2, with both integrals in the log domain.
+
+    The growth of (sinh 2t)^q phi_k(t) is e^{2(k+q)t}, and with a = -1/y
+    a t^2 + 2(k+q) t = t0^2/y - (t - t0)^2/y for t0 = (k+q) y.  The
+    integrand is evaluated in that completed-square form at offsets
+    d = t - t0, with t0^2/y added back to log p, so no node carries a log
+    weight of size k^2 y and the moments of t^2 - t0^2 = d (d + 2 t0) keep
+    their digits.  The panels cover t in [max(0, t0 - R), t0 + R] with
+    R = truncation_radius_sigma sigma + 1, sigma = sqrt(y/2): what is left
+    of the integrand after the Gaussian about t0 grows only polynomially,
+    so its mass outside is negligible.
     """
     if m < 2:
         raise ValueError("sphere needs m >= 2")
@@ -387,29 +476,30 @@ def p_sphere(s, k: int, m: int,
     y = sc.imag
     q = (m - 1) / 2.0
     wp = weight_params(sc, m, corrected=True)
-    a = wp.a
-    nodes = _jacobi_nodes(k, m)
-    c, w = nodes
+    c, w = _jacobi_nodes(k, m)
     logw = np.log(w)
 
-    t_peak = (k + q) * y
+    t0 = (k + q) * y
     sigma = math.sqrt(y / 2.0)
-    hi = t_peak + spec.truncation_radius_sigma * sigma + 1.0
-    width = sigma / 2.0
-    n_panels = min(800, max(48, int(math.ceil(hi / width))))
-    breakpoints = np.linspace(0.0, hi, n_panels + 1)
+    reach = spec.truncation_radius_sigma * sigma + 1.0
+    lo, hi = max(-t0, -reach), reach
+    n_panels = min(800, max(48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
+    breakpoints = np.linspace(lo, hi, n_panels + 1)
 
-    def log_f(t: np.ndarray) -> np.ndarray:
-        # inner character integral, vectorized over the outer abscissae
-        inner = logw[None, :] + k * _log_cosh_arg(t[:, None], c[None, :])
+    def log_f(d: np.ndarray) -> np.ndarray:
+        # log of e^{a t^2} (sinh 2t)^q t^q phi_k(t) less t0^2/y, with the
+        # e^{2t} growth factored out of sinh 2t and of every inner factor
+        t = t0 + d
+        inner = logw[None, :] + k * _log_cosh_excess(t[:, None], c[None, :])
         shift = inner.max(axis=1)
         log_phi = shift + np.log(np.sum(np.exp(inner - shift[:, None]), axis=1))
         with np.errstate(divide="ignore"):
-            log_t = np.log(t)
-        return a * t * t + q * (_log_sinh_pos(2.0 * t) + log_t) + log_phi
+            log_sinh_t = np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t)
+        return -d * d / y + q * log_sinh_t + log_phi
 
-    out = integrate_log_panels(log_f, breakpoints, spec.panel_nodes)
-    return LogValue.from_log(out.log_magnitude + wp.b, 1)
+    mom = integrate_log_panels(log_f, breakpoints, spec.panel_nodes,
+                               phi_f=lambda d: d * (d + 2.0 * t0))
+    return _log_p(mom, wp.b + t0 * t0 / y, t0 * t0, y, m, True)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +516,24 @@ def _circle_breakpoints(r: float) -> np.ndarray:
 
 
 def p_truncated_circle(s, k: int, r: float, corrected: bool,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1)."""
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
+    """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), with
+    kappa from the moments of zeta^2 about the integrand's peak, k y clipped
+    to [-r, r]."""
     if r <= 0:
         raise ValueError("r must be positive")
     sc = _as_complex(s)
+    y = sc.imag
     wp = weight_params(sc, 1, corrected)
     a = wp.a
+    peak = min(max(k * y, -r), r)
 
     def log_f(z: np.ndarray) -> np.ndarray:
         return a * z * z + 2.0 * k * z
 
-    out = integrate_log_panels(log_f, _circle_breakpoints(r), 16)
-    return LogValue.from_log(out.log_magnitude + wp.b, 1)
+    mom = integrate_log_panels(log_f, _circle_breakpoints(r), 16,
+                               phi_f=lambda z: (z - peak) * (z + peak))
+    return _log_p(mom, wp.b, peak * peak, y, 1, corrected)
 
 
 def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
@@ -492,43 +587,45 @@ def _has_closed_form(model: ModelSpec) -> bool:
     return True
 
 
+def _positive(value: LogP, model: ModelSpec, s: complex) -> LogP:
+    if value.sign <= 0:
+        raise ValueError(f"p is not positive for {model.label()} at s={s}")
+    return value
+
+
 def curvature(model: ModelSpec, s,
               options: CurvatureOptions = CurvatureOptions()) -> CurvatureDensity:
-    """Curvature density of a model at s.
+    """Curvature density of a model at s, from one quadrature pass.
 
-    Dispatches to the model's p engine and differentiates log p.  When a
-    closed form exists both paths are computed and must agree within
-    ``closed_agreement_factor`` times the finite-difference step tolerance.
+    The model's engine returns log p and kappa together (the moment
+    identity, see the module docstring).  When a closed form exists it is
+    evaluated as well, and the two kappas must agree to CLOSED_AGREEMENT_REL
+    relative to max(|kappa_closed|, m/(8 y^2)); ``method`` picks which one
+    the record reports.  At most two engine calls per point.
     """
     sc = _as_complex(s)
-    im_only = not options.check_x_derivative
-
-    def kappa_of(path_closed: bool, h_rel: float) -> float:
-        p = model_log_p(model, options.spec, closed=path_closed)
-        return kappa_from_log(p, sc, h_rel=h_rel, im_only=im_only)
-
     closed_available = _has_closed_form(model)
     method = options.method
     if method == "auto":
-        method = "quadrature+FD"
+        method = "quadrature+moments"
     if method == "closed-form" and not closed_available:
         raise ValueError(f"no closed form for model {model.label()}")
 
-    if method == "closed-form":
-        kap = kappa_of(True, options.h_rel)
-        cross = kappa_of(False, options.quad_h_rel)
-    else:
-        kap = kappa_of(False, options.quad_h_rel)
-        cross = kappa_of(True, options.h_rel) if closed_available else None
-
-    if cross is not None:
-        tol = options.closed_agreement_factor * max(options.quad_h_rel ** 2, 1e-6)
-        if abs(kap - cross) > tol:
+    quad = _positive(model_log_p(model, options.spec)(sc), model, sc)
+    closed = (_positive(model_log_p(model, closed=True)(sc), model, sc)
+              if closed_available else None)
+    primary, other = (closed, quad) if method == "closed-form" else (quad, closed)
+    if closed is not None:
+        m = model.root_system.manifold_dim if model.variant == "group" else model.m
+        scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
+        if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
             raise ArithmeticError(
                 f"curvature paths disagree for {model.label()} at s={sc}: "
-                f"{kap} vs {cross}")
-    return CurvatureDensity(kappa=kap, s=sc, weight_index=model.weight_index,
-                            method=method, cross_check=cross)
+                f"{quad.kappa} (quadrature) vs {closed.kappa} (closed form)")
+    return CurvatureDensity(kappa=primary.kappa, s=sc,
+                            weight_index=model.weight_index, method=method,
+                            cross_check=None if other is None else other.kappa,
+                            log_p=primary.log_magnitude)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from . import liecore
 from .hilbertfield import (BasePath, abelian_area_example, classify,
                            parallel_transport, trivialize, twist_to_flat)
 from .logdomain import LogValue
-from .quadrature import fd_laplacian, kappa_from_log
-from .quantization import (CurvatureOptions, ModelSpec, curvature,
+from .quadrature import fd_laplacian
+from .quantization import (ModelSpec, curvature,
                            legendre_value, p_group_quadrature, p_su2_closed,
                            sphere_asymptote, spherical_phi,
                            truncated_circle_kappa_limit, weyl_reduction_check)

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +157,47 @@ def test_verify_subset(capsys):
     assert rc == 0
     assert "2/2 checks passed" in out
     assert "PASS" in out
+
+
+def test_curvature_small_im_s_relative_cross_check(capsys):
+    # kappa = 2/(8 y^2) = 2.5e7: the closed-form cross-check is relative
+    rc, out, err = run(["curvature", "--model", "torus:2", "--k", "1",
+                        "--im-s", "1e-4"], capsys)
+    assert rc == 0, err
+    rec = json.loads(out)
+    assert rec["kappa"] == pytest.approx(2.5e7, rel=1e-9)
+    assert rec["method"] == "quadrature+moments"
+    assert rec["tolerances"] == {"tol": 1e-5}
+
+
+def test_su3_dynkin_labels(capsys):
+    rc, out, _ = run(["flatness", "--model", "group:su3", "--corrected",
+                      "--k", "0/0,1/0", "--im-s", "1,2"], capsys)
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "Flat"
+    rc, out, _ = run(["sweep", "--model", "group:su3", "--corrected",
+                      "--k", "1/1", "--im-s", "1", "--format", "csv"], capsys)
+    assert rc == 0
+    assert list(csv.reader(io.StringIO(out)))[1][2] == "1/1"
+
+
+def test_su3_bare_names_rank_limit(capsys):
+    rc, _, err = run(["curvature", "--model", "group:su3", "--k", "1/0",
+                      "--im-s", "1"], capsys)
+    assert rc == 2
+    assert "rank 1" in err
+
+
+def test_removed_fd_flags_are_rejected(capsys):
+    assert main(["curvature", "--model", "torus:1", "--h-rel", "1e-3"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "quantfield", "verify",
+                          "--checks", "character-weight-sum"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "1/1 checks passed" in out.stdout

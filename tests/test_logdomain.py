@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -61,7 +63,11 @@ def test_huge_exponent_sum():
        st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8))
 def test_signed_sum_matches_direct(logs, signs):
     signs = signs[:len(logs)]
-    direct = sum(s * math.exp(l) for l, s in zip(logs, signs))
+    # the oracle sums in 50-digit decimal: a float sum of terms near e^30
+    # that cancel is itself off by more than the tolerance
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        direct = float(sum(s * Decimal(l).exp() for l, s in zip(logs, signs)))
     out = signed_logsumexp(logs, signs)
     assert out.to_float() == pytest.approx(direct, rel=1e-10, abs=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantfield import liecore
+from quantfield.quadrature import kappa_from_log
 from quantfield.quantization import (CurvatureOptions, ModelSpec, PlanckPoint,
                                      curvature, flatness_classify,
                                      legendre_value, model_log_p,
@@ -135,7 +136,7 @@ def test_truncated_circle_large_r_limit():
 def test_curvature_cross_check_paths():
     rs = liecore.su2()
     c = curvature(ModelSpec.group(rs, 2, corrected=True), 1j)
-    assert c.method == "quadrature+FD"
+    assert c.method == "quadrature+moments"
     assert c.cross_check is not None
     assert abs(c.kappa - c.cross_check) < 1e-7
     c2 = curvature(ModelSpec.group(rs, 2, corrected=True), 1j,
@@ -153,12 +154,12 @@ def test_curvature_scaling_invariance():
 
 
 def test_curvature_x_independence():
+    # the weights depend on Im s only, so Re s cannot move kappa at all
     model = ModelSpec.torus(1, 3, corrected=False)
-    full = curvature(model, 0.4 + 1j,
-                     CurvatureOptions(check_x_derivative=True)).kappa
-    fast = curvature(model, 0.4 + 1j).kappa
-    assert full == pytest.approx(fast, abs=1e-6)
-    assert fast == pytest.approx(1 / 8, abs=1e-6)
+    at_x = curvature(model, 0.4 + 1j).kappa
+    at_0 = curvature(model, 1j).kappa
+    assert at_x == at_0
+    assert at_0 == pytest.approx(1 / 8, abs=1e-6)
 
 
 def test_flatness_verdicts():
@@ -208,3 +209,62 @@ def test_corrected_su2_flat_property(k, y):
 def test_torus_kappa_weight_independent_property(k, y):
     c = curvature(ModelSpec.torus(1, k, corrected=False), complex(0, y))
     assert c.kappa == pytest.approx(1 / (8 * y * y), abs=1e-6)
+
+
+LARGE_K = (50, 100, 150, 200)
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_sphere_large_k_follows_asymptote(m):
+    # finite differences of log p ~ k^2 y lost even the sign here
+    for k in LARGE_K:
+        for y in (1.0, 2.0):
+            kappa = curvature(ModelSpec.sphere(m, k), complex(0, y)).kappa
+            ratio = kappa / sphere_asymptote(k, m, complex(0, y))
+            assert abs(ratio - 1.0) <= 2e-3, (m, k, y, ratio)
+
+
+def test_sphere_m3_flat_at_large_k():
+    for k in LARGE_K:
+        for y in (1.0, 2.0):
+            kappa = curvature(ModelSpec.sphere(3, k), complex(0, y)).kappa
+            assert abs(kappa) <= 1e-3 / (8 * (2 * k + 2) ** 2 * y ** 3), (k, y)
+
+
+@pytest.mark.parametrize("model, s", [
+    (ModelSpec.group(liecore.su2(), 1, corrected=False), 1j),
+    (ModelSpec.truncated_circle(1.0, 10), 1j),
+    (ModelSpec.sphere(2, 10), 1j),
+    (ModelSpec.torus(2, [1, 2]), 0.7j),
+])
+def test_moment_kappa_matches_finite_differences(model, s):
+    # finite differences of the engine's own log p are the oracle; the step
+    # 2e-2 y keeps both rounding (log p ~ k^2 y over h^2) and the Richardson
+    # truncation error below 1e-6 at these points
+    engine = model_log_p(model)
+    fd = kappa_from_log(engine, s, h_rel=2e-2)
+    assert engine(s).kappa == pytest.approx(fd, rel=1e-6)
+
+
+def test_closed_form_kappas_match_quadrature():
+    su2 = liecore.su2()
+    for k in (0, 3, 8):
+        for y in (0.5, 2.0):
+            s = complex(0, y)
+            closed = p_su2_closed(s, k).kappa
+            quad = p_group_quadrature(s, su2, liecore.su2_weight(k), False).kappa
+            assert quad == pytest.approx(closed, rel=1e-9)
+    assert p_torus_closed(2j, 3, liecore.torus_weight(3, 1), False).kappa \
+        == pytest.approx(3 / 32, rel=1e-15)
+    assert p_group_closed(2j, su2, liecore.su2_weight(4)).kappa == 0.0
+
+
+def test_su3_highest_weights():
+    su3 = liecore.su3()
+    res = flatness_classify(ModelSpec.group(su3, (0, 0), corrected=True),
+                            [(0, 0), (1, 0), (1, 1)], [1j, 2j])
+    assert res.verdict == "Flat"
+    with pytest.raises(ValueError, match="Dynkin"):
+        ModelSpec.group(su3, 1).shifted_weight()
+    with pytest.raises(ValueError, match="rank 1"):
+        curvature(ModelSpec.group(su3, (1, 0), corrected=False), 1j)
