@@ -3,9 +3,9 @@ Hilbert spaces built from weighted Gaussian measures on compact symmetric
 models (group manifolds, tori, spheres, truncated phase spaces)."""
 
 from .logdomain import LogValue, signed_logsumexp
-from .quantization import (CurvatureDensity, CurvatureOptions, ModelSpec,
-                           PlanckPoint, WeightParams, curvature,
-                           flatness_classify, sphere_asymptote, weight_params)
+from .quantization import (CurvatureDensity, ModelSpec, PlanckPoint,
+                           WeightParams, curvature, flatness_classify,
+                           sphere_asymptote, weight_params)
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "weight_params",
     "ModelSpec",
     "CurvatureDensity",
-    "CurvatureOptions",
     "curvature",
     "flatness_classify",
     "sphere_asymptote",

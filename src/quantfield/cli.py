@@ -5,21 +5,17 @@ Subcommands: p-value | curvature | flatness | sweep | asymptote | transport
 fixed header ``model,corrected,k,re_s,im_s,log_p,kappa,method``; kappa and
 log_p of a record come from one quadrature pass.  ``--k`` takes integers
 (su2, tori, spheres, circles) or Dynkin labels ``a/b`` (su3).  Exit codes:
-0 success, 1 numerical non-convergence, 2 invalid input.  QUANTFIELD_THREADS
-caps sweep parallelism; output ordering is canonical (k, then Im s) no matter
-how the pool schedules the work.
+0 success, 1 numerical non-convergence, 2 invalid input.  Point records are
+ordered by k, then Im s.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,8 +41,11 @@ class RunConfig:
     re_s: float = 0.0
     tol: float = 1e-5
     fmt: str = "json"
-    seed: int = 0
     output: Optional[str] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def model_spec(self, k) -> ModelSpec:
         kind, _, arg = self.model.partition(":")
@@ -74,11 +73,6 @@ class RunConfig:
         return [complex(self.re_s, y) for y in self.im_s]
 
 
-def _num(text: str) -> float:
-    v = float(text)
-    return v
-
-
 def _k_value(text: str):
     """An integer character index, or Dynkin labels a/b as a tuple."""
     if "/" in text:
@@ -88,9 +82,13 @@ def _k_value(text: str):
 
 def _parse_list(text: str, cast) -> tuple:
     try:
-        return tuple(cast(part) for part in text.split(",") if part)
+        values = tuple(cast(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list, "
+                                         "got none")
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -116,7 +114,7 @@ _CONFIG_CASTS = {
     "im_s": lambda v: _parse_list(str(v), float) if isinstance(v, str)
         else tuple(v),
     "re_s": float, "tol": float,
-    "fmt": str, "seed": int, "output": str,
+    "fmt": str, "output": str,
 }
 
 
@@ -134,7 +132,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     for name, attr in (("model", "model"), ("corrected", "corrected"),
                        ("k_values", "k"), ("im_s", "im_s"), ("re_s", "re_s"),
                        ("tol", "tol"), ("fmt", "format"),
-                       ("seed", "seed"), ("output", "output")):
+                       ("output", "output")):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[name] = value
@@ -189,12 +187,8 @@ def _record(cfg: RunConfig, model: ModelSpec, k, s: complex,
     }
 
 
-def _point_records(cfg: RunConfig, want_kappa: bool,
-                   threads: int = 1) -> list:
-    tasks = [(k, s) for k in cfg.k_values for s in cfg.s_grid()]
-
-    def work(task):
-        k, s = task
+def _point_records(cfg: RunConfig, want_kappa: bool) -> list:
+    def work(k, s):
         model = cfg.model_spec(k)
         if not want_kappa:
             log_p = model_log_p(model)(s).log_magnitude
@@ -202,11 +196,8 @@ def _point_records(cfg: RunConfig, want_kappa: bool,
         cd = curvature(model, s)
         return _record(cfg, model, k, s, cd.log_p, cd.kappa, cd.method)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, tasks))
-    else:
-        records = [work(t) for t in tasks]
+    records = [work(k, s) for k in cfg.k_values for s in cfg.s_grid()]
+
     def k_key(k):
         return tuple(k) if isinstance(k, list) else (k,)
 
@@ -222,13 +213,6 @@ def _cmd_p_value(cfg: RunConfig) -> int:
 
 def _cmd_curvature(cfg: RunConfig) -> int:
     records = _point_records(cfg, want_kappa=True)
-    _with_output(cfg, lambda fh: _emit(records, cfg, fh))
-    return 0
-
-
-def _cmd_sweep(cfg: RunConfig) -> int:
-    threads = max(1, int(os.environ.get("QUANTFIELD_THREADS", "1")))
-    records = _point_records(cfg, want_kappa=True, threads=threads)
     _with_output(cfg, lambda fh: _emit(records, cfg, fh))
     return 0
 
@@ -269,13 +253,8 @@ def _cmd_asymptote(cfg: RunConfig) -> int:
             rec["asymptote"] = asym
             rec["ratio"] = cd.kappa / asym if asym != 0 else None
             records.append(rec)
-    _with_output(cfg, lambda fh: _emit_json_only(records, fh))
+    _with_output(cfg, lambda fh: _emit(records, replace(cfg, fmt="json"), fh))
     return 0
-
-
-def _emit_json_only(records: list, stream) -> None:
-    for r in records:
-        stream.write(json.dumps(r, sort_keys=True) + "\n")
 
 
 def _cmd_transport(cfg: RunConfig, example: str, loop: str,
@@ -335,12 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated character indices; su3 takes "
                        "Dynkin labels a/b")
         p.add_argument("--im-s", dest="im_s",
-                       type=lambda t: _parse_list(t, _num),
+                       type=lambda t: _parse_list(t, float),
                        help="comma-separated Im s values")
         p.add_argument("--re-s", dest="re_s", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--seed", type=int)
         p.add_argument("--output", help="write records here instead of stdout")
         p.add_argument("--config", help="key=value or JSON config file")
         p.add_argument("--show-config", action="store_true")
@@ -375,12 +353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         if args.command == "p-value":
             return _cmd_p_value(cfg)
-        if args.command == "curvature":
+        if args.command in ("curvature", "sweep"):
             return _cmd_curvature(cfg)
         if args.command == "flatness":
             return _cmd_flatness(cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg)
         if args.command == "asymptote":
             return _cmd_asymptote(cfg)
         if args.command == "transport":
@@ -388,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg, list(args.checks) if args.checks else None)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, OverflowError) as exc:

@@ -357,6 +357,8 @@ def abelian_area_example(scale: float = 1.0, fiber_dim: int = 2,
     Its curvature is r_xy = -i scale, so holonomy around a loop is
     exp(i scale * area) Id and the twist a_x = -i scale * y flattens it.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     n = fiber_dim
     eye = np.eye(n, dtype=complex)
 

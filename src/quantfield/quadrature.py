@@ -20,7 +20,7 @@ The workhorses are:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,9 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and scheme selection for the integration routines."""
+    """Tolerances and node counts for the integration routines."""
 
-    scheme: str = "adaptive-interval"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_refinement: int = 200
@@ -60,9 +59,6 @@ class QuadratureSpec:
     panel_nodes: int = 24
 
     def __post_init__(self):
-        if self.scheme not in ("adaptive-interval", "gauss-hermite-shifted",
-                               "tanh-sinh"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.truncation_radius_sigma < 6.0:
@@ -89,11 +85,6 @@ def integrate_1d(f: Callable[[float], float],
     silently wrong value.
     """
     lo, hi = interval
-    if spec.scheme == "tanh-sinh" and hasattr(_sci_integrate, "tanhsinh"):
-        res = _sci_integrate.tanhsinh(np.vectorize(f), lo, hi,
-                                      atol=spec.abs_tol, rtol=spec.rel_tol)
-        return IntegrationResult(float(res.integral), float(res.error),
-                                 bool(res.success))
     out = _sci_integrate.quad(f, lo, hi, epsabs=spec.abs_tol,
                               epsrel=spec.rel_tol, limit=spec.max_refinement,
                               full_output=True)

@@ -24,7 +24,7 @@ quadrature pass (``LogP``); closed forms return theirs analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "LogP",
     "ModelSpec",
     "CurvatureDensity",
-    "CurvatureOptions",
     "FlatnessResult",
     "weight_params",
     "p_group_quadrature",
@@ -76,8 +75,7 @@ class PlanckPoint:
     s: complex
 
     def __post_init__(self):
-        if self.s.imag <= 0:
-            raise ValueError(f"Im s must be positive, got s = {self.s}")
+        _as_complex(self.s)
 
     @property
     def y(self) -> float:
@@ -88,6 +86,8 @@ def _as_complex(s) -> complex:
     if isinstance(s, PlanckPoint):
         return s.s
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s must be finite, got s = {s}")
     if s.imag <= 0:
         raise ValueError(f"Im s must be positive, got s = {s}")
     return s
@@ -213,31 +213,14 @@ class ModelSpec:
         raise ValueError("sphere / truncated-circle models use an integer index")
 
 
-METHODS = ("closed-form", "quadrature+moments")
-
-
 @dataclass(frozen=True)
 class CurvatureDensity:
     kappa: float
     s: complex
     weight_index: object
-    method: str                        # closed-form | quadrature+moments
-    cross_check: Optional[float] = None   # kappa from the other path, if any
+    method: str                        # the route that gave kappa
+    cross_check: Optional[float] = None   # closed-form kappa, if one exists
     log_p: Optional[float] = None      # log p of the path that gave kappa
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class CurvatureOptions:
-    method: str = "auto"               # auto | closed-form | quadrature+moments
-    spec: QuadratureSpec = DEFAULT_SPEC
-
-    def __post_init__(self):
-        if self.method != "auto" and self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +530,7 @@ def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
 # curvature dispatch and classification
 # ---------------------------------------------------------------------------
 
-def model_log_p(model: ModelSpec, spec: QuadratureSpec = DEFAULT_SPEC,
+def model_log_p(model: ModelSpec,
                 closed: bool = False) -> Callable[[complex], LogValue]:
     """The log-p engine of a model as a function of s."""
     if model.variant == "group":
@@ -562,21 +545,21 @@ def model_log_p(model: ModelSpec, spec: QuadratureSpec = DEFAULT_SPEC,
                 raise ValueError("no bare closed form for this root system")
             return lambda s: p_group_closed(s, model.root_system, lam)
         return lambda s: p_group_quadrature(s, model.root_system, lam,
-                                            model.corrected, spec)
+                                            model.corrected)
     if model.variant == "torus":
         lam = model.shifted_weight()
         if closed:
             return lambda s: p_torus_closed(s, model.m, lam, model.corrected)
         rs = liecore.torus(model.m)
-        return lambda s: p_group_quadrature(s, rs, lam, model.corrected, spec)
+        return lambda s: p_group_quadrature(s, rs, lam, model.corrected)
     if model.variant == "sphere":
         if closed:
             raise ValueError("no closed form for spheres")
-        return lambda s: p_sphere(s, int(model.weight_index), model.m, spec)
+        return lambda s: p_sphere(s, int(model.weight_index), model.m)
     if closed:
         raise ValueError("no closed form for the truncated circle")
     return lambda s: p_truncated_circle(s, int(model.weight_index), model.r,
-                                        model.corrected, spec)
+                                        model.corrected)
 
 
 def _has_closed_form(model: ModelSpec) -> bool:
@@ -593,28 +576,19 @@ def _positive(value: LogP, model: ModelSpec, s: complex) -> LogP:
     return value
 
 
-def curvature(model: ModelSpec, s,
-              options: CurvatureOptions = CurvatureOptions()) -> CurvatureDensity:
+def curvature(model: ModelSpec, s) -> CurvatureDensity:
     """Curvature density of a model at s, from one quadrature pass.
 
     The model's engine returns log p and kappa together (the moment
     identity, see the module docstring).  When a closed form exists it is
-    evaluated as well, and the two kappas must agree to CLOSED_AGREEMENT_REL
-    relative to max(|kappa_closed|, m/(8 y^2)); ``method`` picks which one
-    the record reports.  At most two engine calls per point.
+    evaluated as well, reported as ``cross_check``, and the two kappas must
+    agree to CLOSED_AGREEMENT_REL relative to max(|kappa_closed|, m/(8 y^2)).
+    At most two engine calls per point.
     """
     sc = _as_complex(s)
-    closed_available = _has_closed_form(model)
-    method = options.method
-    if method == "auto":
-        method = "quadrature+moments"
-    if method == "closed-form" and not closed_available:
-        raise ValueError(f"no closed form for model {model.label()}")
-
-    quad = _positive(model_log_p(model, options.spec)(sc), model, sc)
+    quad = _positive(model_log_p(model)(sc), model, sc)
     closed = (_positive(model_log_p(model, closed=True)(sc), model, sc)
-              if closed_available else None)
-    primary, other = (closed, quad) if method == "closed-form" else (quad, closed)
+              if _has_closed_form(model) else None)
     if closed is not None:
         m = model.root_system.manifold_dim if model.variant == "group" else model.m
         scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
@@ -622,10 +596,12 @@ def curvature(model: ModelSpec, s,
             raise ArithmeticError(
                 f"curvature paths disagree for {model.label()} at s={sc}: "
                 f"{quad.kappa} (quadrature) vs {closed.kappa} (closed form)")
-    return CurvatureDensity(kappa=primary.kappa, s=sc,
-                            weight_index=model.weight_index, method=method,
-                            cross_check=None if other is None else other.kappa,
-                            log_p=primary.log_magnitude)
+    return CurvatureDensity(kappa=quad.kappa, s=sc,
+                            weight_index=model.weight_index,
+                            method="quadrature+moments",
+                            cross_check=(None if closed is None
+                                         else closed.kappa),
+                            log_p=quad.log_magnitude)
 
 
 @dataclass(frozen=True)
@@ -638,9 +614,7 @@ class FlatnessResult:
 
 
 def flatness_classify(base_model: ModelSpec, k_values: Sequence,
-                      s_values: Sequence, tol: float = 1e-5,
-                      options: CurvatureOptions = CurvatureOptions()
-                      ) -> FlatnessResult:
+                      s_values: Sequence, tol: float = 1e-5) -> FlatnessResult:
     """Classify a family of isotypical curvatures.
 
     Flat: all |kappa| <= tol.  ProjectivelyFlat: kappa nonzero but the same
@@ -655,7 +629,7 @@ def flatness_classify(base_model: ModelSpec, k_values: Sequence,
     for s in s_values:
         for k in k_values:
             model = replace(base_model, weight_index=k)
-            table.append((k, s, curvature(model, s, options).kappa))
+            table.append((k, s, curvature(model, s).kappa))
     max_abs = max(abs(row[2]) for row in table)
     witness = None
     max_gap = 0.0

@@ -8,19 +8,16 @@ The scalar of interest is
 for a fixed reference exponent t < 0; it is finite iff tau < 0 and its
 tau-derivatives generate the zeta^2-moments of the normalized weight.  The
 curvature of the circle quantization is recovered by differentiating
-s |-> e^{b(s)} Q_k(a(s)) in the half-plane.
+s |-> e^{b(s)} Q_k(a(s)) in the half-plane.  Q_k and its moments are
+Gaussian integrals and are evaluated in closed form; only the derivative
+side of the identity, and the curvature, use finite differences.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
 from .logdomain import LogValue
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, fd_derivative,
-                         gaussian_weighted, kappa_from_log)
+from .quadrature import fd_derivative, kappa_from_log
 from .quantization import weight_params
 
 __all__ = [
@@ -63,53 +60,57 @@ class ToeplitzScalar:
     value: LogValue
     k: int
     tau: float
-    provenance: str = "gauss-hermite"
 
 
-def _base_integral(k: int, expo: float,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    # int e^{expo zeta^2 + 2 k zeta} d zeta, closed form via the Gaussian
-    return LogValue.from_log(-k * k / expo + 0.5 * math.log(math.pi / (-expo)), 1)
+def _base_integral(k: int, expo: float) -> float:
+    """log int e^{expo zeta^2 + 2 k zeta} d zeta, by completing the square."""
+    return k * k / (-expo) + 0.5 * math.log(math.pi / (-expo))
 
 
-def q_scalar(model: WeightedModel, tau: float,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> ToeplitzScalar:
-    """Q_k(tau) as a ratio of two Gaussian integrals, both in log domain."""
+def _even_gaussian_moment(mu: float, var: float, n: int) -> float:
+    """E[(mu + sigma Z)^{2n}] for standard normal Z and sigma^2 = var:
+    sum_j C(2n, 2j) mu^{2n-2j} var^j (2j-1)!!, every term non-negative."""
+    terms = []
+    double_factorial = 1.0
+    for j in range(n + 1):
+        if j:
+            double_factorial *= 2 * j - 1
+        terms.append(math.comb(2 * n, 2 * j) * mu ** (2 * n - 2 * j)
+                     * var ** j * double_factorial)
+    return math.fsum(terms)
+
+
+def q_scalar(model: WeightedModel, tau: float) -> ToeplitzScalar:
+    """Q_k(tau) as a ratio of two Gaussian integrals, in closed form."""
     model.check_tau(tau)
-    t = model.reference_exponent
-    num = gaussian_weighted(lambda z: LogValue.from_value(1.0), tau,
-                            float(model.k), spec)
-    den = gaussian_weighted(lambda z: LogValue.from_value(1.0), t,
-                            float(model.k), spec)
-    return ToeplitzScalar(num / den, model.k, tau)
+    log_q = (_base_integral(model.k, tau)
+             - _base_integral(model.k, model.reference_exponent))
+    return ToeplitzScalar(LogValue.from_log(log_q, 1), model.k, tau)
 
 
-def moment(model: WeightedModel, tau: float, n: int,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
+def moment(model: WeightedModel, tau: float, n: int) -> LogValue:
     """int zeta^{2n} e^{2 k zeta + tau zeta^2} d zeta, normalized by the
-    reference integral.  Exact under Gauss-Hermite: the integrand is a
-    polynomial against a Gaussian."""
+    reference integral.  Under the normalised weight zeta is normal with mean
+    k/(-tau) and variance 1/(-2 tau), so this is Q_k(tau) times an even
+    Gaussian moment."""
     model.check_tau(tau)
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    num = gaussian_weighted(lambda z: LogValue.from_value(z ** (2 * n)), tau,
-                            float(model.k), spec)
-    den = gaussian_weighted(lambda z: LogValue.from_value(1.0),
-                            model.reference_exponent, float(model.k), spec)
-    return num / den
+    even = _even_gaussian_moment(model.k / -tau, 0.5 / -tau, n)
+    return LogValue.from_log(q_scalar(model, tau).value.log_magnitude
+                             + math.log(even), 1)
 
 
 def p_toeplitz(model: WeightedModel, n: int, s,
-               corrected: bool = False,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> ToeplitzScalar:
+               corrected: bool = False) -> ToeplitzScalar:
     """P_{k,n}(s) = e^{b(s)} * (2n-th moment at tau = a(s)); the n = 0 case
     is e^{b} Q_k(a)."""
     s = complex(s)
     wp = weight_params(s, 1, corrected)
     model.check_tau(wp.a)
-    mom = moment(model, wp.a, n, spec)
+    mom = moment(model, wp.a, n)
     val = LogValue.from_log(mom.log_magnitude + wp.b, mom.sign)
-    return ToeplitzScalar(val, model.k, wp.a, provenance="quadrature")
+    return ToeplitzScalar(val, model.k, wp.a)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,11 @@ class DerivativeCheck:
 
 
 def verify_derivative_identity(model: WeightedModel, tau: float, n: int,
-                               tol: float = 1e-6,
-                               spec: QuadratureSpec = DEFAULT_SPEC
-                               ) -> DerivativeCheck:
+                               tol: float = 1e-6) -> DerivativeCheck:
     """Check that the n-th tau-derivative of Q_k equals the 2n-th moment.
 
     The derivative side is computed by Richardson-extrapolated central
-    differences with step h = 1e-3 |t|; the moment side by exact quadrature.
+    differences with step h = 1e-3 |t|; the moment side in closed form.
     The comparison is relative to the moment's magnitude.
     """
     if n < 1 or n > 4:
@@ -139,18 +138,17 @@ def verify_derivative_identity(model: WeightedModel, tau: float, n: int,
     model.check_tau(tau + 2 * h)   # the widest stencil point must be admissible
 
     def q_of(x: float) -> float:
-        return q_scalar(model, x, spec).value.to_float()
+        return q_scalar(model, x).value.to_float()
 
     deriv = fd_derivative(q_of, tau, n, h, richardson=True)
-    mom = moment(model, tau, n, spec).to_float()
+    mom = moment(model, tau, n).to_float()
     scale = max(abs(mom), 1e-300)
     residual = abs(deriv - mom) / scale
     return DerivativeCheck(n, tau, mom, deriv, residual, residual <= tol)
 
 
 def curvature_via_ratio(model: WeightedModel, s, corrected: bool,
-                        h_rel: float = 1e-3,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                        h_rel: float = 1e-3) -> float:
     """Curvature density of s |-> e^{b(s)} Q_k(a(s)), m = 1.
 
     Requires a(s) = -1/Im s to stay below t/2 on the whole stencil, i.e.
@@ -164,7 +162,7 @@ def curvature_via_ratio(model: WeightedModel, s, corrected: bool,
     def log_p(z: complex) -> LogValue:
         wp = weight_params(z, 1, corrected)
         model.check_tau(wp.a)
-        q = q_scalar(model, wp.a, spec).value
+        q = q_scalar(model, wp.a).value
         return LogValue.from_log(q.log_magnitude + wp.b, q.sign)
 
     return kappa_from_log(log_p, s, h_rel=h_rel, im_only=True)

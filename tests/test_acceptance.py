@@ -1,215 +1,17 @@
-"""Acceptance gate: ten end-to-end criteria with pinned tolerances.
+"""Acceptance gate: every invariant check of ``quantfield verify``.
 
-Each test prints exactly one ``ACCEPT nn <name>: PASS/FAIL`` line (run pytest
-with -s or read the captured output) and asserts the same condition, so the
-suite doubles as a human-readable report.
+The checks, their grids and their tolerances live in ``quantfield.verify``
+only; this file runs each entry of ``ALL_CHECKS`` as its own test, so the
+test gate and ``quantfield verify`` cannot drift apart.
 """
-import math
-
-import numpy as np
 import pytest
 
-from quantfield import liecore
-from quantfield.hilbertfield import (BasePath, abelian_area_example,
-                                     parallel_transport, trivialize,
-                                     twist_to_flat)
-from quantfield.quadrature import fd_laplacian
-from quantfield.quantization import (CurvatureOptions, ModelSpec, curvature,
-                                     flatness_classify, legendre_value,
-                                     sphere_asymptote, spherical_phi,
-                                     truncated_circle_kappa_limit,
-                                     weyl_reduction_check)
-from quantfield.toeplitz import (WeightedModel, curvature_via_ratio,
-                                 verify_derivative_identity)
+from quantfield.verify import ALL_CHECKS
 
 
-def report(num: int, name: str, ok: bool, detail: str = "") -> None:
-    line = f"ACCEPT {num:02d} {name}: {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f"  [{detail}]"
-    print(line)
-
-
-def test_01_group_flatness():
-    """Corrected su(2): |kappa| <= 1e-6 on the grid, both paths, agreeing."""
-    su2 = liecore.su2()
-    worst_kappa = 0.0
-    worst_gap = 0.0
-    for k in range(9):
-        for y in (0.5, 1.0, 2.0):
-            c = curvature(ModelSpec.group(su2, k, corrected=True),
-                          complex(0, y))
-            worst_kappa = max(worst_kappa, abs(c.kappa), abs(c.cross_check))
-            worst_gap = max(worst_gap, abs(c.kappa - c.cross_check))
-    ok = worst_kappa <= 1e-6 and worst_gap <= 1e-7
-    report(1, "group-flatness", ok,
-           f"max|kappa|={worst_kappa:.2e}, path gap={worst_gap:.2e}")
-    assert ok
-
-
-def test_02_su2_bare_nonflat():
-    """Bare su(2) anchors 0.375 and 0.263889; gap 1/9 in the witness."""
-    su2 = liecore.su2()
-    k0 = curvature(ModelSpec.group(su2, 0, corrected=False), 1j).kappa
-    k1 = curvature(ModelSpec.group(su2, 1, corrected=False), 1j).kappa
-    res = flatness_classify(ModelSpec.group(su2, 0, corrected=False),
-                            [0, 1], [1j, 2j])
-    ok = (abs(k0 - 0.375) <= 1e-6 and abs(k1 - 0.263889) <= 1e-5
-          and res.verdict == "NotProjectivelyFlat"
-          and abs(res.witness[3] - 1.0 / 9.0) <= 1e-5)
-    report(2, "su2-bare-nonflat", ok,
-           f"kappa0={k0:.7f}, kappa1={k1:.7f}, gap={res.witness[3]:.7f}")
-    assert ok
-
-
-def test_03_torus_bare_projectively_flat():
-    """Torus(m) bare kappa = m/(8 y^2) within 1e-6, k-independent to 1e-8."""
-    ok = True
-    detail = []
-    for m in (1, 2, 3):
-        kappas = {}
-        for kval in (0, 2):
-            for y in (0.5, 1.0):
-                c = curvature(ModelSpec.torus(m, [kval] * m, corrected=False),
-                              complex(0, y),
-                              CurvatureOptions(method="closed-form"))
-                kappas[(kval, y)] = c.kappa
-                ok &= abs(c.kappa - m / (8 * y * y)) <= 1e-6
-        for y in (0.5, 1.0):
-            ok &= abs(kappas[(0, y)] - kappas[(2, y)]) <= 1e-8
-        detail.append(f"m={m}: {kappas[(0, 1.0)]:.8f}")
-    report(3, "torus-bare-projective", ok, "; ".join(detail))
-    assert ok
-
-
-def test_04_sphere_asymptotics():
-    """m=2 ratio errors 0.25/0.08 shrinking 3x; m=3 flat to 1e-5."""
-    errs = {}
-    for k in (10, 20):
-        c = curvature(ModelSpec.sphere(2, k), 1j)
-        errs[k] = abs(c.kappa / (-1.0 / (8 * (2 * k + 1) ** 2)) - 1.0)
-    m3 = max(abs(curvature(ModelSpec.sphere(3, k), 1j).kappa)
-             for k in (2, 5, 10))
-    ok = (errs[10] <= 0.25 and errs[20] <= 0.08
-          and errs[10] / errs[20] >= 3.0 and m3 <= 1e-5)
-    report(4, "sphere-asymptotics", ok,
-           f"err10={errs[10]:.4f}, err20={errs[20]:.4f}, "
-           f"shrink={errs[10] / errs[20]:.1f}x, m3 max={m3:.2e}")
-    assert ok
-
-
-def test_05_derivative_identity():
-    """Toeplitz derivative identity residual <= 1e-5 on the (a, t) grid."""
-    worst = 0.0
-    for t in (-2.0, -2.5, -3.0):
-        for frac in (0.55, 0.7, 0.9):
-            for k in (0, 1, 2, 3, 5):
-                for n in (1, 2, 3):
-                    chk = verify_derivative_identity(WeightedModel(k, t),
-                                                     t * frac, n)
-                    worst = max(worst, chk.residual)
-    ok = worst <= 1e-5
-    report(5, "derivative-identity", ok, f"max residual={worst:.2e}")
-    assert ok
-
-
-def test_06_truncated_circle():
-    """k (kappa - kappa_inf) -> 0.5, within 5% at k=80, monotone approach."""
-    r, y = 1.0, 1.0
-    kinf = truncated_circle_kappa_limit(r, complex(0, y), corrected=False)
-    target = r / (2 * y ** 3)
-    seq = []
-    for k in (20, 40, 80):
-        c = curvature(ModelSpec.truncated_circle(r, k, corrected=False),
-                      complex(0, y))
-        seq.append(k * (c.kappa - kinf))
-    gaps = [abs(v - target) for v in seq]
-    ok = gaps[0] >= gaps[1] >= gaps[2] and gaps[2] / target <= 0.05
-    report(6, "truncated-circle", ok,
-           f"sequence={[round(v, 5) for v in seq]} -> {target}")
-    assert ok
-
-
-def test_07_weyl_machinery():
-    """Denominator duality 1e-10; root-product harmonicity 1e-6; MC 3 sigma."""
-    rng = np.random.default_rng(0)
-    worst_dual = 0.0
-    worst_harm = 0.0
-    for rs in (liecore.su2(), liecore.su3()):
-        for _ in range(100):
-            tau = rng.uniform(-2, 2, size=rs.rank)
-            prod, alt = liecore.weyl_denominator(rs, tau)
-            worst_dual = max(worst_dual,
-                             abs(prod.log_magnitude - alt.log_magnitude))
-        M = liecore.orthonormal_change_of_basis(rs)
-        scale = max(abs(liecore.root_product(rs, M @ u))
-                    for u in rng.uniform(-1, 1, size=(20, rs.rank)))
-        for u in rng.uniform(-1, 1, size=(10, rs.rank)):
-            lap = fd_laplacian(lambda v: liecore.root_product(rs, M @ v),
-                               u, 1e-3, richardson=True)
-            worst_harm = max(worst_harm, abs(lap) / scale)
-    chk = weyl_reduction_check(lambda t: math.exp(-t * t),
-                               lambda t: math.exp(-0.5 * t * t), seed=7)
-    ok = worst_dual <= 1e-10 and worst_harm <= 1e-6 and chk.agrees
-    report(7, "weyl-machinery", ok,
-           f"duality={worst_dual:.1e}, harmonicity={worst_harm:.1e}, "
-           f"mc gap={abs(chk.ratio_3d - chk.ratio_1d):.1e} "
-           f"(3sigma={3 * chk.ratio_3d_sigma:.1e})")
-    assert ok
-
-
-def test_08_spherical_functions():
-    """m=2 spherical integral vs Legendre recurrence, 1e-8 relative."""
-    worst = 0.0
-    for k in range(11):
-        for t in (0.25, 0.5, 1.0, 1.5, 2.0):
-            got = spherical_phi(k, 2, t).log_magnitude
-            want = math.log(math.pi * legendre_value(k, math.cosh(2 * t)))
-            worst = max(worst, abs(got - want))
-    ok = worst <= 1e-8
-    report(8, "spherical-functions", ok, f"max log-rel err={worst:.2e}")
-    assert ok
-
-
-def test_09_transport_engine():
-    """Flat loops 1e-8; abelian Stokes 1e-6; trivialization 1e-8; twist."""
-    area = abelian_area_example(scale=1.0)
-    flat = twist_to_flat(area, lambda x: np.array([-1j * x[1], 0.0]))
-    rng = np.random.default_rng(5)
-    worst_loop = 0.0
-    for _ in range(20):
-        pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
-        T = parallel_transport(flat, BasePath.from_points(pts + [pts[0]]))
-        worst_loop = max(worst_loop, float(np.max(np.abs(T - np.eye(2)))))
-    stokes = 0.0
-    for side in (0.5, 1.0):
-        T = parallel_transport(area, BasePath.unit_square_loop((0, 0), side))
-        stokes = max(stokes, abs(T[0, 0] - np.exp(1j * side * side)))
-    triv = trivialize(flat)
-    ok = (worst_loop <= 1e-8 and stokes <= 1e-6
-          and triv.path_independence <= 1e-8)
-    report(9, "transport-engine", ok,
-           f"loops={worst_loop:.1e}, stokes={stokes:.1e}, "
-           f"trivialization={triv.path_independence:.1e}")
-    assert ok
-
-
-def test_10_cross_module():
-    """Toeplitz circle kappa == weighted-measure Torus(1) kappa (both
-    variants) to 1e-6; Sphere(3) and corrected su(2) both flat to 1e-5."""
-    worst = 0.0
-    model = WeightedModel(3, -0.5)
-    for y in (0.5, 1.0, 2.0):
-        s = complex(0, y)
-        for corrected in (True, False):
-            kt = curvature_via_ratio(model, s, corrected)
-            kq = curvature(ModelSpec.torus(1, 3, corrected=corrected), s).kappa
-            worst = max(worst, abs(kt - kq))
-    sphere = max(abs(curvature(ModelSpec.sphere(3, k), 1j).kappa)
-                 for k in (2, 5))
-    su2c = max(abs(curvature(ModelSpec.group(liecore.su2(), k, True),
-                             1j).kappa) for k in (2, 5))
-    ok = worst <= 1e-6 and sphere <= 1e-5 and su2c <= 1e-5
-    report(10, "cross-module", ok,
-           f"circle gap={worst:.2e}, sphere(3)={sphere:.1e}, su2corr={su2c:.1e}")
-    assert ok
+@pytest.mark.parametrize("name, check", ALL_CHECKS,
+                         ids=[name for name, _ in ALL_CHECKS])
+def test_verify_check(name, check):
+    result = check()
+    assert result.name == name
+    assert result.passed, result

@@ -51,8 +51,7 @@ def test_flatness_witness(capsys):
     assert payload["witness"]["gap"] == pytest.approx(1 / 9, abs=1e-6)
 
 
-def test_sweep_csv_header_and_order(capsys, monkeypatch):
-    monkeypatch.setenv("QUANTFIELD_THREADS", "4")
+def test_sweep_csv_header_and_order(capsys):
     rc, out, _ = run(["sweep", "--model", "torus:1", "--k", "2,0,10",
                       "--im-s", "1,0.5", "--format", "csv"], capsys)
     assert rc == 0
@@ -142,6 +141,15 @@ def test_unknown_config_key(tmp_path, capsys):
     assert main(["curvature", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", ["im_s = abc", "k_values = ,", "tol = nan"])
+def test_invalid_config_value_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"model = torus:1\n{line}\n")
+    rc, out, err = run(["curvature", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "out.jsonl"
     rc, out, _ = run(["curvature", "--model", "torus:1", "--k", "0",
@@ -190,6 +198,32 @@ def test_su3_bare_names_rank_limit(capsys):
 
 def test_removed_fd_flags_are_rejected(capsys):
     assert main(["curvature", "--model", "torus:1", "--h-rel", "1e-3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["flatness", "--model", "torus:1", "--k", "", "--im-s", "1,2"],
+    ["curvature", "--model", "torus:1", "--k", "0", "--im-s", ","],
+    ["curvature", "--model", "torus:1", "--k", "0", "--im-s", "inf"],
+    ["curvature", "--model", "group:su2", "--k", "0", "--im-s", "inf"],
+    ["curvature", "--model", "sphere:2", "--k", "3", "--im-s", "nan"],
+    ["p-value", "--model", "circle:1", "--k", "3", "--im-s", "inf"],
+    ["flatness", "--model", "torus:1", "--k", "0,1", "--im-s", "1,inf"],
+    ["sweep", "--model", "torus:1", "--k", "0", "--im-s", "1",
+     "--re-s", "nan"],
+    ["asymptote", "--model", "sphere:2", "--k", "10", "--im-s", "1",
+     "--re-s", "-inf"],
+    ["flatness", "--model", "group:su2", "--corrected", "--k", "0,1",
+     "--im-s", "1,2", "--tol", "nan"],
+    ["curvature", "--model", "torus:1", "--k", "0", "--tol", "-1"],
+    ["transport", "--scale", "nan"],
+    ["curvature", "--model", "torus:1", "--k", "0", "--seed", "3"],
+], ids=["empty-k", "empty-im-s", "inf-torus", "inf-su2", "nan-sphere",
+        "inf-circle-p-value", "inf-flatness", "nan-re-s", "inf-re-asymptote",
+        "nan-tol", "negative-tol", "nan-transport-scale", "removed-seed"])
+def test_invalid_input_exit_code(argv, capsys):
+    rc, out, _ = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -12,8 +12,6 @@ from quantfield.quadrature import (DEFAULT_SPEC, QuadratureSpec, fd_derivative,
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(scheme="romberg")
-    with pytest.raises(ValueError):
         QuadratureSpec(truncation_radius_sigma=4.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)

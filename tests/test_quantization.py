@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quantfield import liecore
 from quantfield.quadrature import kappa_from_log
-from quantfield.quantization import (CurvatureOptions, ModelSpec, PlanckPoint,
+from quantfield.quantization import (ModelSpec, PlanckPoint,
                                      curvature, flatness_classify,
                                      legendre_value, model_log_p,
                                      p_group_closed, p_group_quadrature,
@@ -22,6 +22,9 @@ def test_planck_point():
     assert PlanckPoint(1 + 2j).y == 2.0
     with pytest.raises(ValueError):
         PlanckPoint(1 - 1j)
+    for bad in (complex(0, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            PlanckPoint(bad)
 
 
 def test_weight_params_examples():
@@ -139,9 +142,7 @@ def test_curvature_cross_check_paths():
     assert c.method == "quadrature+moments"
     assert c.cross_check is not None
     assert abs(c.kappa - c.cross_check) < 1e-7
-    c2 = curvature(ModelSpec.group(rs, 2, corrected=True), 1j,
-                   CurvatureOptions(method="closed-form"))
-    assert abs(c2.kappa) < 1e-9
+    assert abs(c.cross_check) < 1e-9
 
 
 def test_curvature_scaling_invariance():
@@ -198,9 +199,8 @@ def test_weyl_reduction_3sigma():
        st.floats(min_value=0.4, max_value=2.5))
 def test_corrected_su2_flat_property(k, y):
     rs = liecore.su2()
-    c = curvature(ModelSpec.group(rs, k, corrected=True), complex(0, y),
-                  CurvatureOptions(method="closed-form"))
-    assert abs(c.kappa) < 1e-6
+    c = curvature(ModelSpec.group(rs, k, corrected=True), complex(0, y))
+    assert abs(c.cross_check) < 1e-6
 
 
 @settings(max_examples=10, deadline=None)

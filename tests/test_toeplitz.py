@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from quantfield.logdomain import LogValue
+from quantfield.quadrature import gaussian_weighted
 from quantfield.toeplitz import (WeightedModel, curvature_via_ratio, moment,
                                  p_toeplitz, q_scalar,
                                  verify_derivative_identity)
@@ -51,6 +53,26 @@ def test_p_toeplitz_examples():
     # shifted moment: k=1, n=1 -> mean^2 + var = 1 + 1/2
     assert p_toeplitz(WeightedModel(1, -1.0), 1, 1j).value.to_float() == \
         pytest.approx(1.5, rel=1e-13)
+
+
+def test_closed_forms_match_hermite_oracle():
+    # Gauss-Hermite is exact for a polynomial against a Gaussian, so the
+    # quadrature route is an independent oracle for the closed forms
+    t = -1.0
+    for k in (0, 1, 5):
+        model = WeightedModel(k, t)
+        den = gaussian_weighted(lambda z: LogValue.from_value(1.0), t,
+                                float(k))
+        for tau in (0.6 * t, 2.0 * t, 5.0 * t):
+            for n in range(4):
+                num = gaussian_weighted(
+                    lambda z: LogValue.from_value(z ** (2 * n)), tau, float(k))
+                want = (num / den).to_float()
+                assert moment(model, tau, n).to_float() == \
+                    pytest.approx(want, rel=1e-13)
+                if n == 0:
+                    assert q_scalar(model, tau).value.to_float() == \
+                        pytest.approx(want, rel=1e-13)
 
 
 def test_moment_guards():
