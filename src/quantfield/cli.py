@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -297,7 +298,10 @@ def _cmd_verify(cfg: RunConfig, names: Optional[list]) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a single-point query."""
     parser = argparse.ArgumentParser(
         prog="quantfield",
         description="curvature of quantum Hilbert fields: batch computations")

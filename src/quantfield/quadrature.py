@@ -9,7 +9,8 @@ The workhorses are:
                              on caller-chosen panels, optionally with the
                              mean and variance of a function under the
                              normalised integrand (``Moments``),
-* ``mc_integrate``        -- seeded Monte Carlo oracle for n <= 4,
+* ``mc_integrate``        -- seeded Monte Carlo oracle for n <= 4, one
+                             array-valued call of the integrand,
 * ``fd_laplacian`` / ``fd_derivative`` -- central stencils with optional
                              Richardson extrapolation,
 * ``kappa_from_log``      -- the scalar curvature density
@@ -198,13 +199,17 @@ def _ball_volume(n: int, radius: float) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * radius ** n
 
 
-def mc_integrate(f: Callable[[np.ndarray], float],
+def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
                  domain,
                  samples: int,
                  seed: int) -> MCResult:
     """Monte Carlo integral over a box or ball domain, deterministic per seed.
 
     ``domain`` is either ``("box", lows, highs)`` or ``("ball", center, radius)``.
+    ``f`` is called once, on all sample points at once, coordinates first:
+    ``p`` has shape (n, samples), so ``p[0]`` is every sample's first
+    coordinate.  Its result is broadcast to (samples,), so a constant
+    integrand may return a scalar.
     Dimension is capped at 4: this is an oracle, not a cubature engine.
     """
     kind = domain[0]
@@ -230,7 +235,7 @@ def mc_integrate(f: Callable[[np.ndarray], float],
         volume = _ball_volume(n, radius)
     else:
         raise ValueError(f"unknown domain kind {kind!r}")
-    vals = np.array([f(p) for p in pts])
+    vals = np.broadcast_to(np.asarray(f(pts.T), dtype=float), (samples,))
     mean = float(vals.mean())
     std = float(vals.std(ddof=1)) if samples > 1 else 0.0
     return MCResult(volume * mean, volume * std / math.sqrt(samples), samples)

@@ -63,6 +63,13 @@ __all__ = [
 
 MAX_SPHERE_INDEX = 200
 
+#: elements per row block of the sphere integrand's (t node x Jacobi node)
+#: array: 64 KiB of float64, half of glibc's default 128 KiB mmap threshold.
+#: Blocks this small come from the heap and are reused, so a call neither
+#: maps, faults in and unmaps its temporaries (about 300 page faults per
+#: p_sphere call when the whole array is one block) nor leaves L2.
+_SPHERE_BLOCK = 8192
+
 #: the quadrature and closed-form kappa must agree to this, relative to
 #: max(|kappa_closed|, m / (8 y^2))
 CLOSED_AGREEMENT_REL = 1e-9
@@ -468,14 +475,19 @@ def p_sphere(s, k: int, m: int,
     lo, hi = max(-t0, -reach), reach
     n_panels = min(800, max(48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
     breakpoints = np.linspace(lo, hi, n_panels + 1)
+    rows = max(1, _SPHERE_BLOCK // c.size)
 
     def log_f(d: np.ndarray) -> np.ndarray:
         # log of e^{a t^2} (sinh 2t)^q t^q phi_k(t) less t0^2/y, with the
         # e^{2t} growth factored out of sinh 2t and of every inner factor
         t = t0 + d
-        inner = logw[None, :] + k * _log_cosh_excess(t[:, None], c[None, :])
-        shift = inner.max(axis=1)
-        log_phi = shift + np.log(np.sum(np.exp(inner - shift[:, None]), axis=1))
+        log_phi = np.empty_like(t)
+        for i in range(0, t.size, rows):
+            inner = logw[None, :] + k * _log_cosh_excess(t[i:i + rows, None],
+                                                         c[None, :])
+            shift = inner.max(axis=1)
+            log_phi[i:i + rows] = shift + np.log(
+                np.sum(np.exp(inner - shift[:, None]), axis=1))
         with np.errstate(divide="ignore"):
             log_sinh_t = np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t)
         return -d * d / y + q * log_sinh_t + log_phi
@@ -514,7 +526,11 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool,
     def log_f(z: np.ndarray) -> np.ndarray:
         return a * z * z + 2.0 * k * z
 
-    mom = integrate_log_panels(log_f, _circle_breakpoints(r), 16,
+    # panels of one Gaussian width around the peak, which the fixed panels
+    # miss once sqrt(y/2) is far below their 0.125 spacing
+    near = np.clip(peak + math.sqrt(0.5 * y) * np.arange(-8.0, 9.0), -r, r)
+    bp = np.union1d(_circle_breakpoints(r), near)
+    mom = integrate_log_panels(log_f, bp, 16,
                                phi_f=lambda z: (z - peak) * (z + peak))
     return _log_p(mom, wp.b, peak * peak, y, 1, corrected)
 
@@ -668,8 +684,8 @@ class ReductionCheck:
     agrees: bool
 
 
-def weyl_reduction_check(f1: Callable[[float], float],
-                         f2: Callable[[float], float],
+def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
+                         f2: Callable[[np.ndarray], np.ndarray],
                          seed: int,
                          samples: int = 200_000,
                          radius: float = 6.0,
@@ -679,7 +695,8 @@ def weyl_reduction_check(f1: Callable[[float], float],
     Ratios of integrals of two radial profiles over the full 3-dimensional
     algebra (Monte Carlo) must match the ratios of the reduced 1-D torus
     integrals with density prod_{alpha in R} |alpha(tau)| = 4 t^2.
-    Normalization constants cancel in the ratios.
+    Normalization constants cancel in the ratios.  The profiles take arrays
+    of radii (``np.exp``, not ``math.exp``).
     """
     rs = rs or liecore.su2()
     roots = rs.roots_array()[:, 0]
@@ -690,7 +707,7 @@ def weyl_reduction_check(f1: Callable[[float], float],
 
     i3 = []
     for idx, f in enumerate((f1, f2)):
-        res = mc_integrate(lambda p: f(float(np.linalg.norm(p))),
+        res = mc_integrate(lambda p: f(np.linalg.norm(p, axis=0)),
                            ("ball", [0.0, 0.0, 0.0], radius),
                            samples, seed + idx)
         i3.append(res)

@@ -115,8 +115,8 @@ def check_half_form_duality() -> CheckResult:
 
 def check_weyl_reduction(seed: int = 7) -> CheckResult:
     """Monte Carlo full-algebra ratios match the reduced radial integrals."""
-    chk = weyl_reduction_check(lambda t: math.exp(-t * t),
-                               lambda t: math.exp(-0.5 * t * t), seed=seed)
+    chk = weyl_reduction_check(lambda t: np.exp(-t * t),
+                               lambda t: np.exp(-0.5 * t * t), seed=seed)
     gap = abs(chk.ratio_3d - chk.ratio_1d)
     return _result("weyl-reduction-3sigma", gap, 3.0 * chk.ratio_3d_sigma,
                    f"mc={chk.ratio_3d:.5f} reduced={chk.ratio_1d:.5f}")

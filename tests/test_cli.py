@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quantfield.cli import CSV_HEADER, main
+from quantfield.cli import CSV_HEADER, _build_parser, main
 
 
 def run(argv, capsys):
@@ -69,6 +69,22 @@ def test_byte_stable(capsys):
     _, out1, _ = run(argv, capsys)
     _, out2, _ = run(argv, capsys)
     assert out1 == out2
+
+
+def test_cached_parser_gives_fresh_output(capsys):
+    # the parser is built once per process: options of one call must not
+    # leak into the next (p-value --show-config would print corrected=true)
+    argvs = (["curvature", "--model", "circle:1", "--corrected", "--k", "3",
+              "--im-s", "0.5", "--format", "csv"],
+             ["flatness", "--model", "group:su2", "--k", "0,1",
+              "--im-s", "1,2"],
+             ["p-value", "--model", "torus:2", "--show-config"])
+    in_sequence = [run(argv, capsys) for argv in argvs]
+    for argv, seen in zip(argvs, in_sequence):
+        _build_parser.cache_clear()
+        assert run(argv, capsys) == seen
+        assert seen[0] == 0 and seen[1]
+    assert '"corrected": false' in in_sequence[2][1]
 
 
 def test_asymptote(capsys):

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from quantfield.hilbertfield import (BasePath, ConnectionField,
+from quantfield.hilbertfield import (BasePath, ConnectionField, _magnus6,
                                      abelian_area_example, classify,
                                      connection_from_grid, curvature_at,
                                      export_grid, parallel_transport,
@@ -88,6 +89,87 @@ def test_flat_loop_holonomy(flat_field):
         pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
         T = parallel_transport(flat_field, BasePath.from_points(pts + [pts[0]]))
         assert np.max(np.abs(T - np.eye(2))) < 1e-8
+
+
+SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]),
+         np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def _su2_connection(x):
+    """A non-abelian su(2) connection with curvature that is nowhere
+    scalar: A_x = i(3 sin 2y s1 + x s3), A_y = i(2 cos 3x s2 + xy s1)."""
+    s1, s2, s3 = SIGMA
+    return np.array([1j * (3 * np.sin(2 * x[1]) * s1 + x[0] * s3),
+                     1j * (2 * np.cos(3 * x[0]) * s2 + x[0] * x[1] * s1)])
+
+
+def _dop853_transport(coeffs, path, n=2):
+    """Oracle: F' = -A(gamma') F with DOP853 at rtol 1e-13 on the
+    real-flattened system, segment by segment."""
+    T = np.eye(n, dtype=complex)
+    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
+        a = np.asarray(a)
+        vel = np.asarray(b) - a
+
+        def rhs(t, y):
+            F = (y[:n * n] + 1j * y[n * n:]).reshape(n, n)
+            dF = -np.tensordot(vel, coeffs(a + t * vel), axes=1) @ F
+            return np.concatenate([dF.real.ravel(), dF.imag.ravel()])
+
+        y0 = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert sol.success
+        T = (sol.y[:n * n, -1] + 1j * sol.y[n * n:, -1]).reshape(n, n) @ T
+    return T
+
+
+def test_non_abelian_transport_against_dop853():
+    fieldc = ConnectionField(_su2_connection, 2, 2, (-1.0, -1.0), (1.5, 1.5))
+    assert classify(fieldc).verdict == "NotProjectivelyFlat"
+    rng = np.random.default_rng(2)
+    for _ in range(8):
+        pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
+        loop = BasePath.from_points(pts + [pts[0]])
+        T = parallel_transport(fieldc, loop)
+        assert np.max(np.abs(T - _dop853_transport(_su2_connection, loop))) \
+            < 1e-9
+        assert np.max(np.abs(T.conj().T @ T - np.eye(2))) < 1e-12
+
+
+def test_magnus_step_is_sixth_order():
+    # fixed steps over one segment: halving h divides the error by 2^6
+    a, vel = np.array([0.1, -0.3]), np.array([0.8, 0.9])
+    segment = BasePath.from_points([tuple(a), tuple(a + vel)])
+    want = _dop853_transport(_su2_connection, segment)
+
+    def gen(t):
+        return -np.tensordot(vel, _su2_connection(a + t * vel), axes=1)
+
+    errs = []
+    for steps in (4, 8, 16):
+        F = np.eye(2, dtype=complex)
+        for i in range(steps):
+            F = _magnus6(gen, i / steps, 1.0 / steps) @ F
+        errs.append(np.max(np.abs(F - want)))
+    assert all(50 < e0 / e1 < 80 for e0, e1 in zip(errs, errs[1:]))
+
+
+def test_transport_raises_on_non_finite_connection():
+    calls = []
+
+    def coeffs(x):
+        calls.append(x)
+        A = np.zeros((2, 2, 2), dtype=complex)
+        A[0] = (np.nan if x[0] > 0.5 else 1j) * np.eye(2)
+        return A
+
+    fieldc = ConnectionField(coeffs, 2, 2, (0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        parallel_transport(fieldc, BasePath.from_points([(0, 0), (1, 0)]))
+    assert len(calls) <= 9          # raised within the first step
+
 
 
 def test_trivialize(flat_field):

@@ -72,6 +72,23 @@ def test_mc_deterministic_and_correct():
     assert abs(res.value - 1 / 3) < 4 * res.stderr + 1e-3
 
 
+def test_mc_calls_f_once_on_all_samples():
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        return np.linalg.norm(p, axis=0) ** 2
+
+    for domain, volume in ((("box", [0, 0, 0], [1, 2, 3]), 6.0),
+                           (("ball", [0.0] * 3, 2.0), 32 * math.pi / 3)):
+        seen.clear()
+        res = mc_integrate(f, domain, 5000, 3)
+        assert [p.shape for p in seen] == [(3, 5000)]
+        # the per-sample loop over the same points is the reference
+        loop = [float(np.linalg.norm(q)) ** 2 for q in seen[0].T]
+        assert res.value == pytest.approx(volume * np.mean(loop), rel=1e-13)
+
+
 def test_mc_dimension_cap():
     with pytest.raises(ValueError):
         mc_integrate(lambda p: 1.0, ("box", [0] * 5, [1] * 5), 10, 0)

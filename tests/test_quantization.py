@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantfield import liecore
+from quantfield import liecore, quantization
 from quantfield.quadrature import kappa_from_log
 from quantfield.quantization import (ModelSpec, PlanckPoint,
                                      curvature, flatness_classify,
@@ -124,6 +125,22 @@ def test_sphere_guards():
         p_sphere(1j, 3, 1)
 
 
+@pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (20, 4, 2.0), (200, 3, 1.0)])
+def test_sphere_row_blocks(monkeypatch, k, m, y):
+    # the row blocks change no digit of the one-block evaluation, and keep
+    # every temporary small: as one block, the k = 200 integrand is about
+    # 1 MB of float64 per temporary
+    tracemalloc.start()
+    try:
+        blocked = p_sphere(complex(0, y), k, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 10 ** 9)
+    assert p_sphere(complex(0, y), k, m) == blocked
+
+
 def test_truncated_circle_erf_value():
     # k=0, r=1, y=1 (a=-1, b=0): integral = sqrt(pi) erf(1)
     got = p_truncated_circle(1j, 0, 1.0, corrected=False)
@@ -134,6 +151,19 @@ def test_truncated_circle_erf_value():
 def test_truncated_circle_large_r_limit():
     got = p_truncated_circle(1j, 0, 8.0, corrected=False).log_magnitude
     assert got == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("y", [1e-4, 1e-6, 1e-9])
+def test_truncated_circle_small_im_s(y, corrected):
+    # the Gaussian (width sqrt(y/2) about 3y) sits far inside [-1, 1], so
+    # kappa = (c - 1/2)/(4y^2) up to e^{-(r - ky)^2/y}; c = 1 bare, 1/2
+    # corrected.  Judged against the bare value 1/(8y^2).
+    c = 0.5 if corrected else 1.0
+    got = curvature(ModelSpec.truncated_circle(1.0, 3, corrected),
+                    complex(0, y)).kappa
+    scale = 1.0 / (8.0 * y * y)
+    assert abs(got - (c - 0.5) / (4.0 * y * y)) <= 1e-9 * scale
 
 
 def test_curvature_cross_check_paths():
@@ -189,8 +219,8 @@ def test_sphere_asymptote_values():
 
 
 def test_weyl_reduction_3sigma():
-    chk = weyl_reduction_check(lambda t: math.exp(-t * t),
-                               lambda t: math.exp(-0.25 * t * t), seed=123)
+    chk = weyl_reduction_check(lambda t: np.exp(-t * t),
+                               lambda t: np.exp(-0.25 * t * t), seed=123)
     assert chk.agrees
 
 
