@@ -5,7 +5,8 @@ Subcommands: p-value | curvature | flatness | sweep | asymptote | transport
 fixed header ``model,corrected,k,re_s,im_s,log_p,kappa,method``; kappa and
 log_p of a record come from one quadrature pass.  ``--k`` takes integers
 (su2, tori, spheres, circles) or Dynkin labels ``a/b`` (su3).  Exit codes:
-0 success, 1 numerical non-convergence, 2 invalid input.  Point records are
+0 success, 1 numerical non-convergence, 2 invalid input, 141 stdout closed
+by its reader (as for a process killed by SIGPIPE).  Point records are
 ordered by k, then Im s.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -341,6 +343,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    cfg = _config_from(args)
+    if getattr(args, "show_config", False):
+        print(json.dumps(asdict(cfg), sort_keys=True, indent=2))
+        return 0
+    if args.command is None:
+        parser.print_usage()
+        return 2
+    if args.command == "p-value":
+        return _cmd_p_value(cfg)
+    if args.command in ("curvature", "sweep"):
+        return _cmd_curvature(cfg)
+    if args.command == "flatness":
+        return _cmd_flatness(cfg)
+    if args.command == "asymptote":
+        return _cmd_asymptote(cfg)
+    if args.command == "transport":
+        return _cmd_transport(cfg, args.example, args.loop, args.scale)
+    if args.command == "verify":
+        return _cmd_verify(cfg, list(args.checks) if args.checks else None)
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -348,26 +373,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from(args)
-        if getattr(args, "show_config", False):
-            print(json.dumps(asdict(cfg), sort_keys=True, indent=2))
-            return 0
-        if args.command is None:
-            parser.print_usage()
-            return 2
-        if args.command == "p-value":
-            return _cmd_p_value(cfg)
-        if args.command in ("curvature", "sweep"):
-            return _cmd_curvature(cfg)
-        if args.command == "flatness":
-            return _cmd_flatness(cfg)
-        if args.command == "asymptote":
-            return _cmd_asymptote(cfg)
-        if args.command == "transport":
-            return _cmd_transport(cfg, args.example, args.loop, args.scale)
-        if args.command == "verify":
-            return _cmd_verify(cfg, list(args.checks) if args.checks else None)
-        return 2
+        code = _dispatch(parser, args)
+        # flush here, so that a closed stdout shows up below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is still buffered
+        # to devnull so the flush at exit cannot fail again, and say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

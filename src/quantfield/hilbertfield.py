@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
 __all__ = [
@@ -450,6 +449,10 @@ def connection_from_grid(payload: dict | str) -> ConnectionField:
     (d, len(axes[0]), ..., len(axes[d-1]), n, n, 2) -- the trailing axis holds
     (real, imag).  Evaluation interpolates each matrix entry linearly.
     """
+    # imported here: scipy.interpolate pulls in scipy.optimize, which
+    # nothing else the command line loads needs
+    from scipy.interpolate import RegularGridInterpolator
+
     if isinstance(payload, str):
         payload = json.loads(payload)
     axes = [np.asarray(a, dtype=float) for a in payload["axes"]]

@@ -189,24 +189,40 @@ class AdjointData:
 # presets
 # ---------------------------------------------------------------------------
 
+# Presets built so far, by key.  A RootSystem is frozen and holds only
+# tuples, so every caller can share one instance.  The preset functions stay
+# plain functions (not functools.cache wrappers) so they remain inspectable
+# as functions of this module.
+_PRESETS: dict = {}
+
+
+def _preset(key, build) -> RootSystem:
+    rs = _PRESETS.get(key)
+    if rs is None:
+        rs = _PRESETS[key] = build()
+    return rs
+
+
 def torus(rank: int) -> RootSystem:
     """Commutative preset: no roots, trivial Weyl group, identity metric."""
-    ident = WeylElement(tuple(map(tuple, np.eye(rank))), 1)
-    return RootSystem(rank=rank, positive_roots=(),
-                      weyl_elements=(ident,),
-                      inner_product=tuple(map(tuple, np.eye(rank))),
-                      manifold_dim=rank, name=f"torus{rank}")
+    def build():
+        ident = tuple(map(tuple, np.eye(rank)))
+        return RootSystem(rank=rank, positive_roots=(),
+                          weyl_elements=(WeylElement(ident, 1),),
+                          inner_product=ident, manifold_dim=rank,
+                          name=f"torus{rank}")
+    return _preset(("torus", rank), build)
 
 
 def su2() -> RootSystem:
-    return RootSystem(
+    return _preset("su2", lambda: RootSystem(
         rank=1,
         positive_roots=((2.0,),),
         weyl_elements=(WeylElement(((1.0,),), 1), WeylElement(((-1.0,),), -1)),
         inner_product=((1.0,),),
         manifold_dim=3,
         name="su2",
-    )
+    ))
 
 
 def _perm_matrix_on_plane(perm: tuple) -> np.ndarray:
@@ -227,6 +243,10 @@ def su3() -> RootSystem:
     Positive roots theta_i - theta_j, i < j; the metric is half the sum of
     squares of the theta's, matching the su(2) preset on embedded su(2)'s.
     """
+    return _preset("su3", _build_su3)
+
+
+def _build_su3() -> RootSystem:
     perms = {
         (0, 1, 2): 1, (1, 0, 2): -1, (2, 1, 0): -1,
         (0, 2, 1): -1, (2, 0, 1): 1, (1, 2, 0): 1,

@@ -2,6 +2,8 @@
 
 The workhorses are:
 
+* ``hermite_rule`` / ``legendre_rule`` -- Gauss rules by order, built once
+                             per process and shared read-only,
 * ``integrate_1d``        -- adaptive quadrature with an honest error estimate,
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
@@ -20,6 +22,7 @@ The workhorses are:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,11 +30,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _sci_integrate
 
 from .logdomain import LogValue, NEG_INF, logsumexp_positive, signed_logsumexp
 
 __all__ = [
+    "hermite_rule",
+    "legendre_rule",
+    "read_only",
     "QuadratureSpec",
     "IntegrationResult",
     "integrate_1d",
@@ -46,6 +51,28 @@ __all__ = [
     "kappa_from_log",
     "DEFAULT_SPEC",
 ]
+
+
+def read_only(rule: tuple) -> tuple:
+    """The rule's arrays, each marked read-only, so that a rule shared
+    between callers cannot be changed by one of them."""
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+@functools.cache
+def hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the weight e^{-x^2}, built once
+    per order and shared read-only."""
+    return read_only(hermgauss(order))
+
+
+@functools.cache
+def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
+    shared read-only."""
+    return read_only(leggauss(order))
 
 
 @dataclass(frozen=True)
@@ -85,10 +112,14 @@ def integrate_1d(f: Callable[[float], float],
     Non-convergence is reported through the ``converged`` flag, never as a
     silently wrong value.
     """
+    # imported here: scipy.integrate pulls in scipy.optimize, and no
+    # curvature path integrates adaptively
+    from scipy import integrate
+
     lo, hi = interval
-    out = _sci_integrate.quad(f, lo, hi, epsabs=spec.abs_tol,
-                              epsrel=spec.rel_tol, limit=spec.max_refinement,
-                              full_output=True)
+    out = integrate.quad(f, lo, hi, epsabs=spec.abs_tol,
+                         epsrel=spec.rel_tol, limit=spec.max_refinement,
+                         full_output=True)
     value, error = out[0], out[1]
     message = out[3] if len(out) > 3 else ""
     tol = max(spec.abs_tol, spec.rel_tol * abs(value))
@@ -108,7 +139,7 @@ def gaussian_weighted(g: Callable[[float], LogValue],
     """
     if a >= 0:
         raise ValueError(f"Gaussian exponent coefficient must be negative, got a={a}")
-    nodes, weights = hermgauss(spec.hermite_order)
+    nodes, weights = hermite_rule(spec.hermite_order)
     sqa = math.sqrt(-a)
     prefactor = -mu * mu / a - math.log(sqa)
     logs = np.empty(nodes.size)
@@ -172,7 +203,7 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
-    u, w = leggauss(nodes_per_panel)
+    u, w = legendre_rule(nodes_per_panel)
     lo = bp[:-1]
     half = 0.5 * (bp[1:] - bp[:-1])
     mid = lo + half

@@ -23,6 +23,7 @@ quadrature pass (``LogP``); closed forms return theirs analytically.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -34,8 +35,8 @@ from .logdomain import LogValue, logsumexp_positive
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
 from .quadrature import (DEFAULT_SPEC, Moments, QuadratureSpec,
-                         integrate_log_panels, mc_integrate, integrate_1d,
-                         weighted_moments)
+                         hermite_rule, integrate_log_panels, mc_integrate,
+                         integrate_1d, read_only, weighted_moments)
 
 __all__ = [
     "PlanckPoint",
@@ -45,10 +46,12 @@ __all__ = [
     "CurvatureDensity",
     "FlatnessResult",
     "weight_params",
+    "hermite_order_for",
     "p_group_quadrature",
     "p_group_closed",
     "p_torus_closed",
     "p_su2_closed",
+    "jacobi_rule",
     "spherical_phi",
     "legendre_value",
     "p_sphere",
@@ -246,7 +249,7 @@ def _tensor_hermite_log(dim: int, a: float, mu: np.ndarray,
     the integral separates: log p, E|u|^2 and Var|u|^2 are sums over axes of
     one-dimensional rules, and no tensor grid is built.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = hermite_rule(order)
     logw = np.log(weights)
     v = nodes / math.sqrt(-a)
     c = mu / (-a)
@@ -266,6 +269,19 @@ def _tensor_hermite_log(dim: int, a: float, mu: np.ndarray,
     if out.sign != 0:
         out = LogValue.from_log(out.log_magnitude + prefactor, out.sign)
     return Moments(out, mom.mean, mom.var)
+
+
+def hermite_order_for(n_positive_roots: int) -> int:
+    """Gauss-Hermite nodes per axis that make the corrected group integral
+    and its moments exact.
+
+    The weight is a Gaussian times prod_{R+} alpha(u), a polynomial of
+    degree |R+|, and the variance needs phi^2 = |u|^4 under it: degree
+    |R+| + 4 in all.  n nodes integrate degree 2n - 1 exactly (Golub &
+    Welsch 1969), so n = ceil((|R+| + 5) / 2): 3 for tori and su(2), 4 for
+    su(3).
+    """
+    return math.ceil((n_positive_roots + 5) / 2)
 
 
 def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
@@ -305,8 +321,8 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
                 logp = np.sum(np.log(np.abs(vals) + 1e-300), axis=1)
                 sign = np.prod(np.sign(vals), axis=1).astype(int)
                 return logp, sign
-        order = max(spec.hermite_order, 2 * len(rs.positive_roots) + 8)
-        mom = _tensor_hermite_log(rs.rank, a, lam_u, poly, order)
+        mom = _tensor_hermite_log(rs.rank, a, lam_u, poly,
+                                  hermite_order_for(len(rs.positive_roots)))
         centre = lam_u * y                # mu / (-a)
         return _log_p(mom, wp.b + log_det_M, float(centre @ centre), y, m,
                       corrected)
@@ -411,10 +427,15 @@ def _log_cosh_arg(t, c):
     return 2.0 * np.asarray(t, dtype=float) + _log_cosh_excess(t, c)
 
 
+@functools.cache
+def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the weight (1-c^2)^alpha on
+    [-1, 1], built once per (n, alpha) and shared read-only."""
+    return read_only(roots_jacobi(n, alpha, alpha))
+
+
 def _jacobi_nodes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    n = max(48, k // 2 + 8)
-    alpha = (m - 3) / 2.0
-    return roots_jacobi(n, alpha, alpha)
+    return jacobi_rule(max(48, k // 2 + 8), (m - 3) / 2.0)
 
 
 def spherical_phi(k: int, m: int, t: float,
@@ -510,8 +531,7 @@ def _circle_breakpoints(r: float) -> np.ndarray:
     return np.array(pts)
 
 
-def p_truncated_circle(s, k: int, r: float, corrected: bool,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
+def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP:
     """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), with
     kappa from the moments of zeta^2 about the integrand's peak, k y clipped
     to [-r, r]."""

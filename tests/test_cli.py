@@ -242,12 +242,40 @@ def test_invalid_input_exit_code(argv, capsys):
     assert out == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_python_dash_m_runs_the_cli():
     out = subprocess.run([sys.executable, "-m", "quantfield", "verify",
                           "--checks", "character-weight-sum"],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_src_env(),
+                         timeout=120)
     assert out.returncode == 0, out.stderr
     assert "1/1 checks passed" in out.stdout
+
+
+def test_cli_import_skips_scipy_integrate_and_interpolate():
+    # both pull in scipy.optimize, which no curvature path needs
+    code = ("import sys, quantfield.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_src_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_141_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "quantfield", "sweep",
+                             "--model", "torus:1", "--k", "0,1,2",
+                             "--im-s", "0.5,1,2", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env())
+    proc.stdout.close()          # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

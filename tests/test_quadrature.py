@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from quantfield.logdomain import LogValue
 from quantfield.quadrature import (DEFAULT_SPEC, QuadratureSpec, fd_derivative,
                                    fd_laplacian, gaussian_weighted,
-                                   integrate_1d, integrate_log_panels,
-                                   kappa_from_log, mc_integrate)
+                                   hermite_rule, integrate_1d,
+                                   integrate_log_panels, kappa_from_log,
+                                   legendre_rule, mc_integrate)
 
 
 def test_spec_validation():
@@ -15,6 +18,18 @@ def test_spec_validation():
         QuadratureSpec(truncation_radius_sigma=4.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
+
+
+@pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
+                                         (legendre_rule, leggauss)])
+@pytest.mark.parametrize("order", [3, 16, 24, 64])
+def test_rules_are_shared_read_only_and_exact_copies(rule, fresh, order):
+    shared = rule(order)
+    assert rule(order) is shared
+    for got, want in zip(shared, fresh(order)):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
 
 def test_integrate_1d_gaussian():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from quantfield import liecore, quantization
 from quantfield.quadrature import kappa_from_log
 from quantfield.quantization import (ModelSpec, PlanckPoint,
                                      curvature, flatness_classify,
+                                     hermite_order_for, jacobi_rule,
                                      legendre_value, model_log_p,
                                      p_group_closed, p_group_quadrature,
                                      p_su2_closed, p_torus_closed,
@@ -58,6 +60,40 @@ def test_corrected_su2_ratio_constancy():
                 - (k + 1) ** 2 * y
                 for y in (0.5, 1.0, 2.0)]
         assert max(logs) - min(logs) < 1e-7
+
+
+_SIZED_CASES = (
+    [(liecore.su2(), liecore.su2_weight(k), True) for k in (0, 1, 2, 5, 8, 20)]
+    + [(liecore.torus(m), liecore.torus_weight(m, k), False)
+       for m in (1, 2, 3) for k in ([0] * m, [1, -2, 3][:m])]
+    + [(liecore.su3(), liecore.highest_weight(liecore.su3(), labels), True)
+       for labels in ((0, 0), (1, 0), (2, 1), (3, 3))])
+
+
+@pytest.mark.parametrize("rs, lam, corrected", _SIZED_CASES)
+def test_sized_hermite_rule_matches_order_64(rs, lam, corrected, monkeypatch):
+    # ceil((|R+| + 5) / 2) nodes per axis integrate the weight and phi^2
+    # under it exactly, so log p and kappa are those of a 64-node rule
+    assert [hermite_order_for(n) for n in (0, 1, 3)] == [3, 3, 4]
+    ys = (0.05, 0.5, 1.0, 2.0, 10.0)
+    sized = [p_group_quadrature(complex(0, y), rs, lam, corrected) for y in ys]
+    monkeypatch.setattr(quantization, "hermite_order_for", lambda n: 64)
+    for y, got in zip(ys, sized):
+        want = p_group_quadrature(complex(0, y), rs, lam, corrected)
+        assert got.log_magnitude == pytest.approx(want.log_magnitude,
+                                                  rel=1e-11)
+        scale = max(abs(want.kappa), rs.manifold_dim / (8.0 * y * y))
+        assert abs(got.kappa - want.kappa) <= 1e-11 * scale
+
+
+def test_jacobi_rule_is_shared_read_only_and_exact():
+    for n, alpha in ((48, -0.5), (48, 0.0), (108, 0.5)):
+        shared = jacobi_rule(n, alpha)
+        assert jacobi_rule(n, alpha) is shared
+        for got, want in zip(shared, roots_jacobi(n, alpha, alpha)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 0.0
 
 
 def test_bare_su2_quadrature_vs_closed():
