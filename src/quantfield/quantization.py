@@ -20,6 +20,12 @@ function of y = Im s alone, and
 with E_w and Var_w taken under the normalised integrand on the very nodes
 that give p.  Each engine therefore returns kappa with log p from one
 quadrature pass (``LogP``); closed forms return theirs analytically.
+
+The leading terms of that identity cancel down to kappa.  For spheres, whose
+kappa is about 1/(k^2 y^3) against terms of size k^2 / y, ``p_sphere``
+therefore rescales t about the peak, t = (k+q) y + sqrt(y) v, so that the
+k^2 part of log p is linear in y and never enters kappa; it keeps the
+moments of phi only where (k+q) sqrt(y) is too small for that rescaling.
 """
 from __future__ import annotations
 
@@ -72,6 +78,18 @@ MAX_SPHERE_INDEX = 200
 #: maps, faults in and unmaps its temporaries (about 300 page faults per
 #: p_sphere call when the whole array is one block) nor leaves L2.
 _SPHERE_BLOCK = 8192
+
+#: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
+#: sits at |v| = 6.02, weight 1.7e-16, so at the switch below it drops at
+#: most that node.  Measured against 30-digit values at the switch, kappa's
+#: worst error falls with the order to rounding level at about 20 nodes
+#: (12: 5e-11, 16: 1.5e-12, 20 to 32: 4e-13 to 9e-13).
+SPHERE_HERMITE_ORDER = 24
+
+#: (k+q) sqrt(Im s) at and above which the sphere takes the rescaled route.
+#: Below it the rescaled rule would need nodes at t <= 0, where the
+#: integrand is cut off, so the panel route integrates in t instead.
+SPHERE_HERMITE_SWITCH = 6.0
 
 #: the quadrature and closed-form kappa must agree to this, relative to
 #: max(|kappa_closed|, m / (8 y^2))
@@ -427,6 +445,17 @@ def _log_cosh_arg(t, c):
     return 2.0 * np.asarray(t, dtype=float) + _log_cosh_excess(t, c)
 
 
+def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
+    """log of the half-form factor (sinh 2t)^q t^q less its growth 2 q t.
+
+    With q = (m-1)/2 the factor is t^{m-1} sqrt(D(t)/2), where
+    D = 2 (sinh 2t / t)^{m-1} is ``liecore.half_form_density_sphere`` and
+    t^{m-1} the polar Jacobian of the fibre R^m.  -inf at t = 0.
+    """
+    with np.errstate(divide="ignore"):
+        return q * (np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t))
+
+
 @functools.cache
 def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights for the weight (1-c^2)^alpha on
@@ -435,7 +464,22 @@ def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobi_nodes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return jacobi_rule(max(48, k // 2 + 8), (m - 3) / 2.0)
+    """The Gauss-Jacobi rule that integrates the sphere's inner integrand
+    exactly: it is a polynomial of degree k in c = cos u, and n nodes are
+    exact to degree 2n - 1 (Golub & Welsch 1969), so n = k // 2 + 1."""
+    return jacobi_rule(k // 2 + 1, (m - 3) / 2.0)
+
+
+def _sphere_indices(k, m) -> tuple[int, int]:
+    """k and m as ints, or ValueError unless both are integers in range."""
+    if not (float(k).is_integer() and float(m).is_integer()):
+        raise ValueError(f"k and m must be integers, got k={k}, m={m}")
+    k, m = int(k), int(m)
+    if m < 2:
+        raise ValueError("sphere needs m >= 2")
+    if k < 0 or k > MAX_SPHERE_INDEX:
+        raise ValueError(f"k must be in [0, {MAX_SPHERE_INDEX}]")
+    return k, m
 
 
 def spherical_phi(k: int, m: int, t: float,
@@ -445,8 +489,9 @@ def spherical_phi(k: int, m: int, t: float,
     Substituting c = cos u turns this into a Gauss-Jacobi integral with
     weight (1-c^2)^{(m-3)/2}, exact for the degree-k polynomial integrand.
     """
-    if k < 0 or m < 2 or t < 0:
-        raise ValueError("need k >= 0, m >= 2, t >= 0")
+    k, m = _sphere_indices(k, m)
+    if t < 0:
+        raise ValueError("need t >= 0")
     c, w = nodes if nodes is not None else _jacobi_nodes(k, m)
     logs = np.log(w) + k * _log_cosh_arg(t, c)
     return LogValue.from_log(logsumexp_positive(logs), 1)
@@ -467,29 +512,109 @@ def p_sphere(s, k: int, m: int,
     """Half-form corrected sphere engine:
 
     log p = b(s) + log int_0^inf e^{a t^2} (sinh 2t)^q t^q phi_k(t) dt,
-    q = (m-1)/2, with both integrals in the log domain.
+    q = (m-1)/2, a = -1/y, phi_k the Gegenbauer integral ``spherical_phi``.
+
+    Write the log of (sinh 2t)^q t^q phi_k(t) as 2(k+q) t + g(t) and
+    substitute t = (k+q) y + sqrt(y) v.  The exponent becomes
+    (k+q)^2 y - v^2, so
+
+        log p = b(y) + (k+q)^2 y + (1/2) log y + log int e^{-v^2} e^{g(t)} dv,
+
+    integrated by SPHERE_HERMITE_ORDER fixed Gauss-Hermite nodes in v
+    (``_p_sphere_hermite``).  The (k+q)^2 y term is linear in y, so its k^2
+    never enters kappa, and the moment identity's cancellation of terms of
+    size k^2 / y is gone.  Below SPHERE_HERMITE_SWITCH the rule would need
+    nodes at t <= 0, and the panel route (``_p_sphere_panels``) integrates
+    in t instead.  Both routes size the Gauss-Jacobi rule of phi_k by its
+    exactness degree (``_jacobi_nodes``).
+    """
+    k, m = _sphere_indices(k, m)
+    y = _as_complex(s).imag
+    q = (m - 1) / 2.0
+    b = weight_params(s, m, corrected=True).b
+    c, w = _jacobi_nodes(k, m)
+    if (k + q) * math.sqrt(y) < SPHERE_HERMITE_SWITCH:
+        return _p_sphere_panels(y, k, m, b, c, np.log(w), spec)
+    return _p_sphere_hermite(y, k, m, b, c, np.log(w))
+
+
+def _p_sphere_hermite(y: float, k: int, m: int, b: float, c: np.ndarray,
+                      logw: np.ndarray) -> LogP:
+    """The rescaled route of ``p_sphere``.
+
+    With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
+
+        4 kappa = q / y^2 + E[g'' T_y^2 + g' T_yy] + Var[g' T_y],
+
+    T_y = (k+q) + v / (2 sqrt y), T_yy = -v / (4 y^{3/2}), the moments taken
+    under the normalised e^{-v^2} e^g on the Hermite nodes.  g = q h + psi,
+    h the half-form term (``_log_half_form``) and psi = log phi_k - 2kt.
+    Over the Jacobi nodes c_j, with A = 1 + c, B = (1 - c) e^{-4t} and
+    rho = B / (A + B), each inner term is proportional to (A + B)^k and
+    psi' = -4k E[rho], psi'' = 16k E[rho (1 - rho)] + 16k^2 Var[rho]
+    under those terms: closed forms, with no subtraction of large terms.
+    The q/y^2 cancels against the -q T_y^2 / t^2 that log t puts into
+    g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken together
+    per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  Nodes with t <= 0
+    are dropped; the integrand vanishes there and, above the switch, their
+    Hermite weight is below e^{-36}.
+    """
+    q = (m - 1) / 2.0
+    kq = k + q
+    sy = math.sqrt(y)
+    v, hw = hermite_rule(SPHERE_HERMITE_ORDER)
+    keep = v > -kq * sy
+    v, hw = v[keep], hw[keep]
+    t = kq * y + sy * v
+    e = np.exp(-4.0 * t)
+
+    inner = logw + k * _log_cosh_excess(t[:, None], c)
+    shift = inner.max(axis=1)
+    frac = np.exp(inner - shift[:, None])
+    norm = frac.sum(axis=1)
+    frac /= norm[:, None]
+    bb = (1.0 - c) * e[:, None]
+    rho = bb / ((1.0 + c) + bb)
+    mean_rho = np.sum(frac * rho, axis=1)
+    var_rho = np.sum(frac * (rho - mean_rho[:, None]) ** 2, axis=1)
+    mean_rho_1 = np.sum(frac * rho * (1.0 - rho), axis=1)
+
+    one_e = -np.expm1(-4.0 * t)
+    g = _log_half_form(t, q) + shift + np.log(norm)
+    g1 = q * (4.0 * e / one_e + 1.0 / t) - 4.0 * k * mean_rho
+    # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
+    g2_rest = (-16.0 * q * e / (one_e * one_e)
+               + 16.0 * k * (mean_rho_1 + k * var_rho))
+
+    logs = np.log(hw) + g
+    log_int = logsumexp_positive(logs)
+    wt = np.exp(logs - log_int)
+    wt /= wt.sum()
+    t_y = kq + v / (2.0 * sy)
+    t_yy = -v / (4.0 * y * sy)
+    d1 = g1 * t_y
+    mean_d1 = float(wt @ d1)
+    folded = q * v * (kq * sy + 0.75 * v) / (y * t * t)
+    d2 = float(wt @ (folded + g2_rest * t_y * t_y + g1 * t_yy)) \
+        + float(wt @ (d1 - mean_d1) ** 2)
+    kappa = 0.25 * d2
+    return LogP(b + kq * kq * y + 0.5 * math.log(y) + log_int, 1, kappa)
+
+
+def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
+                     logw: np.ndarray, spec: QuadratureSpec) -> LogP:
+    """The panel route of ``p_sphere``, for (k+q) sqrt(y) below the switch.
 
     The growth of (sinh 2t)^q phi_k(t) is e^{2(k+q)t}, and with a = -1/y
     a t^2 + 2(k+q) t = t0^2/y - (t - t0)^2/y for t0 = (k+q) y.  The
     integrand is evaluated in that completed-square form at offsets
-    d = t - t0, with t0^2/y added back to log p, so no node carries a log
-    weight of size k^2 y and the moments of t^2 - t0^2 = d (d + 2 t0) keep
-    their digits.  The panels cover t in [max(0, t0 - R), t0 + R] with
-    R = truncation_radius_sigma sigma + 1, sigma = sqrt(y/2): what is left
-    of the integrand after the Gaussian about t0 grows only polynomially,
-    so its mass outside is negligible.
+    d = t - t0, with t0^2/y added back to log p, and kappa comes from the
+    moments of t^2 - t0^2 = d (d + 2 t0).  The panels cover t in
+    [max(0, t0 - R), t0 + R] with R = truncation_radius_sigma sigma + 1,
+    sigma = sqrt(y/2): what is left of the integrand after the Gaussian
+    about t0 grows only polynomially, so its mass outside is negligible.
     """
-    if m < 2:
-        raise ValueError("sphere needs m >= 2")
-    if k < 0 or k > MAX_SPHERE_INDEX:
-        raise ValueError(f"k must be in [0, {MAX_SPHERE_INDEX}]")
-    sc = _as_complex(s)
-    y = sc.imag
     q = (m - 1) / 2.0
-    wp = weight_params(sc, m, corrected=True)
-    c, w = _jacobi_nodes(k, m)
-    logw = np.log(w)
-
     t0 = (k + q) * y
     sigma = math.sqrt(y / 2.0)
     reach = spec.truncation_radius_sigma * sigma + 1.0
@@ -509,13 +634,11 @@ def p_sphere(s, k: int, m: int,
             shift = inner.max(axis=1)
             log_phi[i:i + rows] = shift + np.log(
                 np.sum(np.exp(inner - shift[:, None]), axis=1))
-        with np.errstate(divide="ignore"):
-            log_sinh_t = np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t)
-        return -d * d / y + q * log_sinh_t + log_phi
+        return -d * d / y + _log_half_form(t, q) + log_phi
 
     mom = integrate_log_panels(log_f, breakpoints, spec.panel_nodes,
                                phi_f=lambda d: d * (d + 2.0 * t0))
-    return _log_p(mom, wp.b + t0 * t0 / y, t0 * t0, y, m, True)
+    return _log_p(mom, b + t0 * t0 / y, t0 * t0, y, m, True)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +714,7 @@ def model_log_p(model: ModelSpec,
     if model.variant == "sphere":
         if closed:
             raise ValueError("no closed form for spheres")
-        return lambda s: p_sphere(s, int(model.weight_index), model.m)
+        return lambda s: p_sphere(s, model.weight_index, model.m)
     if closed:
         raise ValueError("no closed form for the truncated circle")
     return lambda s: p_truncated_circle(s, int(model.weight_index), model.r,

@@ -187,24 +187,41 @@ def _log_legendre(k: int, x: float) -> float:
     return math.log(legendre_value(k, x))
 
 
+#: k = 200 far out in Im s, where the moment identity's leading terms of
+#: size k^2 / y once cancelled to noise
+FAR_SPHERE = (200, (20.0, 100.0))
+
+
 def check_sphere_flat_m3() -> CheckResult:
-    """The 3-sphere is a group manifold: corrected curvature vanishes."""
+    """The 3-sphere is a group manifold: corrected curvature vanishes, also
+    at k = 200 far out in Im s, against the scale 1/(8 (2k+2)^2 y^3)."""
     worst = 0.0
     for k in (2, 5, 10):
         c = curvature(ModelSpec.sphere(3, k), 1j)
         worst = max(worst, abs(c.kappa))
-    return _result("sphere-m3-flat", worst, 1e-5)
+    k, ys = FAR_SPHERE
+    far = max(abs(curvature(ModelSpec.sphere(3, k), complex(0, y)).kappa)
+              * 8.0 * (2 * k + 2) ** 2 * y ** 3 for y in ys)
+    return _all_within("sphere-m3-flat",
+                       [("max|kappa| k<=10", worst, 1e-5),
+                        ("max|kappa|/scale k=200", far, 1e-6)])
 
 
 def check_sphere_asymptote() -> CheckResult:
-    """m = 2 curvature approaches -1/(8(2k+1)^2 y^3), error shrinking in k."""
+    """m = 2 curvature approaches -1/(8(2k+1)^2 y^3), error shrinking in k,
+    and lies within 1e-4 of it at k = 200 far out in Im s."""
     errs = {}
     for k in (10, 20):
         c = curvature(ModelSpec.sphere(2, k), 1j)
         errs[k] = abs(c.kappa / sphere_asymptote(k, 2, 1j) - 1.0)
-    ok = errs[10] <= 0.25 and errs[20] <= 0.08 and errs[10] / errs[20] >= 3.0
+    k, ys = FAR_SPHERE
+    far = max(abs(curvature(ModelSpec.sphere(2, k), complex(0, y)).kappa
+                  / sphere_asymptote(k, 2, complex(0, y)) - 1.0) for y in ys)
+    ok = (errs[10] <= 0.25 and errs[20] <= 0.08 and errs[10] / errs[20] >= 3.0
+          and far <= 1e-4)
     return CheckResult("sphere-m2-asymptote", errs[20], 0.08, ok,
-                       f"ratio errors k=10: {errs[10]:.4f}, k=20: {errs[20]:.4f}")
+                       f"ratio errors k=10: {errs[10]:.4f}, k=20: {errs[20]:.4f}, "
+                       f"k=200 at Im s 20 and 100: {far:.1e} (tol 1e-4)")
 
 
 def check_circle_slope() -> CheckResult:

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,11 +163,24 @@ def test_sphere_guards():
         p_sphere(1j, 3, 1)
 
 
-@pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (20, 4, 2.0), (200, 3, 1.0)])
+def test_sphere_rejects_non_integral_indices():
+    for k, m in ((2.5, 2), (5, 2.5)):
+        with pytest.raises(ValueError, match="integers"):
+            p_sphere(1j, k, m)
+        with pytest.raises(ValueError, match="integers"):
+            spherical_phi(k, m, 0.5)
+    # integral floats are integers
+    assert p_sphere(1j, 5.0, 2.0) == p_sphere(1j, 5, 2)
+
+
+@pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (10, 4, 0.2),
+                                     (150, 3, 1e-3)])
 def test_sphere_row_blocks(monkeypatch, k, m, y):
-    # the row blocks change no digit of the one-block evaluation, and keep
-    # every temporary small: as one block, the k = 200 integrand is about
-    # 1 MB of float64 per temporary
+    # inputs on the panel route, (k+q) sqrt(y) below the switch.  The row
+    # blocks change no digit of the one-block evaluation and keep every
+    # temporary small: at k = 150, y = 1e-3 the integrand is 2,856 t nodes
+    # x 76 Jacobi nodes, about 1.7 MB of float64 per temporary as one block
+    assert (k + (m - 1) / 2) * math.sqrt(y) < quantization.SPHERE_HERMITE_SWITCH
     tracemalloc.start()
     try:
         blocked = p_sphere(complex(0, y), k, m)
@@ -175,6 +190,91 @@ def test_sphere_row_blocks(monkeypatch, k, m, y):
     assert peak < 512 * 1024
     monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 10 ** 9)
     assert p_sphere(complex(0, y), k, m) == blocked
+
+
+def _sphere_scale(k, m, y):
+    """The size of a sphere kappa: the asymptote's 1/(8 (2k+m-1)^2 y^3)."""
+    return 1.0 / (8.0 * (2 * k + m - 1) ** 2 * y ** 3)
+
+
+def test_sphere_matches_stored_oracle():
+    # the benchmark's 40-digit moment-identity values, read, never written;
+    # the worst of the 26 is 1.3e-12 off, so 1e-11 still fails a rule that
+    # lost digits (8 Hermite nodes: 4.5e-10)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "sphere_oracle.json"
+    entries = json.loads(path.read_text())["entries"]
+    assert len(entries) == 26
+    for e in entries:
+        got = p_sphere(complex(0, e["im_s"]), e["k"], e["m"]).kappa
+        assert got == pytest.approx(float(e["kappa"]), rel=1e-11), e
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 20, 200])
+def test_sphere_m3_closed_form(k):
+    # S^3: (sinh 2t) t phi_k(t) = 2 t sinh(2(k+1)t) / (k+1), so
+    # p = y^{-3/2} int_0^inf e^{-t^2/y} t sinh(2(k+1)t) dt ~ e^{(k+1)^2 y}
+    # and kappa = 0.  The y grid runs on both sides of the route switch.
+    base = p_sphere(1j, k, 3).log_magnitude
+    for y in (0.01, 0.1, 0.5, 2.0, 20.0, 100.0):
+        got = p_sphere(complex(0, y), k, 3)
+        want = (k + 1) ** 2 * (y - 1.0)
+        assert got.log_magnitude - base == pytest.approx(want, rel=1e-12)
+        assert abs(got.kappa) <= 1e-9 * _sphere_scale(k, 3, y), (y, got.kappa)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+@pytest.mark.parametrize("k", (0, 5, 20))
+def test_sphere_routes_agree_at_switch(k, m):
+    q = (m - 1) / 2
+    c, w = quantization._jacobi_nodes(k, m)
+    for side in (1 - 1e-9, 1 + 1e-9):
+        y = (quantization.SPHERE_HERMITE_SWITCH * side / (k + q)) ** 2
+        b = weight_params(complex(0, y), m, True).b
+        args = (y, k, m, b, c, np.log(w))
+        hermite = quantization._p_sphere_hermite(*args)
+        panels = quantization._p_sphere_panels(*args, quantization.DEFAULT_SPEC)
+        assert p_sphere(complex(0, y), k, m) == (panels if side < 1 else hermite)
+        assert hermite.log_magnitude == pytest.approx(panels.log_magnitude,
+                                                      rel=1e-12)
+        # the panels are the weaker route here: at k = 0 (Im s = 144 for
+        # m = 2) they are 1e-9 off 30-digit values, the rescaled rule 1e-12
+        scale = max(abs(panels.kappa), _sphere_scale(k, m, y))
+        assert abs(hermite.kappa - panels.kappa) <= 5e-9 * scale
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+@pytest.mark.parametrize("k", (0, 1, 5, 50, 200))
+def test_jacobi_rule_sized_by_degree(monkeypatch, k, m):
+    # the inner integrand is a degree-k polynomial in c, so k // 2 + 1 nodes
+    # are exact: a rule of twice the size changes no value beyond rounding
+    ys = (0.2, 1.0, 2.0, 20.0)
+    sized = [p_sphere(complex(0, y), k, m) for y in ys]
+    phis = [spherical_phi(k, m, t) for t in (0.0, 0.3, 2.0)]
+    assert quantization._jacobi_nodes(k, m)[0].size == k // 2 + 1
+    monkeypatch.setattr(quantization, "_jacobi_nodes", lambda k, m: jacobi_rule(
+        2 * (k // 2 + 1), (m - 3) / 2.0))
+    for y, got in zip(ys, sized):
+        want = p_sphere(complex(0, y), k, m)
+        assert got.log_magnitude == pytest.approx(want.log_magnitude,
+                                                  rel=1e-13)
+        # kappa is a difference of terms up to m / (8 y^2) in size
+        scale = max(abs(want.kappa), m / (8.0 * y * y))
+        assert abs(got.kappa - want.kappa) <= 1e-13 * scale, y
+    for t, got in zip((0.0, 0.3, 2.0), phis):
+        assert got.log_magnitude == pytest.approx(
+            spherical_phi(k, m, t).log_magnitude, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_half_form_factor_matches_liecore(m):
+    # (sinh 2t)^q t^q = t^{m-1} sqrt(D/2), D = det((sin 2 ad tZ)/ad tZ | p)
+    adj = liecore.so_pair_adjoint(m)
+    q = (m - 1) / 2
+    for t in (0.05, 0.3, 1.0, 2.0, 5.0):
+        got = quantization._log_half_form(np.array([t]), q)[0] + 2 * q * t
+        want = (m - 1) * math.log(t) + 0.5 * math.log(
+            liecore.half_form_density_sphere(adj, t, m) / 2)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_truncated_circle_erf_value():
@@ -278,6 +378,10 @@ def test_torus_kappa_weight_independent_property(k, y):
 
 
 LARGE_K = (50, 100, 150, 200)
+# k = 200 far out in Im s, where the leading terms of the moment identity
+# (size k^2 / y) once cancelled to noise: sphere:3 read -6.8 times its scale
+# at Im s = 100 and sphere:2 was 6.6% off the asymptote at Im s = 20
+FAR_Y = (20.0, 100.0)
 
 
 @pytest.mark.parametrize("m", (2, 4))
@@ -288,13 +392,20 @@ def test_sphere_large_k_follows_asymptote(m):
             kappa = curvature(ModelSpec.sphere(m, k), complex(0, y)).kappa
             ratio = kappa / sphere_asymptote(k, m, complex(0, y))
             assert abs(ratio - 1.0) <= 2e-3, (m, k, y, ratio)
+    for y in FAR_Y:
+        kappa = curvature(ModelSpec.sphere(m, 200), complex(0, y)).kappa
+        ratio = kappa / sphere_asymptote(200, m, complex(0, y))
+        assert abs(ratio - 1.0) <= 1e-4, (m, y, ratio)
 
 
 def test_sphere_m3_flat_at_large_k():
     for k in LARGE_K:
         for y in (1.0, 2.0):
             kappa = curvature(ModelSpec.sphere(3, k), complex(0, y)).kappa
-            assert abs(kappa) <= 1e-3 / (8 * (2 * k + 2) ** 2 * y ** 3), (k, y)
+            assert abs(kappa) <= 1e-3 * _sphere_scale(k, 3, y), (k, y)
+    for y in FAR_Y:
+        kappa = curvature(ModelSpec.sphere(3, 200), complex(0, y)).kappa
+        assert abs(kappa) <= 1e-6 * _sphere_scale(200, 3, y), (y, kappa)
 
 
 @pytest.mark.parametrize("model, s", [
