@@ -15,7 +15,9 @@ Parallel transport integrates F' = -A(gamma') F with sixth-order Magnus steps
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): each step multiplies F by
 the exponential of a commutator series in A, so the transport of a unitary
 (anti-Hermitian) connection is unitary by construction, and a connection
-constant along a segment is transported exactly in one step.
+constant along a segment is transported exactly in one step.  The step's
+matrix exponential is ``scipy.linalg.expm``, loaded on the first transport,
+so that importing this module (and the command line) loads no scipy.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "ConnectionField",
@@ -223,6 +224,10 @@ def _magnus6(gen: Callable[[float], np.ndarray], t: float, h: float
     c1 = _comm(a1, a2)
     c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
     omega = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # imported here: loading scipy.linalg takes longer than the rest of the
+    # command line's start-up, and only transport needs it
+    from scipy.linalg import expm
+
     return expm(omega)
 
 

@@ -35,14 +35,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .logdomain import LogValue, logsumexp_positive
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
 from .quadrature import (DEFAULT_SPEC, Moments, QuadratureSpec,
-                         hermite_rule, integrate_log_panels, mc_integrate,
-                         integrate_1d, read_only, weighted_moments)
+                         hermite_rule, integrate_log_panels, integrate_1d,
+                         jacobi_rule, mc_integrate, weighted_moments)
 
 __all__ = [
     "PlanckPoint",
@@ -456,17 +455,11 @@ def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
         return q * (np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t))
 
 
-@functools.cache
-def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights for the weight (1-c^2)^alpha on
-    [-1, 1], built once per (n, alpha) and shared read-only."""
-    return read_only(roots_jacobi(n, alpha, alpha))
-
-
 def _jacobi_nodes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Jacobi rule that integrates the sphere's inner integrand
-    exactly: it is a polynomial of degree k in c = cos u, and n nodes are
-    exact to degree 2n - 1 (Golub & Welsch 1969), so n = k // 2 + 1."""
+    """The Gauss-Jacobi rule (``jacobi_rule``, weight (1-c^2)^{(m-3)/2})
+    that integrates the sphere's inner integrand exactly: it is a polynomial
+    of degree k in c = cos u, and n nodes are exact to degree 2n - 1, so
+    n = k // 2 + 1."""
     return jacobi_rule(k // 2 + 1, (m - 3) / 2.0)
 
 
@@ -645,13 +638,17 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
 # truncated circle
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _circle_breakpoints(r: float) -> np.ndarray:
     """Fixed panels on [-r, r], geometrically refined toward both endpoints
-    (the integrand mass concentrates at an endpoint for large k)."""
+    (the integrand mass concentrates at an endpoint for large k), built once
+    per r and shared read-only."""
     edges = [r - r * 2.0 ** (-j) for j in range(1, 46)]
     pts = sorted(set([-r, 0.0, r] + edges + [-e for e in edges]
                      + list(np.linspace(-r, r, 17))))
-    return np.array(pts)
+    bp = np.array(pts)
+    bp.flags.writeable = False
+    return bp
 
 
 def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP:
@@ -843,10 +840,12 @@ def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
     """
     rs = rs or liecore.su2()
     roots = rs.roots_array()[:, 0]
+    # prod over R of |alpha(t)| = prod over R+ of alpha(t)^2 = coef t^(2|R+|)
+    coef = float(np.prod(roots ** 2))
+    power = 2 * len(roots)
 
     def density(t: float) -> float:
-        # prod over the full root set = prod over R+ of alpha(t)^2
-        return float(np.prod([(al * t) ** 2 for al in roots]))
+        return coef * t ** power
 
     i3 = []
     for idx, f in enumerate((f1, f2)):

@@ -258,14 +258,42 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_import_skips_scipy_integrate_and_interpolate():
-    # both pull in scipy.optimize, which no curvature path needs
-    code = ("import sys, quantfield.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+    # no curvature path needs scipy: start-up and a sweep of every model
+    # family load none of it, and only transport loads scipy.linalg
+    code = """
+import contextlib, io, json, sys
+import quantfield.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+sweeps = [["--model", "group:su2", "--k", "0,1,2"],
+          ["--model", "group:su2", "--corrected", "--k", "0,1,2"],
+          ["--model", "group:su3", "--corrected", "--k", "0/0,1/0,1/1"],
+          ["--model", "circle:1", "--k", "0,1,2"]]
+sweeps += [["--model", f"torus:{m}", "--k", "0,1,2"] for m in (1, 2, 3)]
+sweeps += [["--model", f"sphere:{m}", "--corrected", "--k", "0,5,200"]
+           for m in (2, 3, 4)]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["sweep", *argv, "--im-s", "0.5,1,2"])
+             for argv in sweeps]
+    loaded["sweeps"] = scipy_modules()
+    codes.append(cli.main(["transport", "--example", "abelian-area",
+                           "--loop", "unit-square"]))
+loaded["codes"] = codes
+loaded["linalg_after_transport"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_src_env(), timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    loaded = json.loads(out.stdout)
+    assert loaded["import"] == []
+    assert loaded["sweeps"] == []
+    assert loaded["codes"] == [0] * 11
+    assert loaded["linalg_after_transport"] is True
 
 
 def test_closed_stdout_exits_141_quietly():
