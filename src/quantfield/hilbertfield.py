@@ -16,12 +16,13 @@ Parallel transport integrates F' = -A(gamma') F with sixth-order Magnus steps
 the exponential of a commutator series in A, so the transport of a unitary
 (anti-Hermitian) connection is unitary by construction, and a connection
 constant along a segment is transported exactly in one step.  The step's
-matrix exponential is ``scipy.linalg.expm``, loaded on the first transport,
-so that importing this module (and the command line) loads no scipy.
+matrix exponential is computed with numpy alone: from the eigendecomposition
+of the Hermitian matrix i Omega when Omega is anti-Hermitian (every unitary
+connection, and so every transport the command line runs), and by Pade-13
+scaling and squaring (Higham 2005) for a general connection.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,8 +41,6 @@ __all__ = [
     "trivialize",
     "twist_to_flat",
     "abelian_area_example",
-    "connection_from_grid",
-    "export_grid",
 ]
 
 
@@ -224,11 +223,47 @@ def _magnus6(gen: Callable[[float], np.ndarray], t: float, h: float
     c1 = _comm(a1, a2)
     c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
     omega = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    # imported here: loading scipy.linalg takes longer than the rest of the
-    # command line's start-up, and only transport needs it
-    from scipy.linalg import expm
+    return _expm(omega)
 
-    return expm(omega)
+
+# Pade-13 numerator coefficients and the 1-norm up to which the [13/13]
+# approximant of exp is accurate to double rounding (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+_SKEW_RTOL = 1e-14
+
+
+def _expm(omega: np.ndarray) -> np.ndarray:
+    """exp(omega).  An anti-Hermitian omega (a unitary connection's Magnus
+    exponent, to _SKEW_RTOL of its size) is exponentiated through the
+    eigendecomposition of the Hermitian i omega = V diag(w) V^H, as
+    V diag(e^{-iw}) V^H, which is unitary to rounding.  Any other omega goes
+    through Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26 (2005) 1179)."""
+    herm = 1j * omega
+    if abs(herm - herm.conj().T).max() <= _SKEW_RTOL * abs(herm).max():
+        w, v = np.linalg.eigh(herm)
+        return (v * np.exp(-1j * w)) @ v.conj().T
+    norm = float(abs(omega).sum(axis=0).max())
+    squarings = (math.ceil(math.log2(norm / _THETA13))
+                 if norm > _THETA13 else 0)
+    a = omega / 2.0 ** squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def parallel_transport(fieldc: ConnectionField, path: BasePath,
@@ -440,62 +475,3 @@ def abelian_area_example(scale: float = 1.0, fiber_dim: int = 2,
 
     return ConnectionField(coeffs, 2, n, box[0], box[1], derivatives=derivs,
                            label="abelian-area")
-
-
-# ---------------------------------------------------------------------------
-# grid serialization
-# ---------------------------------------------------------------------------
-
-def connection_from_grid(payload: dict | str) -> ConnectionField:
-    """Rebuild a connection from a grid sample (dict or JSON text).
-
-    Expected keys: ``axes`` (list of strictly increasing node lists),
-    ``fiber_dim``, and ``values`` with shape
-    (d, len(axes[0]), ..., len(axes[d-1]), n, n, 2) -- the trailing axis holds
-    (real, imag).  Evaluation interpolates each matrix entry linearly.
-    """
-    # imported here: scipy.interpolate pulls in scipy.optimize, which
-    # nothing else the command line loads needs
-    from scipy.interpolate import RegularGridInterpolator
-
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    axes = [np.asarray(a, dtype=float) for a in payload["axes"]]
-    n = int(payload["fiber_dim"])
-    d = len(axes)
-    vals = np.asarray(payload["values"], dtype=float)
-    expected = (d,) + tuple(a.size for a in axes) + (n, n, 2)
-    if vals.shape != expected:
-        raise ValueError(f"grid values have shape {vals.shape}, "
-                         f"expected {expected}")
-    cplx = vals[..., 0] + 1j * vals[..., 1]
-    interps = [RegularGridInterpolator(axes, cplx[i], method="linear")
-               for i in range(d)]
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        return np.stack([it(x)[0] for it in interps])
-
-    return ConnectionField(coeffs, d, n,
-                           tuple(float(a[0]) for a in axes),
-                           tuple(float(a[-1]) for a in axes),
-                           label=str(payload.get("label", "grid")))
-
-
-def export_grid(fieldc: ConnectionField, per_axis: int = 9) -> dict:
-    """Sample a connection on a regular grid into the JSON-ready layout that
-    ``connection_from_grid`` accepts."""
-    axes = [np.linspace(l, h, per_axis)
-            for l, h in zip(fieldc.lows, fieldc.highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    d, n = fieldc.base_dim, fieldc.fiber_dim
-    shape = (d,) + tuple(a.size for a in axes) + (n, n)
-    vals = np.empty(shape, dtype=complex)
-    flat = vals.reshape(d, -1, n, n)
-    for idx, p in enumerate(pts):
-        A = fieldc.a_matrices(p)
-        for i in range(d):
-            flat[i, idx] = A[i]
-    stacked = np.stack([vals.real, vals.imag], axis=-1)
-    return {"axes": [a.tolist() for a in axes], "fiber_dim": n,
-            "label": fieldc.label, "values": stacked.tolist()}

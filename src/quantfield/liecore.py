@@ -45,7 +45,6 @@ __all__ = [
     "character_at",
     "ad_matrix",
     "half_form_density_group",
-    "symmetric_A_operators",
     "half_form_density_sphere",
     "dual_norm_sq",
 ]
@@ -605,32 +604,6 @@ def _p_projected_ad_sq(adj: AdjointData, zeta_p) -> np.ndarray:
     return M[np.ix_(p, p)]
 
 
-def _even_function_on_p(M: np.ndarray, g) -> np.ndarray:
-    """g(M) for symmetric M via eigendecomposition (g entire in the
-    eigenvalue nu = mu^2 of the squared adjoint)."""
-    Ms = 0.5 * (M + M.T)
-    vals, vecs = np.linalg.eigh(Ms)
-    return (vecs * np.array([g(v) for v in vals])) @ vecs.T
-
-
-def _cos_sqrt(nu: float) -> float:
-    # cos(sqrt(nu)) continued through nu <= 0, where it is cosh(sqrt(-nu))
-    if nu >= 0:
-        return math.cos(math.sqrt(nu))
-    return math.cosh(math.sqrt(-nu))
-
-
-def _sinc_sqrt(nu: float) -> float:
-    # sin(sqrt(nu))/sqrt(nu); equals sinh(sqrt(-nu))/sqrt(-nu) for nu < 0
-    if abs(nu) < 1e-12:
-        return 1.0 - nu / 6.0
-    if nu > 0:
-        r = math.sqrt(nu)
-        return math.sin(r) / r
-    r = math.sqrt(-nu)
-    return math.sinh(r) / r
-
-
 def _double_sinc_sqrt(nu: float) -> float:
     # sin(2 sqrt(nu))/sqrt(nu), value 2 at 0; sinh-type for nu < 0
     if abs(nu) < 1e-12:
@@ -640,18 +613,6 @@ def _double_sinc_sqrt(nu: float) -> float:
         return math.sin(2.0 * r) / r
     r = math.sqrt(-nu)
     return math.sinh(2.0 * r) / r
-
-
-def symmetric_A_operators(adj: AdjointData, zeta_p) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (cos ad zeta |p, (sin ad zeta)/ad zeta |p) for a symmetric pair.
-
-    Both are even functions of ad zeta, hence genuine endomorphisms of p; the
-    second is returned as its real factor.
-    """
-    M = _p_projected_ad_sq(adj, zeta_p)
-    a1 = _even_function_on_p(M, _cos_sqrt)
-    a2 = _even_function_on_p(M, _sinc_sqrt)
-    return a1, a2
 
 
 def half_form_density_sphere(adj: AdjointData, t: float, m: int) -> float:

@@ -421,11 +421,14 @@ def p_su2_closed(s, k: int) -> LogP:
     y = _as_complex(s).imag
     n = (k - 2.0 * np.arange(k + 1)) ** 2
     g = 1.0 + 2.0 * n * y
-    logs = n * y + np.log1p(2.0 * n * y)
+    # exponents relative to the largest, k^2 y: each n y carries n y eps of
+    # rounding, which would pass into the weights as a relative error
+    logs = (n - k * k) * y + np.log1p(2.0 * n * y)
     mom = weighted_moments(logs, None, n * (3.0 + 2.0 * n * y) / g)
     w = np.exp(logs - mom.integral.log_magnitude)
     d2 = 1.5 / (y * y) + mom.var - float(np.sum(w * 4.0 * n * n / (g * g)))
-    return LogP(mom.integral.log_magnitude - 1.5 * math.log(y), 1, 0.25 * d2)
+    return LogP(mom.integral.log_magnitude + k * k * y - 1.5 * math.log(y),
+                1, 0.25 * d2)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,9 @@ def test_python_dash_m_runs_the_cli():
     assert "1/1 checks passed" in out.stdout
 
 
-def test_cli_import_skips_scipy_integrate_and_interpolate():
-    # no curvature path needs scipy: start-up and a sweep of every model
-    # family load none of it, and only transport loads scipy.linalg
+def test_cli_runtime_loads_no_scipy():
+    # numpy is the only runtime dependency: start-up, a sweep of every model
+    # family, transport and verify load no scipy module
     code = """
 import contextlib, io, json, sys
 import quantfield.cli as cli
@@ -282,18 +282,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded["sweeps"] = scipy_modules()
     codes.append(cli.main(["transport", "--example", "abelian-area",
                            "--loop", "unit-square"]))
+    loaded["transport"] = scipy_modules()
+    codes.append(cli.main(["verify"]))
+    loaded["verify"] = scipy_modules()
 loaded["codes"] = codes
-loaded["linalg_after_transport"] = "scipy.linalg" in sys.modules
 print(json.dumps(loaded))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_src_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout)
-    assert loaded["import"] == []
-    assert loaded["sweeps"] == []
-    assert loaded["codes"] == [0] * 11
-    assert loaded["linalg_after_transport"] is True
+    for stage in ("import", "sweeps", "transport", "verify"):
+        assert loaded[stage] == [], stage
+    assert loaded["codes"] == [0] * 12
 
 
 def test_closed_stdout_exits_141_quietly():

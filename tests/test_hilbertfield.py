@@ -1,15 +1,13 @@
-import json
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from quantfield.hilbertfield import (BasePath, ConnectionField, _magnus6,
-                                     abelian_area_example, classify,
-                                     connection_from_grid, curvature_at,
-                                     export_grid, parallel_transport,
-                                     trivialize, twist_to_flat)
+from quantfield.hilbertfield import (BasePath, ConnectionField, _expm,
+                                     _magnus6, abelian_area_example,
+                                     classify, curvature_at,
+                                     parallel_transport, trivialize,
+                                     twist_to_flat)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +136,44 @@ def test_non_abelian_transport_against_dop853():
         assert np.max(np.abs(T.conj().T @ T - np.eye(2))) < 1e-12
 
 
+def _damped_su2_connection(x):
+    """_su2_connection plus the real scalar potential (0.6 y, -0.4 x) Id:
+    the connection is not anti-Hermitian, so transport is not unitary and
+    its Magnus exponents take the Pade fallback of ``_expm``."""
+    return _su2_connection(x) \
+        + np.array([0.6 * x[1], -0.4 * x[0]])[:, None, None] * np.eye(2)
+
+
+def test_non_unitary_transport_against_dop853():
+    fieldc = ConnectionField(_damped_su2_connection, 2, 2,
+                             (-1.0, -1.0), (1.5, 1.5))
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
+        loop = BasePath.from_points(pts + [pts[0]])
+        T = parallel_transport(fieldc, loop)
+        want = _dop853_transport(_damped_su2_connection, loop)
+        assert np.max(np.abs(T - want)) < 1e-9 * np.max(np.abs(want))
+        # |det T| = exp(-2 * loop integral of the potential) != 1
+        assert abs(abs(np.linalg.det(T)) - 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expm_matches_scipy(n):
+    # anti-Hermitian exponents take the eigh route, general ones Pade-13;
+    # 1-norms above theta_13 = 5.37 make the fallback square
+    rng = np.random.default_rng(n)
+    for norm in (1e-3, 0.5, 2.0, 12.0, 40.0):
+        for _ in range(5):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            anti = m - m.conj().T
+            for omega in (anti * (norm / np.linalg.norm(anti, 1)),
+                          m * (norm / np.linalg.norm(m, 1))):
+                want = expm(omega)
+                assert np.linalg.norm(_expm(omega) - want) \
+                    <= 1e-13 * np.linalg.norm(want)
+
+
 def test_magnus_step_is_sixth_order():
     # fixed steps over one segment: halving h divides the error by 2^6
     a, vel = np.array([0.1, -0.3]), np.array([0.8, 0.9])
@@ -189,19 +225,3 @@ def test_twist_guards(area_field, flat_field):
     # a potential that does not cancel r is rejected
     with pytest.raises(ArithmeticError):
         twist_to_flat(area_field, lambda x: np.array([+1j * x[1], 0.0]))
-
-
-def test_grid_round_trip(area_field):
-    payload = export_grid(area_field, per_axis=21)
-    rebuilt = connection_from_grid(json.dumps(payload))
-    x = np.array([0.25, 0.6])
-    assert np.max(np.abs(rebuilt.a_matrices(x)
-                         - area_field.a_matrices(x))) < 1e-12
-    T = parallel_transport(rebuilt, BasePath.unit_square_loop())
-    assert np.max(np.abs(T - np.exp(1j) * np.eye(2))) < 1e-8
-
-
-def test_grid_shape_validation():
-    with pytest.raises(ValueError):
-        connection_from_grid({"axes": [[0, 1]], "fiber_dim": 1,
-                              "values": [[[0.0]]]})

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import json
 import math
@@ -137,6 +138,34 @@ def test_bare_torus_quadrature_vs_closed():
             c = p_torus_closed(complex(0, y), m, lam, False).log_magnitude
             diffs.append(q - c)
         assert max(diffs) - min(diffs) < 1e-10
+
+
+def _su2_bare_kappa_decimal(k: int, y: float) -> float:
+    """kappa of the bare su2 character sum at 40 digits (stdlib decimal):
+    p = y^{-3/2} f, f = sum_j e^{n_j y} (1 + 2 n_j y), n_j = (k-2j)^2, and
+    4 kappa = 3/(2y^2) + f''/f - (f'/f)^2 with f' = sum e^{ny} n (3 + 2ny)
+    and f'' = sum e^{ny} n^2 (5 + 2ny)."""
+    ctx = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(ctx):
+        y = decimal.Decimal(y)
+        f = d1 = d2 = decimal.Decimal(0)
+        for j in range(k + 1):
+            n = (k - 2 * j) ** 2
+            e = (n * y).exp()
+            f += e * (1 + 2 * n * y)
+            d1 += e * n * (3 + 2 * n * y)
+            d2 += e * n * n * (5 + 2 * n * y)
+        return float((3 / (2 * y * y) + d2 / f - (d1 / f) ** 2) / 4)
+
+
+@pytest.mark.parametrize("k, y", [(200, 1000.0), (1000, 20.0), (50, 50.0)])
+def test_su2_closed_kappa_against_40_digits(k, y):
+    # exponents n y up to 4e7: taken relative to the largest, the weights
+    # keep full precision (unshifted they were 4e-9 off here)
+    got = p_su2_closed(complex(0, y), k).kappa
+    assert got == pytest.approx(_su2_bare_kappa_decimal(k, y), rel=1e-12,
+                                abs=0.0)
 
 
 def test_su2_closed_values():
