@@ -15,11 +15,11 @@ Parallel transport integrates F' = -A(gamma') F with sixth-order Magnus steps
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): each step multiplies F by
 the exponential of a commutator series in A, so the transport of a unitary
 (anti-Hermitian) connection is unitary by construction, and a connection
-constant along a segment is transported exactly in one step.  The step's
-matrix exponential is computed with numpy alone: from the eigendecomposition
-of the Hermitian matrix i Omega when Omega is anti-Hermitian (every unitary
-connection, and so every transport the command line runs), and by Pade-13
-scaling and squaring (Higham 2005) for a general connection.
+constant along a segment is transported exactly in one step.  A trial step
+costs 9 connection samples and one stacked exponential, computed with numpy
+alone: by eigh of the Hermitian i Omega when Omega is anti-Hermitian (every
+unitary connection, so every transport the command line runs), and by
+Pade-13 scaling and squaring (Higham 2005) for a general connection.
 """
 from __future__ import annotations
 
@@ -203,7 +203,7 @@ def classify(fieldc: ConnectionField, tol: float = 1e-8,
 
 # Gauss-Legendre nodes on [0, 1] for the sixth-order Magnus step
 _SQRT15 = math.sqrt(15.0)
-_GL3 = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
+_GL3 = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 _MAX_STEPS = 10_000
 
 
@@ -211,12 +211,13 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _magnus6(gen: Callable[[float], np.ndarray], t: float, h: float
-             ) -> np.ndarray:
-    """exp(Omega) for F' = gen(t) F over [t, t + h]: the sixth-order Magnus
-    expansion in the commutator form of Blanes, Casas & Ros, with gen
-    sampled at the three Gauss-Legendre nodes."""
-    g1, g2, g3 = (gen(t + c * h) for c in _GL3)
+def _magnus6(g: np.ndarray, h) -> np.ndarray:
+    """exp(Omega) for F' = g(t) F over steps of length h: the sixth-order
+    Magnus expansion in the commutator form of Blanes, Casas & Ros.  g holds
+    each step's generator at its three Gauss-Legendre nodes, shape
+    (..., 3, n, n), and h broadcasts against the leading axes."""
+    h = np.asarray(h, dtype=float)[..., None, None]
+    g1, g2, g3 = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
     a1 = h * g2
     a2 = (_SQRT15 * h / 3.0) * (g3 - g1)
     a3 = (10.0 * h / 3.0) * (g3 - 2.0 * g2 + g1)
@@ -237,16 +238,25 @@ _SKEW_RTOL = 1e-14
 
 
 def _expm(omega: np.ndarray) -> np.ndarray:
-    """exp(omega).  An anti-Hermitian omega (a unitary connection's Magnus
-    exponent, to _SKEW_RTOL of its size) is exponentiated through the
-    eigendecomposition of the Hermitian i omega = V diag(w) V^H, as
-    V diag(e^{-iw}) V^H, which is unitary to rounding.  Any other omega goes
-    through Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal.
-    Appl. 26 (2005) 1179)."""
-    herm = 1j * omega
-    if abs(herm - herm.conj().T).max() <= _SKEW_RTOL * abs(herm).max():
-        w, v = np.linalg.eigh(herm)
-        return (v * np.exp(-1j * w)) @ v.conj().T
+    """exp of each matrix of a stack (..., n, n).  A matrix anti-Hermitian
+    to _SKEW_RTOL of its own size (a unitary connection's Magnus exponent)
+    is exponentiated through the eigendecomposition of the Hermitian
+    i omega = V diag(w) V^H, as V diag(e^{-iw}) V^H, unitary to rounding; one
+    stacked eigh serves them all.  Any other goes through Pade-13 scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)."""
+    stack = omega.reshape(-1, *omega.shape[-2:])
+    herm = 1j * stack
+    dev = abs(herm - herm.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    skew = dev <= _SKEW_RTOL * abs(herm).max(axis=(1, 2))
+    w, v = np.linalg.eigh(np.where(skew[:, None, None], herm, 0.0))
+    out = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    for i, ok in enumerate(skew.tolist()):
+        if not ok:
+            out[i] = _pade13(stack[i])
+    return out.reshape(omega.shape)
+
+
+def _pade13(omega: np.ndarray) -> np.ndarray:
     norm = float(abs(omega).sum(axis=0).max())
     squarings = (math.ceil(math.log2(norm / _THETA13))
                  if norm > _THETA13 else 0)
@@ -274,8 +284,8 @@ def parallel_transport(fieldc: ConnectionField, path: BasePath,
     unitary connection) every step, and with it T, is unitary up to
     rounding.  Steps are sized by step doubling: a step is accepted when one
     full step and two half steps agree within atol + rtol |F| entrywise,
-    and the two half steps are kept.  Composition satisfies
-    T(p1 * p2) = T(p2) T(p1).
+    and the two half steps are kept; one trial is 9 connection samples and
+    one stacked exponential.  Composition satisfies T(p1 * p2) = T(p2) T(p1).
 
     Raises ArithmeticError on a non-finite connection value, on step
     underflow, or after too many steps.
@@ -288,24 +298,24 @@ def parallel_transport(fieldc: ConnectionField, path: BasePath,
         vel = b - a
         if not np.any(vel):
             continue
-
-        def gen(t: float) -> np.ndarray:
-            g = (-vel @ fieldc.a_matrices(a + t * vel).reshape(d, -1)
-                 ).reshape(n, n)
-            if not np.isfinite(g).all():
-                raise ArithmeticError(
-                    f"transport: non-finite connection at {a + t * vel}")
-            return g
-
         F = np.eye(n, dtype=complex)
         t, h = 0.0, 1.0
         for _ in range(_MAX_STEPS):
             last = h >= 1.0 - t
             if last:
                 h = 1.0 - t
-            full = _magnus6(gen, t, h) @ F
-            half = _magnus6(gen, t + 0.5 * h, 0.5 * h) \
-                @ (_magnus6(gen, t, 0.5 * h) @ F)
+            hs = np.array([h, 0.5 * h, 0.5 * h])    # full step, two halves
+            ts = np.array([t, t, t + 0.5 * h])[:, None] + hs[:, None] * _GL3
+            pts = a + ts[..., None] * vel
+            A = np.array([fieldc.a_matrices(x) for x in pts.reshape(-1, d)])
+            g = np.einsum("i,sijk->sjk", -vel, A).reshape(3, 3, n, n)
+            bad = ~np.isfinite(g).all(axis=(2, 3))
+            if bad.any():
+                raise ArithmeticError(
+                    f"transport: non-finite connection at {pts[bad][0]}")
+            full, half1, half2 = _magnus6(g, hs)
+            full = full @ F
+            half = half2 @ (half1 @ F)
             err = float(np.max(np.abs(full - half)
                                / (atol + rtol * np.abs(half))))
             if err <= 1.0:
@@ -335,11 +345,12 @@ class TrivializationResult:
     gauge_residual: float           # worst |U^{-1}(dU + A U)| on the probe grid
 
 
-def _staircase(base: np.ndarray, x: np.ndarray) -> BasePath:
-    """Axis-aligned path from base to x, one coordinate at a time."""
+def _staircase(base: np.ndarray, x: np.ndarray, axes=None) -> BasePath:
+    """Axis-aligned path from base to x, one axis at a time, in ``axes``
+    order (default 0, 1, ...)."""
     pts = [tuple(base)]
     cur = base.copy()
-    for i in range(len(x)):
+    for i in (range(len(x)) if axes is None else axes):
         cur = cur.copy()
         cur[i] = x[i]
         pts.append(tuple(cur))
@@ -376,13 +387,7 @@ def trivialize(fieldc: ConnectionField, base_point=None,
     h = 1e-5 * fieldc.diameter()
     for x in fieldc.grid(probe_points):
         fwd = _staircase(base, x)
-        rev_pts = [tuple(base)]
-        cur = base.copy()
-        for i in reversed(range(len(x))):
-            cur = cur.copy()
-            cur[i] = x[i]
-            rev_pts.append(tuple(cur))
-        alt = BasePath.from_points(rev_pts)
+        alt = _staircase(base, x, reversed(range(len(x))))
         U1 = parallel_transport(fieldc, fwd)
         U2 = parallel_transport(fieldc, alt)
         worst_loop = max(worst_loop, float(np.max(np.abs(U1 - U2))))

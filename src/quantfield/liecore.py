@@ -272,17 +272,13 @@ def _structure_constants_from_matrices(basis: list[np.ndarray]) -> np.ndarray:
     Coefficients are extracted against the trace pairing <X, Y> = -tr(XY)/2,
     with the basis Gram matrix solved out, so non-orthonormal bases are fine.
     """
-    n = len(basis)
-    gram = np.array([[float(np.real(-0.5 * np.trace(a @ b))) for b in basis]
-                     for a in basis])
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            proj = np.array([float(np.real(-0.5 * np.trace(comm @ b)))
-                             for b in basis])
-            c[i, j, :] = np.linalg.solve(gram, proj)
-    return c
+    b = np.array(basis)
+    n = len(b)
+    gram = -0.5 * np.einsum("aij,bji->ab", b, b).real
+    prod = np.einsum("aij,bjk->abik", b, b)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    proj = -0.5 * np.einsum("abij,cji->abc", comm, b).real
+    return np.linalg.solve(gram, proj.reshape(n * n, n).T).T.reshape(n, n, n)
 
 
 def su2_adjoint() -> AdjointData:

@@ -60,10 +60,6 @@ class LogValue:
             )
         return self.sign * math.exp(self.log_magnitude)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.sign > 0
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0 or other.sign == 0:
             return LogValue.zero()

@@ -300,6 +300,8 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
     """Monte Carlo integral over a box or ball domain, deterministic per seed.
 
     ``domain`` is either ``("box", lows, highs)`` or ``("ball", center, radius)``.
+    A ball point is center + d/|d| R u^(1/n), d drawn normal (all samples)
+    before u uniform; the ball is built in place in the array of d.
     ``f`` is called once, on all sample points at once, coordinates first:
     ``p`` has shape (n, samples), so ``p[0]`` is every sample's first
     coordinate.  Its result is broadcast to (samples,), so a constant
@@ -322,10 +324,11 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
         n = center.size
         if n > 4:
             raise ValueError("mc_integrate supports dimension <= 4")
-        direc = rng.normal(size=(samples, n))
-        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        pts = rng.normal(size=(samples, n))
         radii = radius * rng.uniform(size=samples) ** (1.0 / n)
-        pts = center + direc * radii[:, None]
+        pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
+        pts *= radii[:, None]
+        pts += center
         volume = _ball_volume(n, radius)
     else:
         raise ValueError(f"unknown domain kind {kind!r}")

@@ -852,7 +852,7 @@ def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
 
     i3 = []
     for idx, f in enumerate((f1, f2)):
-        res = mc_integrate(lambda p: f(np.linalg.norm(p, axis=0)),
+        res = mc_integrate(lambda p: f(np.sqrt(np.einsum("ij,ij->j", p, p))),
                            ("ball", [0.0, 0.0, 0.0], radius),
                            samples, seed + idx)
         i3.append(res)

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from quantfield.hilbertfield import (BasePath, ConnectionField, _expm,
-                                     _magnus6, abelian_area_example,
+from quantfield.hilbertfield import (_GL3, BasePath, ConnectionField,
+                                     _expm, _magnus6, abelian_area_example,
                                      classify, curvature_at,
                                      parallel_transport, trivialize,
                                      twist_to_flat)
@@ -161,17 +161,35 @@ def test_non_unitary_transport_against_dop853():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expm_matches_scipy(n):
     # anti-Hermitian exponents take the eigh route, general ones Pade-13;
-    # 1-norms above theta_13 = 5.37 make the fallback square
+    # 1-norms above theta_13 = 5.37 make the fallback square.  Each matrix
+    # is exponentiated alone and in (3, n, n) stacks: all anti-Hermitian,
+    # all general, and mixed, so each is judged against its own size.
     rng = np.random.default_rng(n)
     for norm in (1e-3, 0.5, 2.0, 12.0, 40.0):
+        anti, general = [], []
         for _ in range(5):
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            anti = m - m.conj().T
-            for omega in (anti * (norm / np.linalg.norm(anti, 1)),
-                          m * (norm / np.linalg.norm(m, 1))):
-                want = expm(omega)
-                assert np.linalg.norm(_expm(omega) - want) \
-                    <= 1e-13 * np.linalg.norm(want)
+            a = m - m.conj().T
+            anti.append(a * (norm / np.linalg.norm(a, 1)))
+            general.append(m * (norm / np.linalg.norm(m, 1)))
+        stacks = [np.array(anti[:3]), np.array(general[:3]),
+                  np.array([anti[3], general[3], 1e-9 * anti[4]]),
+                  np.array([general[4], anti[0], general[0]])]
+        for omega in anti + general + stacks:
+            got = _expm(omega)
+            assert got.shape == omega.shape
+            want = expm(omega)
+            # per matrix: in the Frobenius norm, and entry by entry
+            err = np.linalg.norm(got - want, axis=(-2, -1))
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(-2, -1)))
+            err = np.abs(got - want).max(axis=(-2, -1))
+            assert np.all(err <= 1e-13 * np.abs(want).max(axis=(-2, -1)))
+    # each matrix is judged against its own size: one 1e-12 off
+    # anti-Hermitian takes Pade even beside one 1,000 times larger
+    near = (anti[0] + 1e-12 * general[0]) / abs(anti[0]).max()
+    big = 1e3 * anti[1] / abs(anti[1]).max()
+    assert np.max(np.abs(_expm(np.array([big, near]))[1] - expm(near))) \
+        <= 1e-13
 
 
 def test_magnus_step_is_sixth_order():
@@ -180,16 +198,69 @@ def test_magnus_step_is_sixth_order():
     segment = BasePath.from_points([tuple(a), tuple(a + vel)])
     want = _dop853_transport(_su2_connection, segment)
 
-    def gen(t):
-        return -np.tensordot(vel, _su2_connection(a + t * vel), axes=1)
-
     errs = []
     for steps in (4, 8, 16):
+        # node samples of every step, shape (steps, 3, n, n), in one stack
+        t = (np.arange(steps)[:, None] + _GL3) / steps
+        g = np.array([[-np.tensordot(vel, _su2_connection(a + s * vel), axes=1)
+                       for s in row] for row in t])
         F = np.eye(2, dtype=complex)
-        for i in range(steps):
-            F = _magnus6(gen, i / steps, 1.0 / steps) @ F
+        for step in _magnus6(g, 1.0 / steps):
+            F = step @ F
         errs.append(np.max(np.abs(F - want)))
     assert all(50 < e0 / e1 < 80 for e0, e1 in zip(errs, errs[1:]))
+
+
+# Reference transports for the 12 loops of test_step_sequence_is_pinned,
+# computed by a controller that sampled the connection one node at a time
+# and exponentiated each Magnus step alone.
+_PINNED_TRANSPORTS = np.array([
+    [[(-0.16306597986932236-0.13029926019872753j), (-0.601723102501381-0.7709480507252303j)],
+     [(0.601723102501382-0.7709480507252302j), (-0.16306597986932017+0.13029926019872967j)]],
+    [[(0.9020704492461674-0.18286667583906402j), (0.1326847540240315+0.3677273983727209j)],
+     [(-0.13268475402403274+0.36772739837272095j), (0.9020704492461683+0.18286667583906357j)]],
+    [[(0.6226823825949424+0.7657666596210083j), (0.13561939904218154+0.08646069640139306j)],
+     [(-0.13561939904217835+0.08646069640139231j), (0.6226823825949402-0.7657666596210068j)]],
+    [[(0.40249261547131626-0.18041455181892788j), (0.864880817166162+0.23964860959543663j)],
+     [(-0.8648808171661607+0.2396486095954359j), (0.4024926154713167+0.180414551818926j)]],
+    [[(0.5350532883877797-0.04310421856430534j), (0.24203578447527654+0.808256570626447j)],
+     [(-0.2420357844752754+0.8082565706264485j), (0.5350532883877811+0.043104218564308155j)]],
+    [[(0.9223550165879899-0.37033890055835367j), (-0.09183443580774785+0.060636280460449166j)],
+     [(0.09183443580774651+0.060636280460451136j), (0.9223550165879912+0.3703389005583536j)]],
+    [[(0.32512316814653663+0.24370304063903195j), (-4.172649616789679+1.083173351751798j)],
+     [(4.172649616789668+1.0831733517518j), (0.32512316814653747-0.24370304063903594j)]],
+    [[(0.5357844325263369-0.27066383346522976j), (1.0599661474330562-0.6740819976170639j)],
+     [(-1.059966147433057-0.674081997617064j), (0.5357844325263361+0.2706638334652285j)]],
+    [[(1.3321548810544894-0.758408948149621j), (-1.011734629570174-0.7893968876351761j)],
+     [(1.011734629570175-0.7893968876351786j), (1.3321548810544888+0.7584089481496218j)]],
+    [[(0.9374534625888878+0.3713890920065044j), (0.11241548652599741+0.3733584131918679j)],
+     [(-0.11241548652599631+0.3733584131918687j), (0.9374534625888891-0.3713890920065042j)]],
+    [[(0.9801390639296982+0.085223793417027j), (0.10960868320567886+0.12830742626651367j)],
+     [(-0.10960868320568158+0.12830742626651465j), (0.9801390639296963-0.08522379341702764j)]],
+    [[(0.8950420713448985-0.32438324818359016j), (0.03512826806743022+0.03942162645832653j)],
+     [(-0.03512826806742984+0.03942162645832674j), (0.8950420713448979+0.3243832481835906j)]],
+])
+
+
+def test_step_sequence_is_pinned():
+    # 6 loops under the unitary connection, then 6 under the damped one,
+    # all drawn from one generator: stacking the 9 node samples of a trial
+    # must keep every step, so the connection calls and the transports
+    # stay those of the one-call-per-node controller
+    rng = np.random.default_rng(2)
+    calls = []
+    got = []
+    for conn in [_su2_connection] * 6 + [_damped_su2_connection] * 6:
+        def coeffs(x, conn=conn):
+            calls.append(x)
+            return conn(x)
+
+        fieldc = ConnectionField(coeffs, 2, 2, (-1.0, -1.0), (1.5, 1.5))
+        pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
+        got.append(parallel_transport(
+            fieldc, BasePath.from_points(pts + [pts[0]])))
+    assert len(calls) == 9792
+    assert np.max(np.abs(np.array(got) - _PINNED_TRANSPORTS)) < 1e-13
 
 
 def test_transport_raises_on_non_finite_connection():
@@ -202,7 +273,9 @@ def test_transport_raises_on_non_finite_connection():
         return A
 
     fieldc = ConnectionField(coeffs, 2, 2, (0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ArithmeticError, match="non-finite"):
+    # the message names the first bad node: the full step's last, x = 0.887
+    with pytest.raises(ArithmeticError,
+                       match=r"non-finite connection at \[0\.88729833 0\. "):
         parallel_transport(fieldc, BasePath.from_points([(0, 0), (1, 0)]))
     assert len(calls) <= 9          # raised within the first step
 

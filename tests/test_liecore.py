@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -62,6 +63,34 @@ def test_character_dimension_at_origin():
     got = character_at(rs, su2_weight(2), np.array([1e-14]))
     assert got.regularized
     assert got.value == pytest.approx(3.0, abs=1e-5)
+
+
+def test_su3_structure_constants_are_gell_mann_f():
+    # X_a = -i lambda_a / 2 gives [X_a, X_b] = f_abc X_c with the textbook
+    # totally antisymmetric f (1-based indices)
+    f = np.zeros((8, 8, 8))
+    table = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
+             (3, 4, 5): 0.5, (1, 5, 6): -0.5, (3, 6, 7): -0.5,
+             (4, 5, 8): math.sqrt(3) / 2, (6, 7, 8): math.sqrt(3) / 2}
+    for (a, b, c), v in table.items():
+        for i, j, k, sign in ((a, b, c, 1), (b, c, a, 1), (c, a, b, 1),
+                              (b, a, c, -1), (a, c, b, -1), (c, b, a, -1)):
+            f[i - 1, j - 1, k - 1] = sign * v
+    assert np.max(np.abs(su3_adjoint().structure_constants - f)) <= 1e-14
+
+
+def test_su2_structure_constants_are_levi_civita():
+    # eps_ijk = (i - j)(j - k)(k - i) / 2 on indices 0..2; the Pauli basis
+    # X_a = -i sigma_a / 2 must give the same constants as the preset
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in itertools.product(range(3), repeat=3):
+        eps[i, j, k] = (i - j) * (j - k) * (k - i) / 2
+    assert np.array_equal(su2_adjoint().structure_constants, eps)
+    pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+             np.array([[1, 0], [0, -1]])]
+    c = liecore._structure_constants_from_matrices(
+        [-0.5j * s for s in pauli])
+    assert np.max(np.abs(c - eps)) <= 1e-15
 
 
 def test_su3_root_product_vs_eigen_oracle():

@@ -104,6 +104,30 @@ def test_mc_calls_f_once_on_all_samples():
         assert res.value == pytest.approx(volume * np.mean(loop), rel=1e-13)
 
 
+@pytest.mark.parametrize("center", [[0.4], [0.0, 0.0], [1.0, -2.0, 0.5],
+                                    [-0.3, 0.2, 0.0, 3.0]])
+def test_mc_ball_points_are_the_textbook_draws(center):
+    # center + d/|d| * R * u^(1/n) from the same generator calls: normal
+    # directions first, then the uniform radii
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return 1.0
+
+    samples, radius, seed = 3000, 2.5, 11
+    mc_integrate(f, ("ball", center, radius), samples, seed)
+    rng = np.random.default_rng(seed)
+    n = len(center)
+    d = rng.normal(size=(samples, n))
+    u = rng.uniform(size=samples)
+    want = (np.asarray(center) + d / np.linalg.norm(d, axis=1, keepdims=True)
+            * radius * u[:, None] ** (1.0 / n))
+    got = seen[0].T
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_mc_dimension_cap():
     with pytest.raises(ValueError):
         mc_integrate(lambda p: 1.0, ("box", [0] * 5, [1] * 5), 10, 0)
