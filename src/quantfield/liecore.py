@@ -1,8 +1,7 @@
 """Root-system data, Weyl characters, adjoint operators and half-form densities.
 
 Shipped presets: tori of rank 1-3, su(2), su(3) and the symmetric pairs
-so(m+1)/so(m) for m <= 6.  Higher-rank data can be loaded from JSON but is
-outside the tested envelope.
+so(m+1)/so(m) for m <= 6.
 
 Normalization: every preset fixes an explicit inner product on the Cartan
 subalgebra; the su(2) preset uses |tau|^2 = t^2 with positive root
@@ -11,7 +10,6 @@ lambda(t) = (k+1)t and |lambda*|^2 = (k+1)^2.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -39,7 +37,6 @@ __all__ = [
     "torus_weight",
     "fundamental_weights",
     "highest_weight",
-    "root_system_from_json",
     "root_product",
     "weyl_denominator",
     "character_at",
@@ -101,24 +98,6 @@ class RootSystem:
             return np.zeros(self.rank)
         return 0.5 * self.roots_array().sum(axis=0)
 
-    def norm_sq(self, tau: Sequence[float]) -> float:
-        t = np.asarray(tau, dtype=float)
-        return float(t @ self.gram() @ t)
-
-    def check_weyl_closure(self, atol: float = 1e-10) -> bool:
-        """Each Weyl element must permute the root set R+ cup -R+."""
-        roots = self.roots_array()
-        if roots.size == 0:
-            return True
-        full = np.vstack([roots, -roots])
-        for w in self.weyl_elements:
-            mapped = roots @ w.as_array()
-            for row in mapped:
-                if not np.any(np.all(np.abs(full - row) < atol, axis=1)):
-                    return False
-        return True
-
-
 @dataclass(frozen=True)
 class ShiftedWeight:
     """Highest weight plus the half-sum of positive roots, as a linear form."""
@@ -174,14 +153,9 @@ class AdjointData:
         """[p, p] subset g_o, verified on the basis from the constants."""
         if self.orthogonal_split is None:
             return False
-        go, p = self.orthogonal_split
-        c = self.structure_constants
-        for i in p:
-            for j in p:
-                for k in p:
-                    if abs(c[i, j, k]) > atol:
-                        return False
-        return True
+        p = self.orthogonal_split[1]
+        return bool(np.all(np.abs(self.structure_constants[np.ix_(p, p, p)])
+                           <= atol))
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +366,6 @@ def highest_weight(rs: RootSystem, labels: Sequence[int]) -> ShiftedWeight:
                          f"got {tuple(labels)}")
     return shifted_weight(rs, lab @ fundamental_weights(rs),
                           label=tuple(int(x) for x in lab))
-
-
-def root_system_from_json(path_or_obj) -> RootSystem:
-    """Load {"rank":, "positive_roots":, "weyl":, "inner_product":, "m":}."""
-    if isinstance(path_or_obj, (str, bytes)) or hasattr(path_or_obj, "read"):
-        if hasattr(path_or_obj, "read"):
-            data = json.load(path_or_obj)
-        else:
-            with open(path_or_obj) as fh:
-                data = json.load(fh)
-    else:
-        data = path_or_obj
-    weyl = tuple(WeylElement(tuple(map(tuple, w["matrix"])), int(w["det"]))
-                 for w in data["weyl"])
-    return RootSystem(
-        rank=int(data["rank"]),
-        positive_roots=tuple(tuple(map(float, a)) for a in data["positive_roots"]),
-        weyl_elements=weyl,
-        inner_product=tuple(map(tuple, data["inner_product"])),
-        manifold_dim=int(data["m"]),
-        name=data.get("name", ""),
-    )
 
 
 # ---------------------------------------------------------------------------

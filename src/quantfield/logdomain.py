@@ -74,26 +74,6 @@ class LogValue:
         return LogValue(self.log_magnitude - other.log_magnitude,
                         self.sign * other.sign)
 
-    def __neg__(self) -> "LogValue":
-        return LogValue(self.log_magnitude, -self.sign)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return signed_logsumexp(
-            [self.log_magnitude, other.log_magnitude], [self.sign, other.sign]
-        )
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return self + (-other)
-
-    def scaled(self, factor: float) -> "LogValue":
-        """Multiply by an ordinary float."""
-        return self * LogValue.from_value(factor)
-
-    def powi(self, n: int) -> "LogValue":
-        if self.sign == 0:
-            return LogValue.zero() if n > 0 else LogValue.from_value(1.0)
-        return LogValue(n * self.log_magnitude, self.sign if n % 2 else 1)
-
 
 def signed_logsumexp(log_magnitudes: Sequence[float] | np.ndarray,
                      signs: Sequence[int] | np.ndarray) -> LogValue:

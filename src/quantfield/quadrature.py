@@ -5,22 +5,24 @@ The workhorses are:
 * ``hermite_rule`` / ``legendre_rule`` / ``jacobi_rule`` -- Gauss rules by
                              order, built once per process and shared
                              read-only,
-* ``integrate_1d``        -- fixed composite Gauss-Legendre of a 1-D integrand,
-                             its error estimated from a second node count,
+* ``integrate_1d``        -- fixed composite Gauss-Legendre of a 1-D integrand
+                             on a finite interval, one array-valued call,
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
 * ``integrate_log_panels``-- composite Gauss-Legendre of log-domain integrands
                              on caller-chosen panels, optionally with the
                              mean and variance of a function under the
                              normalised integrand (``Moments``),
-* ``mc_integrate``        -- seeded Monte Carlo oracle for n <= 4, one
-                             array-valued call of the integrand,
-* ``fd_laplacian`` / ``fd_derivative`` -- central stencils with optional
-                             Richardson extrapolation,
+* ``mc_integrate``        -- seeded Monte Carlo over a ball in n <= 4
+                             dimensions, one array-valued call of the
+                             integrand,
+* ``fd_laplacian`` / ``fd_derivative`` -- central stencils, always
+                             Richardson-extrapolated,
 * ``kappa_from_log``      -- the scalar curvature density
-                             kappa(s) = (1/4) Laplacian_s log p(s) by finite
-                             differences of any log p (an oracle for the
-                             moment route of ``quantization``).
+                             kappa(s) = (1/4) d^2/dy^2 log p(s) by finite
+                             differences of a log p that depends on Im s
+                             alone (an oracle for the moment route of
+                             ``quantization``).
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ __all__ = [
     "jacobi_rule",
     "read_only",
     "QuadratureSpec",
-    "IntegrationResult",
     "integrate_1d",
     "gaussian_weighted",
     "integrate_log_panels",
@@ -120,74 +121,31 @@ def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and node counts for the integration routines."""
+    """Node count of ``gaussian_weighted``."""
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    truncation_radius_sigma: float = 8.0
     hermite_order: int = 64
-    panel_nodes: int = 24
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.truncation_radius_sigma < 6.0:
-            raise ValueError("truncation_radius_sigma must be >= 6")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    error: float
-    converged: bool
-
-
 # panels of integrate_1d; an even count puts an edge at the centre of a
 # symmetric interval, where an integrand of |t| has its kink
 _INTEGRATE_1D_PANELS = 8
+_INTEGRATE_1D_NODES = 48
 
 
-def integrate_1d(f: Callable[[float], float],
-                 interval: tuple[float, float],
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> IntegrationResult:
-    """Composite Gauss-Legendre quadrature of f on the (possibly infinite)
-    interval, on ``_INTEGRATE_1D_PANELS`` equal panels.  The value is the
-    sum with ``2 * spec.panel_nodes`` nodes per panel and the error estimate
-    its gap to the sum with ``spec.panel_nodes``.  When an end is infinite
-    the substitution t = x / (1 - x^2) maps the interval into (-1, 1) first.
-    f is called on one abscissa at a time.
-
-    Non-convergence is reported through the ``converged`` flag, never as a
-    silently wrong value.
-    """
-    lo, hi = (float(e) for e in interval)
-    mapped = math.isinf(lo) or math.isinf(hi)
-    if mapped:
-        # x(t) = 2t / (1 + sqrt(1 + 4t^2)) inverts t = x / (1 - x^2)
-        lo, hi = (math.copysign(1.0, t) if math.isinf(t)
-                  else 2.0 * t / (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                  for t in (lo, hi))
-    edges = np.linspace(lo, hi, _INTEGRATE_1D_PANELS + 1)
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray],
+                 interval: tuple[float, float]) -> float:
+    """Composite Gauss-Legendre quadrature of f on the finite interval, on
+    ``_INTEGRATE_1D_PANELS`` equal panels of ``_INTEGRATE_1D_NODES`` nodes.
+    f is called once, on the array of all abscissae."""
+    edges = np.linspace(float(interval[0]), float(interval[1]),
+                        _INTEGRATE_1D_PANELS + 1)
     half = 0.5 * np.diff(edges)
-
-    def composite(order: int) -> float:
-        u, w = legendre_rule(order)
-        x = ((edges[:-1] + half)[:, None] + half[:, None] * u).ravel()
-        weights = np.outer(half, w).ravel()
-        if mapped:
-            inv = 1.0 / (1.0 - x * x)
-            weights = weights * (1.0 + x * x) * inv * inv
-            x = x * inv
-        return float(np.sum(weights * np.array([f(float(t)) for t in x])))
-
-    coarse = composite(spec.panel_nodes)
-    value = composite(2 * spec.panel_nodes)
-    error = abs(value - coarse)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-    return IntegrationResult(value, error, error <= tol)
+    u, w = legendre_rule(_INTEGRATE_1D_NODES)
+    x = ((edges[:-1] + half)[:, None] + half[:, None] * u).ravel()
+    return float(np.sum(np.outer(half, w).ravel() * f(x)))
 
 
 def gaussian_weighted(g: Callable[[float], LogValue],
@@ -294,13 +252,14 @@ def _ball_volume(n: int, radius: float) -> float:
 
 
 def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
-                 domain,
+                 center: Sequence[float],
+                 radius: float,
                  samples: int,
                  seed: int) -> MCResult:
-    """Monte Carlo integral over a box or ball domain, deterministic per seed.
+    """Monte Carlo integral over the ball of the given center and radius,
+    deterministic per seed.
 
-    ``domain`` is either ``("box", lows, highs)`` or ``("ball", center, radius)``.
-    A ball point is center + d/|d| R u^(1/n), d drawn normal (all samples)
+    A point is center + d/|d| R u^(1/n), d drawn normal (all samples)
     before u uniform; the ball is built in place in the array of d.
     ``f`` is called once, on all sample points at once, coordinates first:
     ``p`` has shape (n, samples), so ``p[0]`` is every sample's first
@@ -308,30 +267,18 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
     integrand may return a scalar.
     Dimension is capped at 4: this is an oracle, not a cubature engine.
     """
-    kind = domain[0]
+    center = np.asarray(center, dtype=float)
+    radius = float(radius)
+    n = center.size
+    if n > 4:
+        raise ValueError("mc_integrate supports dimension <= 4")
     rng = np.random.default_rng(seed)
-    if kind == "box":
-        lows = np.asarray(domain[1], dtype=float)
-        highs = np.asarray(domain[2], dtype=float)
-        n = lows.size
-        if n > 4:
-            raise ValueError("mc_integrate supports dimension <= 4")
-        pts = rng.uniform(lows, highs, size=(samples, n))
-        volume = float(np.prod(highs - lows))
-    elif kind == "ball":
-        center = np.asarray(domain[1], dtype=float)
-        radius = float(domain[2])
-        n = center.size
-        if n > 4:
-            raise ValueError("mc_integrate supports dimension <= 4")
-        pts = rng.normal(size=(samples, n))
-        radii = radius * rng.uniform(size=samples) ** (1.0 / n)
-        pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
-        pts *= radii[:, None]
-        pts += center
-        volume = _ball_volume(n, radius)
-    else:
-        raise ValueError(f"unknown domain kind {kind!r}")
+    pts = rng.normal(size=(samples, n))
+    radii = radius * rng.uniform(size=samples) ** (1.0 / n)
+    pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
+    pts *= radii[:, None]
+    pts += center
+    volume = _ball_volume(n, radius)
     vals = np.broadcast_to(np.asarray(f(pts.T), dtype=float), (samples,))
     mean = float(vals.mean())
     std = float(vals.std(ddof=1)) if samples > 1 else 0.0
@@ -340,9 +287,9 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
 
 def fd_laplacian(f: Callable[[np.ndarray], float],
                  point: Sequence[float],
-                 h: float,
-                 richardson: bool = False) -> float:
-    """Central second-order Laplacian of f at the point."""
+                 h: float) -> float:
+    """Central second-order Laplacian of f at the point, Richardson-
+    extrapolated from the steps h and h/2."""
     p = np.asarray(point, dtype=float)
 
     def lap(step: float) -> float:
@@ -353,8 +300,6 @@ def fd_laplacian(f: Callable[[np.ndarray], float],
             total += f(p + e) + f(p - e)
         return total / step ** 2
 
-    if not richardson:
-        return lap(h)
     coarse, fine = lap(h), lap(h / 2)
     return (4.0 * fine - coarse) / 3.0
 
@@ -367,48 +312,37 @@ _CENTRAL_STENCILS = {
 }
 
 
-def fd_derivative(f: Callable[[float], float], x: float, n: int, h: float,
-                  richardson: bool = True) -> float:
-    """n-th derivative by second-order central differences (n = 0..4)."""
-    if n == 0:
-        return f(x)
+def fd_derivative(f: Callable[[float], float], x: float, n: int,
+                  h: float) -> float:
+    """n-th derivative by second-order central differences (n = 1..4),
+    Richardson-extrapolated from the steps h and h/2."""
     if n not in _CENTRAL_STENCILS:
-        raise ValueError("derivative order must be 0..4")
+        raise ValueError("derivative order must be 1..4")
     offsets, coeffs = _CENTRAL_STENCILS[n]
 
     def d(step: float) -> float:
         return sum(c * f(x + o * step) for o, c in zip(offsets, coeffs)) / step ** n
 
-    if not richardson:
-        return d(h)
     coarse, fine = d(h), d(h / 2)
     return (4.0 * fine - coarse) / 3.0
 
 
 def kappa_from_log(p: Callable[[complex], LogValue],
                    s: complex,
-                   h_rel: float = 1e-3,
-                   im_only: bool = True,
-                   richardson: bool = True) -> float:
-    """Curvature density kappa(s) = (1/4)(d^2/dx^2 + d^2/dy^2) log p at s = x+iy.
-
-    ``im_only`` is the fast path for models whose weight depends only on
-    Im s; the full 2-D stencil adds the x-derivative term.  Non-positive
-    samples of p are an error: log p must exist near s.
+                   h_rel: float = 1e-3) -> float:
+    """Curvature density kappa(s) = (1/4) d^2/dy^2 log p at s = x+iy, for a
+    p whose weight depends only on Im s (every model here), so the
+    x-derivative term vanishes.  Non-positive samples of p are an error:
+    log p must exist near s.
     """
     x, y = s.real, s.imag
     if y <= 0:
         raise ValueError("kappa_from_log requires Im s > 0")
-    h = h_rel * y
 
-    def logp(px: float, py: float) -> float:
-        val = p(complex(px, py))
+    def logp(py: float) -> float:
+        val = p(complex(x, py))
         if val.sign <= 0:
-            raise ValueError(f"p is not positive at s={px}+{py}j")
+            raise ValueError(f"p is not positive at s={x}+{py}j")
         return val.log_magnitude
 
-    d2y = fd_derivative(lambda t: logp(x, t), y, 2, h, richardson)
-    if im_only:
-        return 0.25 * d2y
-    d2x = fd_derivative(lambda t: logp(t, y), x, 2, h, richardson)
-    return 0.25 * (d2x + d2y)
+    return 0.25 * fd_derivative(logp, y, 2, h_rel * y)

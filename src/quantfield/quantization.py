@@ -39,12 +39,11 @@ import numpy as np
 from .logdomain import LogValue, logsumexp_positive
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
-from .quadrature import (DEFAULT_SPEC, Moments, QuadratureSpec,
-                         hermite_rule, integrate_log_panels, integrate_1d,
-                         jacobi_rule, mc_integrate, weighted_moments)
+from .quadrature import (Moments, hermite_rule, integrate_log_panels,
+                         integrate_1d, jacobi_rule, mc_integrate,
+                         weighted_moments)
 
 __all__ = [
-    "PlanckPoint",
     "WeightParams",
     "LogP",
     "ModelSpec",
@@ -94,24 +93,19 @@ SPHERE_HERMITE_SWITCH = 6.0
 #: max(|kappa_closed|, m / (8 y^2))
 CLOSED_AGREEMENT_REL = 1e-9
 
+#: the bare su(2) and sphere panels cover the peak d = 0 out to
+#: +-(TRUNCATION_RADIUS_SIGMA sigma + 1), sigma = sqrt(Im s / 2), with
+#: PANEL_NODES Gauss-Legendre nodes per panel
+TRUNCATION_RADIUS_SIGMA = 8.0
+PANEL_NODES = 24
 
-@dataclass(frozen=True)
-class PlanckPoint:
-    """A point of the parameter half-plane; Im s is the Planck parameter."""
-
-    s: complex
-
-    def __post_init__(self):
-        _as_complex(self.s)
-
-    @property
-    def y(self) -> float:
-        return self.s.imag
+#: panels of sigma / 2 past this count (Im s below about 5e-5) become
+#: MAX_PANELS uniform panels plus edges at sigma * {-8, ..., 8} about the
+#: peak, so a Gaussian far narrower than the window is still resolved
+MAX_PANELS = 800
 
 
 def _as_complex(s) -> complex:
-    if isinstance(s, PlanckPoint):
-        return s.s
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s must be finite, got s = {s}")
@@ -301,9 +295,19 @@ def hermite_order_for(n_positive_roots: int) -> int:
     return math.ceil((n_positive_roots + 5) / 2)
 
 
+def _peak_panels(lo: float, hi: float, sigma: float,
+                 n_panels: int) -> np.ndarray:
+    """Edges of n_panels uniform panels on [lo, hi] about a Gaussian peak of
+    width sigma at offset 0; past MAX_PANELS, MAX_PANELS uniform panels plus
+    edges at sigma * {-8, ..., 8}, clipped to [lo, hi]."""
+    if n_panels <= MAX_PANELS:
+        return np.linspace(lo, hi, n_panels + 1)
+    near = np.clip(sigma * np.arange(-8.0, 9.0), lo, hi)
+    return np.union1d(np.linspace(lo, hi, MAX_PANELS + 1), near)
+
+
 def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
-                       corrected: bool,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
+                       corrected: bool) -> LogP:
     """The reduced torus integral for a compact group, up to constants.
 
     corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
@@ -350,14 +354,14 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
     # at c1 = (lambda - sum |alpha| / 2) y.  The nodes are offsets d = u - c1
     # and the integrand is -d^2/y plus terms that stay small, with c1^2/y
     # added back to log p.  That bounds it by a Gaussian about c1, so the
-    # panels cover d in [-R, R], R = truncation_radius_sigma sigma + 1.
+    # panels cover d in [-R, R], R = TRUNCATION_RADIUS_SIGMA sigma + 1.
     alphas = roots_u[:, 0]
     half_sum = 0.5 * float(np.sum(np.abs(alphas)))
     c1 = (float(lam_u[0]) - half_sum) * y
     sigma = math.sqrt(y / 2.0)
-    reach = spec.truncation_radius_sigma * sigma + 1.0
-    n_panels = max(32, int(math.ceil(2.0 * reach / (sigma / 2.0))))
-    breakpoints = np.linspace(-reach, reach, n_panels + 1)
+    reach = TRUNCATION_RADIUS_SIGMA * sigma + 1.0
+    breakpoints = _peak_panels(-reach, reach, sigma, max(
+        32, int(math.ceil(2.0 * reach / (sigma / 2.0)))))
 
     def log_f(d: np.ndarray) -> np.ndarray:
         u = c1 + d
@@ -377,7 +381,7 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
             sgn *= np.sign(al * (c1 + d))
         return sgn.astype(int)
 
-    mom = integrate_log_panels(log_f, breakpoints, spec.panel_nodes, signs_f,
+    mom = integrate_log_panels(log_f, breakpoints, PANEL_NODES, signs_f,
                                phi_f=lambda d: d * (d + 2.0 * c1))
     return _log_p(mom, wp.b + log_det_M + c1 * c1 / y, c1 * c1, y, m,
                   corrected)
@@ -478,8 +482,7 @@ def _sphere_indices(k, m) -> tuple[int, int]:
     return k, m
 
 
-def spherical_phi(k: int, m: int, t: float,
-                  nodes: Optional[tuple] = None) -> LogValue:
+def spherical_phi(k: int, m: int, t: float) -> LogValue:
     """log of int_0^pi (cosh 2t + sinh 2t cos u)^k sin^{m-2} u du.
 
     Substituting c = cos u turns this into a Gauss-Jacobi integral with
@@ -488,7 +491,7 @@ def spherical_phi(k: int, m: int, t: float,
     k, m = _sphere_indices(k, m)
     if t < 0:
         raise ValueError("need t >= 0")
-    c, w = nodes if nodes is not None else _jacobi_nodes(k, m)
+    c, w = _jacobi_nodes(k, m)
     logs = np.log(w) + k * _log_cosh_arg(t, c)
     return LogValue.from_log(logsumexp_positive(logs), 1)
 
@@ -503,8 +506,7 @@ def legendre_value(k: int, x: float) -> float:
     return cur
 
 
-def p_sphere(s, k: int, m: int,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> LogP:
+def p_sphere(s, k: int, m: int) -> LogP:
     """Half-form corrected sphere engine:
 
     log p = b(s) + log int_0^inf e^{a t^2} (sinh 2t)^q t^q phi_k(t) dt,
@@ -530,7 +532,7 @@ def p_sphere(s, k: int, m: int,
     b = weight_params(s, m, corrected=True).b
     c, w = _jacobi_nodes(k, m)
     if (k + q) * math.sqrt(y) < SPHERE_HERMITE_SWITCH:
-        return _p_sphere_panels(y, k, m, b, c, np.log(w), spec)
+        return _p_sphere_panels(y, k, m, b, c, np.log(w))
     return _p_sphere_hermite(y, k, m, b, c, np.log(w))
 
 
@@ -598,7 +600,7 @@ def _p_sphere_hermite(y: float, k: int, m: int, b: float, c: np.ndarray,
 
 
 def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
-                     logw: np.ndarray, spec: QuadratureSpec) -> LogP:
+                     logw: np.ndarray) -> LogP:
     """The panel route of ``p_sphere``, for (k+q) sqrt(y) below the switch.
 
     The growth of (sinh 2t)^q phi_k(t) is e^{2(k+q)t}, and with a = -1/y
@@ -606,17 +608,17 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
     integrand is evaluated in that completed-square form at offsets
     d = t - t0, with t0^2/y added back to log p, and kappa comes from the
     moments of t^2 - t0^2 = d (d + 2 t0).  The panels cover t in
-    [max(0, t0 - R), t0 + R] with R = truncation_radius_sigma sigma + 1,
+    [max(0, t0 - R), t0 + R] with R = TRUNCATION_RADIUS_SIGMA sigma + 1,
     sigma = sqrt(y/2): what is left of the integrand after the Gaussian
     about t0 grows only polynomially, so its mass outside is negligible.
     """
     q = (m - 1) / 2.0
     t0 = (k + q) * y
     sigma = math.sqrt(y / 2.0)
-    reach = spec.truncation_radius_sigma * sigma + 1.0
+    reach = TRUNCATION_RADIUS_SIGMA * sigma + 1.0
     lo, hi = max(-t0, -reach), reach
-    n_panels = min(800, max(48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
-    breakpoints = np.linspace(lo, hi, n_panels + 1)
+    breakpoints = _peak_panels(lo, hi, sigma, max(
+        48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
     rows = max(1, _SPHERE_BLOCK // c.size)
 
     def log_f(d: np.ndarray) -> np.ndarray:
@@ -632,7 +634,7 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
                 np.sum(np.exp(inner - shift[:, None]), axis=1))
         return -d * d / y + _log_half_form(t, q) + log_phi
 
-    mom = integrate_log_panels(log_f, breakpoints, spec.panel_nodes,
+    mom = integrate_log_panels(log_f, breakpoints, PANEL_NODES,
                                phi_f=lambda d: d * (d + 2.0 * t0))
     return _log_p(mom, b + t0 * t0 / y, t0 * t0, y, m, True)
 
@@ -829,37 +831,32 @@ class ReductionCheck:
 
 def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
                          f2: Callable[[np.ndarray], np.ndarray],
-                         seed: int,
-                         samples: int = 200_000,
-                         radius: float = 6.0,
-                         rs: Optional[RootSystem] = None) -> ReductionCheck:
+                         seed: int) -> ReductionCheck:
     """Cross-check of the adjoint-orbit reduction for su(2).
 
-    Ratios of integrals of two radial profiles over the full 3-dimensional
-    algebra (Monte Carlo) must match the ratios of the reduced 1-D torus
-    integrals with density prod_{alpha in R} |alpha(tau)| = 4 t^2.
-    Normalization constants cancel in the ratios.  The profiles take arrays
-    of radii (``np.exp``, not ``math.exp``).
+    Ratios of integrals of two radial profiles over the ball of radius 6 in
+    the full 3-dimensional algebra (Monte Carlo, 200,000 samples each) must
+    match the ratios of the reduced 1-D torus integrals with density
+    prod_{alpha in R} |alpha(tau)| = 4 t^2.  Normalization constants cancel
+    in the ratios.  The profiles take arrays of radii (``np.exp``, not
+    ``math.exp``).
     """
-    rs = rs or liecore.su2()
-    roots = rs.roots_array()[:, 0]
+    samples, radius = 200_000, 6.0
+    roots = liecore.su2().roots_array()[:, 0]
     # prod over R of |alpha(t)| = prod over R+ of alpha(t)^2 = coef t^(2|R+|)
     coef = float(np.prod(roots ** 2))
     power = 2 * len(roots)
 
-    def density(t: float) -> float:
+    def density(t: np.ndarray) -> np.ndarray:
         return coef * t ** power
 
     i3 = []
     for idx, f in enumerate((f1, f2)):
         res = mc_integrate(lambda p: f(np.sqrt(np.einsum("ij,ij->j", p, p))),
-                           ("ball", [0.0, 0.0, 0.0], radius),
-                           samples, seed + idx)
+                           [0.0, 0.0, 0.0], radius, samples, seed + idx)
         i3.append(res)
-    i1 = []
-    for f in (f1, f2):
-        res = integrate_1d(lambda t: f(abs(t)) * density(t), (-radius, radius))
-        i1.append(res.value)
+    i1 = [integrate_1d(lambda t: f(np.abs(t)) * density(t), (-radius, radius))
+          for f in (f1, f2)]
     ratio3 = i3[0].value / i3[1].value
     sig = abs(ratio3) * math.sqrt((i3[0].stderr / i3[0].value) ** 2
                                   + (i3[1].stderr / i3[1].value) ** 2)

@@ -25,7 +25,6 @@ __all__ = [
     "ToeplitzScalar",
     "q_scalar",
     "moment",
-    "p_toeplitz",
     "verify_derivative_identity",
     "DerivativeCheck",
     "curvature_via_ratio",
@@ -101,18 +100,6 @@ def moment(model: WeightedModel, tau: float, n: int) -> LogValue:
                              + math.log(even), 1)
 
 
-def p_toeplitz(model: WeightedModel, n: int, s,
-               corrected: bool = False) -> ToeplitzScalar:
-    """P_{k,n}(s) = e^{b(s)} * (2n-th moment at tau = a(s)); the n = 0 case
-    is e^{b} Q_k(a)."""
-    s = complex(s)
-    wp = weight_params(s, 1, corrected)
-    model.check_tau(wp.a)
-    mom = moment(model, wp.a, n)
-    val = LogValue.from_log(mom.log_magnitude + wp.b, mom.sign)
-    return ToeplitzScalar(val, model.k, wp.a)
-
-
 @dataclass(frozen=True)
 class DerivativeCheck:
     n: int
@@ -140,15 +127,14 @@ def verify_derivative_identity(model: WeightedModel, tau: float, n: int,
     def q_of(x: float) -> float:
         return q_scalar(model, x).value.to_float()
 
-    deriv = fd_derivative(q_of, tau, n, h, richardson=True)
+    deriv = fd_derivative(q_of, tau, n, h)
     mom = moment(model, tau, n).to_float()
     scale = max(abs(mom), 1e-300)
     residual = abs(deriv - mom) / scale
     return DerivativeCheck(n, tau, mom, deriv, residual, residual <= tol)
 
 
-def curvature_via_ratio(model: WeightedModel, s, corrected: bool,
-                        h_rel: float = 1e-3) -> float:
+def curvature_via_ratio(model: WeightedModel, s, corrected: bool) -> float:
     """Curvature density of s |-> e^{b(s)} Q_k(a(s)), m = 1.
 
     Requires a(s) = -1/Im s to stay below t/2 on the whole stencil, i.e.
@@ -165,4 +151,4 @@ def curvature_via_ratio(model: WeightedModel, s, corrected: bool,
         q = q_scalar(model, wp.a).value
         return LogValue.from_log(q.log_magnitude + wp.b, q.sign)
 
-    return kappa_from_log(log_p, s, h_rel=h_rel, im_only=True)
+    return kappa_from_log(log_p, s)

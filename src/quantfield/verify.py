@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import liecore
+from . import liecore, quantization
 from .hilbertfield import (BasePath, abelian_area_example, parallel_transport,
                            trivialize, twist_to_flat)
 from .quadrature import fd_laplacian
@@ -79,7 +79,7 @@ def check_root_product_harmonic() -> CheckResult:
                     for u in rng.uniform(-1, 1, size=(20, rs.rank)))
         for u in rng.uniform(-1.0, 1.0, size=(20, rs.rank)):
             lap = fd_laplacian(lambda v: liecore.root_product(rs, M @ v),
-                               u, h=1e-3, richardson=True)
+                               u, h=1e-3)
             worst = max(worst, abs(lap) / scale)
     return _result("root-product-harmonic", worst, 1e-6,
                    "FD Laplacian in metric-orthonormal coordinates")
@@ -99,8 +99,11 @@ def check_character_oracle() -> CheckResult:
 
 
 def check_half_form_duality() -> CheckResult:
-    """Root-system and structure-constant paths of the fiber density agree."""
-    worst = 0.0
+    """Root-system and structure-constant paths of the fiber density agree
+    for su(2) and su(3); for so(m+1)/so(m), m = 2, 3, 4, the factor the
+    sphere engine integrates, (sinh 2t)^q t^q with q = (m-1)/2, equals
+    t^{m-1} sqrt(D/2) for the structure-constant density D."""
+    group = 0.0
     pairs = [(liecore.su2(), liecore.su2_adjoint()),
              (liecore.su3(), liecore.su3_adjoint())]
     rng = np.random.default_rng(11)
@@ -109,8 +112,20 @@ def check_half_form_duality() -> CheckResult:
             tau = rng.uniform(-1.0, 1.0, size=rs.rank)
             a = liecore.half_form_density_group(rs, tau)
             b = liecore.half_form_density_group(adj, adj.torus_embedding @ tau)
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-    return _result("half-form-density-duality", worst, 1e-10)
+            group = max(group, abs(a - b) / max(abs(a), 1e-300))
+    sphere = 0.0
+    ts = np.array([0.05, 0.3, 1.0, 2.0, 5.0])
+    for m in (2, 3, 4):
+        adj = liecore.so_pair_adjoint(m)
+        q = (m - 1) / 2.0
+        got = quantization._log_half_form(ts, q) + 2.0 * q * ts
+        for t, g in zip(ts, got):
+            want = (m - 1) * math.log(t) + 0.5 * math.log(
+                liecore.half_form_density_sphere(adj, float(t), m) / 2.0)
+            sphere = max(sphere, abs(g - want) / abs(want))
+    return _all_within("half-form-density-duality",
+                       [("group", group, 1e-10),
+                        ("sphere", sphere, 1e-12)])
 
 
 def check_weyl_reduction(seed: int = 7) -> CheckResult:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from quantfield.liecore import (RootSystem, character_at, dual_norm_sq,
                                 half_form_density_group,
                                 half_form_density_sphere,
                                 orthonormal_change_of_basis, root_product,
-                                root_system_from_json, shifted_weight,
+                                shifted_weight,
                                 so_pair_adjoint, su2, su2_adjoint, su2_weight,
                                 su3, su3_adjoint, torus, torus_weight,
                                 weyl_denominator)
@@ -32,8 +31,13 @@ def test_dimension_invariant(systems):
 
 
 def test_weyl_closure(systems):
+    # each Weyl element permutes the roots R+ cup -R+
     for rs in systems.values():
-        assert rs.check_weyl_closure()
+        roots = rs.roots_array()
+        full = np.vstack([roots, -roots])
+        for w in rs.weyl_elements:
+            for row in roots @ w.as_array():
+                assert np.any(np.all(np.abs(full - row) < 1e-10, axis=1))
 
 
 def test_denominator_duality(systems):
@@ -113,8 +117,7 @@ def test_root_product_harmonic(systems):
         assert M.T @ rs.gram() @ M == pytest.approx(np.eye(rs.rank))
         for u in rng.uniform(-1, 1, size=(5, rs.rank)):
             from quantfield.quadrature import fd_laplacian
-            lap = fd_laplacian(lambda v: root_product(rs, M @ v), u, 1e-3,
-                               richardson=True)
+            lap = fd_laplacian(lambda v: root_product(rs, M @ v), u, 1e-3)
             assert abs(lap) < 1e-6 * max(1.0, abs(root_product(rs, M @ u)))
 
 
@@ -153,23 +156,3 @@ def test_shifted_weight_shift():
     lam = shifted_weight(rs, [2.0])   # highest weight 2t -> shifted by rho = t
     assert lam.as_array() == pytest.approx(su2_weight(2).as_array())
 
-
-def test_json_round_trip(tmp_path):
-    rs = su2()
-    payload = {
-        "rank": 1,
-        "positive_roots": [[2.0]],
-        "weyl": [{"matrix": [[1.0]], "det": 1},
-                 {"matrix": [[-1.0]], "det": -1}],
-        "inner_product": [[1.0]],
-        "m": 3,
-        "name": "su2-json",
-    }
-    path = tmp_path / "rs.json"
-    path.write_text(json.dumps(payload))
-    loaded = root_system_from_json(str(path))
-    tau = np.array([0.7])
-    a = weyl_denominator(rs, tau)
-    b = weyl_denominator(loaded, tau)
-    assert a[0].log_magnitude == pytest.approx(b[0].log_magnitude)
-    assert loaded.manifold_dim == 3

@@ -39,17 +39,10 @@ def test_arithmetic():
     b = LogValue.from_value(-2.0)
     assert (a * b).to_float() == pytest.approx(-6.0)
     assert (a / b).to_float() == pytest.approx(-1.5)
-    assert (a + b).to_float() == pytest.approx(1.0)
-    assert (a - b).to_float() == pytest.approx(5.0)
-    assert (-a).to_float() == pytest.approx(-3.0)
-    assert a.powi(3).to_float() == pytest.approx(27.0)
-    assert b.powi(2).to_float() == pytest.approx(4.0)
-    assert a.scaled(-2.0).to_float() == pytest.approx(-6.0)
 
 
 def test_cancellation_to_zero():
-    a = LogValue.from_value(5.0)
-    assert (a - a).sign == 0
+    assert signed_logsumexp([math.log(5.0)] * 2, [1, -1]) == LogValue.zero()
 
 
 def test_huge_exponent_sum():

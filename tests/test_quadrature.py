@@ -6,18 +6,10 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from quantfield.logdomain import LogValue
-from quantfield.quadrature import (DEFAULT_SPEC, QuadratureSpec, fd_derivative,
-                                   fd_laplacian, gaussian_weighted,
-                                   hermite_rule, integrate_1d,
-                                   integrate_log_panels, kappa_from_log,
-                                   legendre_rule, mc_integrate)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(truncation_radius_sigma=4.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
+from quantfield.quadrature import (fd_derivative, fd_laplacian,
+                                   gaussian_weighted, hermite_rule,
+                                   integrate_1d, integrate_log_panels,
+                                   kappa_from_log, legendre_rule, mc_integrate)
 
 
 @pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
@@ -33,15 +25,21 @@ def test_rules_are_shared_read_only_and_exact_copies(rule, fresh, order):
 
 
 def test_integrate_1d_gaussian():
-    res = integrate_1d(lambda t: math.exp(-t * t), (-np.inf, np.inf))
-    assert res.converged
-    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    # the mass beyond |t| = 8 is below 1e-28; f sees every abscissa at once
+    seen = []
+
+    def f(t):
+        seen.append(t.shape)
+        return np.exp(-t * t)
+
+    res = integrate_1d(f, (-8.0, 8.0))
+    assert len(seen) == 1
+    assert res == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_integrate_1d_erf():
-    res = integrate_1d(lambda t: math.exp(-t * t), (-1.0, 1.0))
-    assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(1.0),
-                                      rel=1e-12)
+    res = integrate_1d(lambda t: np.exp(-t * t), (-1.0, 1.0))
+    assert res == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), rel=1e-12)
 
 
 def test_gaussian_weighted_closed_form():
@@ -79,12 +77,13 @@ def test_log_panels_signed():
 
 
 def test_mc_deterministic_and_correct():
-    res1 = mc_integrate(lambda p: 1.0, ("ball", [0.0, 0.0], 2.0), 20000, 42)
-    res2 = mc_integrate(lambda p: 1.0, ("ball", [0.0, 0.0], 2.0), 20000, 42)
+    res1 = mc_integrate(lambda p: 1.0, [0.0, 0.0], 2.0, 20000, 42)
+    res2 = mc_integrate(lambda p: 1.0, [0.0, 0.0], 2.0, 20000, 42)
     assert res1.value == res2.value
     assert res1.value == pytest.approx(4 * math.pi, rel=1e-12)
-    res = mc_integrate(lambda p: p[0] ** 2, ("box", [0, 0], [1, 1]), 40000, 7)
-    assert abs(res.value - 1 / 3) < 4 * res.stderr + 1e-3
+    # int over the unit disc of x^2 = pi / 4
+    res = mc_integrate(lambda p: p[0] ** 2, [0.0, 0.0], 1.0, 40000, 7)
+    assert abs(res.value - math.pi / 4) < 4 * res.stderr + 1e-3
 
 
 def test_mc_calls_f_once_on_all_samples():
@@ -94,11 +93,11 @@ def test_mc_calls_f_once_on_all_samples():
         seen.append(p)
         return np.linalg.norm(p, axis=0) ** 2
 
-    for domain, volume in ((("box", [0, 0, 0], [1, 2, 3]), 6.0),
-                           (("ball", [0.0] * 3, 2.0), 32 * math.pi / 3)):
+    for center, radius, volume in (([1.0, -2.0], 1.5, 2.25 * math.pi),
+                                   ([0.0] * 3, 2.0, 32 * math.pi / 3)):
         seen.clear()
-        res = mc_integrate(f, domain, 5000, 3)
-        assert [p.shape for p in seen] == [(3, 5000)]
+        res = mc_integrate(f, center, radius, 5000, 3)
+        assert [p.shape for p in seen] == [(len(center), 5000)]
         # the per-sample loop over the same points is the reference
         loop = [float(np.linalg.norm(q)) ** 2 for q in seen[0].T]
         assert res.value == pytest.approx(volume * np.mean(loop), rel=1e-13)
@@ -116,7 +115,7 @@ def test_mc_ball_points_are_the_textbook_draws(center):
         return 1.0
 
     samples, radius, seed = 3000, 2.5, 11
-    mc_integrate(f, ("ball", center, radius), samples, seed)
+    mc_integrate(f, center, radius, samples, seed)
     rng = np.random.default_rng(seed)
     n = len(center)
     d = rng.normal(size=(samples, n))
@@ -130,7 +129,7 @@ def test_mc_ball_points_are_the_textbook_draws(center):
 
 def test_mc_dimension_cap():
     with pytest.raises(ValueError):
-        mc_integrate(lambda p: 1.0, ("box", [0] * 5, [1] * 5), 10, 0)
+        mc_integrate(lambda p: 1.0, [0.0] * 5, 1.0, 10, 0)
 
 
 def test_fd_derivative_orders():
@@ -144,7 +143,7 @@ def test_fd_derivative_orders():
 
 def test_fd_laplacian():
     got = fd_laplacian(lambda p: p[0] ** 2 + 3 * p[1] ** 2, [0.3, -0.2],
-                       h=1e-4, richardson=True)
+                       h=1e-4)
     assert got == pytest.approx(8.0, abs=1e-5)
 
 
@@ -152,10 +151,6 @@ def test_kappa_known_log():
     # log p = y^2  => kappa = (1/4) * 2 = 0.5 regardless of x
     p = lambda s: LogValue.from_log(s.imag ** 2, 1)
     assert kappa_from_log(p, 0.4 + 1.3j) == pytest.approx(0.5, abs=1e-8)
-    # 2-D stencil: log p = x^2 - y^2 is harmonic
-    p2 = lambda s: LogValue.from_log(s.real ** 2 - s.imag ** 2, 1)
-    assert kappa_from_log(p2, 0.5 + 1.0j, im_only=False) == \
-        pytest.approx(0.0, abs=1e-8)
 
 
 def test_kappa_guards():

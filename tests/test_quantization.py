@@ -13,8 +13,7 @@ from scipy.special import roots_jacobi
 
 from quantfield import liecore, quantization
 from quantfield.quadrature import kappa_from_log
-from quantfield.quantization import (ModelSpec, PlanckPoint,
-                                     curvature, flatness_classify,
+from quantfield.quantization import (ModelSpec, curvature, flatness_classify,
                                      hermite_order_for, jacobi_rule,
                                      legendre_value, model_log_p,
                                      p_group_closed, p_group_quadrature,
@@ -26,12 +25,12 @@ from quantfield.quantization import (ModelSpec, PlanckPoint,
 
 
 def test_planck_point():
-    assert PlanckPoint(1 + 2j).y == 2.0
-    with pytest.raises(ValueError):
-        PlanckPoint(1 - 1j)
-    for bad in (complex(0, math.inf), complex(math.nan, 1.0)):
+    # s must be finite and in the upper half-plane; Im s is the Planck
+    # parameter
+    assert weight_params(1 + 2j, 1, corrected=False).a == -0.5
+    for bad in (1 - 1j, complex(0, math.inf), complex(math.nan, 1.0)):
         with pytest.raises(ValueError):
-            PlanckPoint(bad)
+            weight_params(bad, 1, corrected=False)
 
 
 def test_weight_params_examples():
@@ -277,7 +276,7 @@ def test_sphere_routes_agree_at_switch(k, m):
         b = weight_params(complex(0, y), m, True).b
         args = (y, k, m, b, c, np.log(w))
         hermite = quantization._p_sphere_hermite(*args)
-        panels = quantization._p_sphere_panels(*args, quantization.DEFAULT_SPEC)
+        panels = quantization._p_sphere_panels(*args)
         assert p_sphere(complex(0, y), k, m) == (panels if side < 1 else hermite)
         assert hermite.log_magnitude == pytest.approx(panels.log_magnitude,
                                                       rel=1e-12)
@@ -345,6 +344,46 @@ def test_truncated_circle_small_im_s(y, corrected):
                     complex(0, y)).kappa
     scale = 1.0 / (8.0 * y * y)
     assert abs(got - (c - 0.5) / (4.0 * y * y)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+@pytest.mark.parametrize("k", (0, 1))
+@pytest.mark.parametrize("y", [1e-8, 1e-10, 1e-12])
+def test_sphere_small_im_s(y, k, m):
+    # the Gaussian (width sqrt(y/2) about (k+q) y) is far narrower than the
+    # panel window t0 +- (8 sigma + 1); its panels must still resolve it.
+    # The true kappa is 0 (m = 3) or O(0.1), far below the m/(8y^2) that
+    # the moment identity's terms are made of.
+    got = curvature(ModelSpec.sphere(m, k), complex(0, y)).kappa
+    assert abs(got) <= 1e-9 * m / (8.0 * y * y), got
+
+
+class _PanelsSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", (0, 2, 8))
+def test_bare_su2_panel_count_is_capped(monkeypatch, k):
+    # at Im s = 1e-12 panels of sigma/2 over +-(8 sigma + 1) would number
+    # about 5.7 million; the spy stops the call before anything is
+    # integrated
+    def spy(log_f, breakpoints, nodes_per_panel, *args, **kwargs):
+        assert len(breakpoints) - 1 <= quantization.MAX_PANELS + 17
+        raise _PanelsSeen
+
+    monkeypatch.setattr(quantization, "integrate_log_panels", spy)
+    with pytest.raises(_PanelsSeen):
+        curvature(ModelSpec.group(liecore.su2(), k, corrected=False), 1e-12j)
+
+
+@pytest.mark.parametrize("k", (0, 2, 8))
+@pytest.mark.parametrize("y", [1e-5, 1e-7, 1e-9])
+def test_bare_su2_small_im_s(y, k):
+    c = curvature(ModelSpec.group(liecore.su2(), k, corrected=False),
+                  complex(0, y))
+    scale = max(abs(c.cross_check), 3.0 / (8.0 * y * y))
+    assert abs(c.kappa - c.cross_check) <= \
+        quantization.CLOSED_AGREEMENT_REL * scale
 
 
 def test_curvature_cross_check_paths():

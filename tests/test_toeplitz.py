@@ -6,8 +6,7 @@ import pytest
 from quantfield.logdomain import LogValue
 from quantfield.quadrature import gaussian_weighted
 from quantfield.toeplitz import (WeightedModel, curvature_via_ratio, moment,
-                                 p_toeplitz, q_scalar,
-                                 verify_derivative_identity)
+                                 q_scalar, verify_derivative_identity)
 
 
 def test_model_validation():
@@ -41,18 +40,6 @@ def test_q_monotone_in_tau():
             taus = np.linspace(4 * t, t / 2 - 0.05 * abs(t), 30)
             vals = [q_scalar(model, tau).value.log_magnitude for tau in taus]
             assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_p_toeplitz_examples():
-    # n=0 equals e^b Q_k(a); at y=1 (a=-1, b=0) with t=-1 this is 1
-    assert p_toeplitz(WeightedModel(0, -1.0), 0, 1j).value.to_float() == \
-        pytest.approx(1.0)
-    # Gaussian second moment: k=0, n=1 -> 1/2
-    assert p_toeplitz(WeightedModel(0, -1.0), 1, 1j).value.to_float() == \
-        pytest.approx(0.5, rel=1e-13)
-    # shifted moment: k=1, n=1 -> mean^2 + var = 1 + 1/2
-    assert p_toeplitz(WeightedModel(1, -1.0), 1, 1j).value.to_float() == \
-        pytest.approx(1.5, rel=1e-13)
 
 
 def test_closed_forms_match_hermite_oracle():
