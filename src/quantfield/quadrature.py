@@ -10,9 +10,13 @@ The workhorses are:
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
 * ``integrate_log_panels``-- composite Gauss-Legendre of log-domain integrands
-                             on caller-chosen panels, optionally with the
-                             mean and variance of a function under the
-                             normalised integrand (``Moments``),
+                             on caller-chosen panels, optionally ending in
+                             the curvature kernel,
+* ``kappa_from_nodes``    -- the curvature kernel: log p and
+                             kappa = (1/4) d^2/dy^2 log p from one set of
+                             weighted nodes and the integrand's first two
+                             y-derivatives there (``LogP``); every engine of
+                             ``quantization`` ends in it,
 * ``mc_integrate``        -- seeded Monte Carlo over a ball in n <= 4
                              dimensions, one array-valued call of the
                              integrand,
@@ -21,8 +25,7 @@ The workhorses are:
 * ``kappa_from_log``      -- the scalar curvature density
                              kappa(s) = (1/4) d^2/dy^2 log p(s) by finite
                              differences of a log p that depends on Im s
-                             alone (an oracle for the moment route of
-                             ``quantization``).
+                             alone (an oracle for ``kappa_from_nodes``).
 """
 from __future__ import annotations
 
@@ -46,8 +49,8 @@ __all__ = [
     "integrate_1d",
     "gaussian_weighted",
     "integrate_log_panels",
-    "Moments",
-    "weighted_moments",
+    "LogP",
+    "kappa_from_nodes",
     "MCResult",
     "mc_integrate",
     "fd_laplacian",
@@ -175,51 +178,56 @@ def gaussian_weighted(g: Callable[[float], LogValue],
 
 
 @dataclass(frozen=True)
-class Moments:
-    """A discrete integral sum_i w_i together with the mean and variance of
-    a function phi under the normalised weights w_i / sum_j w_j.  The
-    weights may change sign; the moments are then the formal ones, which is
-    what derivatives of log |sum w| need."""
+class LogP(LogValue):
+    """log p(s) as an engine returns it, with kappa(s) from the same pass."""
 
-    integral: LogValue
-    mean: float
-    var: float
+    kappa: float = math.nan
 
 
-def weighted_moments(logs: np.ndarray, signs: Optional[np.ndarray],
-                     phi: np.ndarray) -> Moments:
-    """Integral of the weights sign_i e^{logs_i} and the mean and variance of
-    phi_i under them.  The variance is taken about the mean (two passes).
-    Callers pass phi less a constant centre, so that the rounding of its
-    values stays far below its spread."""
-    if signs is None:
-        integral = LogValue.from_log(logsumexp_positive(logs), 1)
-    else:
-        integral = signed_logsumexp(logs, signs)
-    if integral.sign == 0:
-        return Moments(integral, math.nan, math.nan)
-    w = np.exp(logs - integral.log_magnitude)
-    if signs is not None:
-        w *= np.asarray(signs, dtype=float) * integral.sign
-    norm = float(np.sum(w))
-    mean = float(np.sum(w * phi)) / norm
-    dev = phi - mean
-    return Moments(integral, mean, float(np.sum(w * dev * dev)) / norm)
+def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
+                     f1: np.ndarray, f2: np.ndarray, c0: float = 0.0,
+                     offset: float = 0.0) -> LogP:
+    """log p and kappa from one set of nodes: the curvature kernel that
+    every quadrature engine ends in.
+
+    The nodes carry positive weights e^{logs} and the integrand over that
+    weight, f0 (signed; a scalar broadcasts), with its first and second
+    y-derivatives f1 and f2 at fixed node coordinate.  With Q_j the
+    weighted sum of f_j, log p = log |Q0| + offset and
+    kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4; c0 is what the prefactor left
+    out of the nodes adds to d^2/dy^2 log p.  The variance is one-pass, so
+    positive terms with log-derivatives (d1, d2) go in as f1 = d1 - c and
+    f2 = d2 + (d1 - c)^2, c a constant near the mean of d1.  Q0 = 0 gives
+    sign 0 and kappa nan.
+    """
+    shift = float(np.max(logs))
+    if shift == NEG_INF:
+        return LogP(NEG_INF, 0)
+    w = np.exp(logs - shift)
+    q0 = float(np.sum(w * f0))
+    if q0 == 0.0:
+        return LogP(NEG_INF, 0)
+    q1 = float(w @ f1) / q0
+    q2 = float(w @ f2) / q0
+    return LogP(shift + math.log(abs(q0)) + offset, 1 if q0 > 0 else -1,
+                0.25 * (c0 + q2 - q1 * q1))
 
 
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
                          breakpoints: Sequence[float],
                          nodes_per_panel: int = 24,
                          signs_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         phi_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         ) -> LogValue | Moments:
+                         derivs_f: Optional[Callable[[np.ndarray], tuple]] = None,
+                         ) -> LogValue | LogP:
     """Composite Gauss-Legendre quadrature of exp(log_f) over fixed panels.
 
     ``log_f`` maps an array of abscissae to log magnitudes; an optional
     ``signs_f`` supplies pointwise signs (default: all positive).  Returns
-    the integral as a LogValue or, when ``phi_f`` is given, ``Moments``: the
-    integral with the mean and variance of phi_f under the normalised
-    integrand, from the same nodes.
+    the integral as a LogValue or, when ``derivs_f`` is given, the
+    ``kappa_from_nodes`` result of the same nodes: ``derivs_f`` maps the
+    abscissae to (f1, f2), the first and second y-derivatives of the
+    integrand over its magnitude, and the signs multiply all three of f0,
+    f1 and f2.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
@@ -232,8 +240,10 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     logw = np.log(np.outer(half, w)).ravel()
     logs = log_f(x) + logw
     signs = None if signs_f is None else signs_f(x)
-    if phi_f is not None:
-        return weighted_moments(logs, signs, phi_f(x))
+    if derivs_f is not None:
+        f0 = 1.0 if signs is None else signs
+        f1, f2 = derivs_f(x)
+        return kappa_from_nodes(logs, f0, f0 * f1, f0 * f2)
     if signs is None:
         total = logsumexp_positive(logs)
         return LogValue.from_log(total, 1) if total != NEG_INF else LogValue.zero()

@@ -12,20 +12,22 @@ Conventions:
     commutative bare case gives exactly m/(8 y^2).
 
 Every engine integrates e^{a(s) phi} against a weight that does not depend
-on s, where phi is a quadratic form (|u|^2, t^2 or zeta^2).  So log p is a
-function of y = Im s alone, and
+on s, phi a quadratic form (|u|^2, t^2 or zeta^2), so log p is a function of
+y = Im s alone.  Each returns kappa with log p from one quadrature pass
+(``LogP``): its nodes, with the integrand's first two y-derivatives at each,
+go to ``quadrature.kappa_from_nodes``, the one place that forms kappa.
+Closed forms return theirs analytically.
 
-    4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y,
+What the nodes hold fixed sets those derivatives.  The panel routes (bare
+su(2), spheres below the switch, the circle) hold phi's variable fixed, which
+gives the moment identity
 
-with E_w and Var_w taken under the normalised integrand on the very nodes
-that give p.  Each engine therefore returns kappa with log p from one
-quadrature pass (``LogP``); closed forms return theirs analytically.
+    4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y.
 
-The leading terms of that identity cancel down to kappa.  For spheres, whose
-kappa is about 1/(k^2 y^3) against terms of size k^2 / y, ``p_sphere``
-therefore rescales t about the peak, t = (k+q) y + sqrt(y) v, so that the
-k^2 part of log p is linear in y and never enters kappa; it keeps the
-moments of phi only where (k+q) sqrt(y) is too small for that rescaling.
+Its leading terms, of size |lambda|^2 / y, cancel down to kappa.  The group,
+torus and sphere Hermite routes instead rescale about the peak,
+u = lambda y + sqrt(y) w (t = (k+q) y + sqrt(y) v on spheres), so that the
+|lambda|^2 y part of log p is linear in y and never enters kappa.
 """
 from __future__ import annotations
 
@@ -39,9 +41,9 @@ import numpy as np
 from .logdomain import LogValue, logsumexp_positive
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
-from .quadrature import (Moments, hermite_rule, integrate_log_panels,
-                         integrate_1d, jacobi_rule, mc_integrate,
-                         weighted_moments)
+from .quadrature import (LogP, hermite_rule, integrate_log_panels,
+                         integrate_1d, jacobi_rule, kappa_from_nodes,
+                         mc_integrate)
 
 __all__ = [
     "WeightParams",
@@ -136,27 +138,18 @@ def _volume_exponent(m: int, corrected: bool) -> float:
     return m / 2.0 if corrected else float(m)
 
 
-@dataclass(frozen=True)
-class LogP(LogValue):
-    """log p(s) as an engine returns it, with kappa(s) from the same pass."""
-
-    kappa: float = math.nan
-
-
-def _log_p(mom: Moments, offset: float, centre_sq: float, y: float, m: int,
-           corrected: bool) -> LogP:
-    """The engine result: log of the integral plus ``offset``, with kappa
-    from the mean and variance of phi - centre_sq under the normalised
-    integrand.  p = e^{b(y)} int e^{-phi/y} w, so
-    d^2/dy^2 log p = Var[phi]/y^4 - 2 E[phi]/y^3 + c/y^2 (x does not enter).
-    """
-    out = mom.integral
-    if out.sign == 0:
-        return LogP(out.log_magnitude, 0)
-    c = _volume_exponent(m, corrected)
-    mean = centre_sq + mom.mean
-    kappa = 0.25 * (mom.var - 2.0 * y * mean + c * y * y) / y ** 4
-    return LogP(out.log_magnitude + offset, out.sign, kappa)
+def _moment_derivs(psi_f: Callable[[np.ndarray], np.ndarray],
+                   centre_sq: float, y: float,
+                   c: float) -> Callable[[np.ndarray], tuple]:
+    """``derivs_f`` of the moment identity: per node, log of e^{b - phi/y}
+    has y-derivatives phi/y^2 and c/y^2 - 2 phi/y^3.  psi_f gives
+    psi = phi - centre_sq, centred at the integrand's peak, and
+    f1 = psi/y^2, f2 = (c y^2 - 2 y phi + psi^2)/y^4."""
+    def derivs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        psi = psi_f(x)
+        return (psi / (y * y),
+                (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4)
+    return derivs
 
 
 @dataclass(frozen=True)
@@ -248,51 +241,52 @@ class CurvatureDensity:
 # group engines
 # ---------------------------------------------------------------------------
 
-def _tensor_hermite_log(dim: int, a: float, mu: np.ndarray,
-                        poly_log: Optional[Callable[[np.ndarray], tuple]],
-                        order: int) -> Moments:
-    """int_{R^dim} e^{a|u|^2 + 2 mu.u} P(u) du by centred tensor Gauss-Hermite,
-    with the mean and variance of |u|^2 - |c|^2 under the normalised
-    integrand; poly_log maps an (N, dim) node array to (log|P|, sign P).
-
-    The nodes sit at u = c + v, c = mu/(-a), and |u|^2 - |c|^2 = 2 c.v + |v|^2
-    is evaluated from v, so the constant |c|^2 never enters a sum.  Without P
-    the integral separates: log p, E|u|^2 and Var|u|^2 are sums over axes of
-    one-dimensional rules, and no tensor grid is built.
-    """
-    nodes, weights = hermite_rule(order)
-    logw = np.log(weights)
-    v = nodes / math.sqrt(-a)
-    c = mu / (-a)
-    prefactor = float(mu @ mu) / (-a) - 0.5 * dim * math.log(-a)
-    if poly_log is None:
-        axes = [weighted_moments(logw, None, (2.0 * cd + v) * v) for cd in c]
-        log_int = sum(m.integral.log_magnitude for m in axes)
-        return Moments(LogValue.from_log(log_int + prefactor, 1),
-                       sum(m.mean for m in axes), sum(m.var for m in axes))
-    vs = np.stack([g.ravel() for g in np.meshgrid(*([v] * dim),
-                                                    indexing="ij")], axis=-1)
-    logs = sum(g.ravel() for g in np.meshgrid(*([logw] * dim), indexing="ij"))
-    plog, psign = poly_log(c[None, :] + vs)
-    psi = vs @ (2.0 * c) + np.sum(vs * vs, axis=1)
-    mom = weighted_moments(logs + plog, psign, psi)
-    out = mom.integral
-    if out.sign != 0:
-        out = LogValue.from_log(out.log_magnitude + prefactor, out.sign)
-    return Moments(out, mom.mean, mom.var)
-
-
 def hermite_order_for(n_positive_roots: int) -> int:
-    """Gauss-Hermite nodes per axis that make the corrected group integral
-    and its moments exact.
+    """Gauss-Hermite nodes per axis that make the rescaled group integral
+    and its first two y-derivatives exact.
 
-    The weight is a Gaussian times prod_{R+} alpha(u), a polynomial of
-    degree |R+|, and the variance needs phi^2 = |u|^4 under it: degree
-    |R+| + 4 in all.  n nodes integrate degree 2n - 1 exactly (Golub &
-    Welsch 1969), so n = ceil((|R+| + 5) / 2): 3 for tori and su(2), 4 for
-    su(3).
+    At fixed w the integrand is a Gaussian times P = prod_{R+} alpha(u),
+    u = lambda y + sqrt(y) w, and P, P' and P'' are polynomials of degree
+    |R+| in w.  n nodes integrate degree 2n - 1 exactly (Golub & Welsch
+    1969), so n = ceil((|R+| + 1) / 2): 1 for tori and su(2), 2 for su(3).
     """
-    return math.ceil((n_positive_roots + 5) / 2)
+    return math.ceil((n_positive_roots + 1) / 2)
+
+
+def _p_group_rescaled(y: float, roots_u: np.ndarray, lam_u: np.ndarray,
+                      c: float, offset: float) -> LogP:
+    """The Gauss-Hermite route of ``p_group_quadrature``.
+
+    In orthonormal coordinates the integrand is e^{-|u|^2/y + 2 lambda.u}
+    P(u), P = prod_{R+} alpha(u).  Substituting u = lambda y + sqrt(y) w,
+
+        p = e^{b + offset} e^{|lambda|^2 y} y^{rank/2} Q(y),
+        Q = int e^{-|w|^2} P(lambda y + sqrt(y) w) dw,
+
+    and |lambda|^2 y is linear in y, so it never enters kappa:
+    4 kappa = (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2.  At fixed w only P
+    depends on y, through u_y = lambda + w/(2 sqrt y) and
+    u_yy = -w/(4 y^{3/2}); P, P' and P'' come from the product rule over
+    the roots, so no node divides by P, which vanishes on a root wall.
+    """
+    rank = lam_u.size
+    nodes, weights = hermite_rule(hermite_order_for(len(roots_u)))
+    w = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * rank),
+                                                  indexing="ij")], axis=-1)
+    logs = sum(g.ravel() for g in np.meshgrid(*([np.log(weights)] * rank),
+                                              indexing="ij"))
+    sy = math.sqrt(y)
+    u = lam_u * y + sy * w
+    u_y = lam_u + w / (2.0 * sy)
+    u_yy = -w / (4.0 * y * sy)
+    p0, p1, p2 = np.ones(len(w)), np.zeros(len(w)), np.zeros(len(w))
+    for alpha in roots_u:
+        a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
+        p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
+                      p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
+    return kappa_from_nodes(logs, p0, p1, p2, (c - 0.5 * rank) / (y * y),
+                            offset + float(lam_u @ lam_u) * y
+                            + 0.5 * rank * math.log(y))
 
 
 def _peak_panels(lo: float, hi: float, sigma: float,
@@ -314,10 +308,10 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
     bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
 
     The corrected integrand is polynomial-times-Gaussian and is evaluated
-    exactly by centred tensor Gauss-Hermite in metric-orthonormal
-    coordinates; the bare path (rank 1 only when roots are present) uses
-    log-domain Gauss-Legendre panels.  Either way kappa comes from the
-    moments of |u|^2 on the same nodes.
+    exactly by tensor Gauss-Hermite, rescaled about its peak in
+    metric-orthonormal coordinates (``_p_group_rescaled``); the bare path
+    (rank 1 only when roots are present) uses log-domain Gauss-Legendre
+    panels and the moment identity.
     """
     sc = _as_complex(s)
     if rs.positive_roots and rs.rank > 2:
@@ -327,26 +321,15 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
     y = sc.imag
     m = rs.manifold_dim
     wp = weight_params(sc, m, corrected)
-    a = wp.a
     M = liecore.orthonormal_change_of_basis(rs)
     lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
-    roots_u = (rs.roots_array() @ M) if rs.positive_roots else np.zeros((0, rs.rank))
+    roots_u = rs.roots_array() @ M
     log_det_M = math.log(abs(np.linalg.det(M)))
 
     if corrected or not rs.positive_roots:
-        if roots_u.shape[0] == 0:
-            poly = None
-        else:
-            def poly(u: np.ndarray):
-                vals = u @ roots_u.T                       # (N, n_roots)
-                logp = np.sum(np.log(np.abs(vals) + 1e-300), axis=1)
-                sign = np.prod(np.sign(vals), axis=1).astype(int)
-                return logp, sign
-        mom = _tensor_hermite_log(rs.rank, a, lam_u, poly,
-                                  hermite_order_for(len(rs.positive_roots)))
-        centre = lam_u * y                # mu / (-a)
-        return _log_p(mom, wp.b + log_det_M, float(centre @ centre), y, m,
-                      corrected)
+        return _p_group_rescaled(y, roots_u, lam_u,
+                                 _volume_exponent(m, corrected),
+                                 wp.b + log_det_M)
 
     if rs.rank != 1:
         raise ValueError("bare quadrature with roots present needs rank 1")
@@ -365,7 +348,7 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
 
     def log_f(d: np.ndarray) -> np.ndarray:
         u = c1 + d
-        out = a * d * d + 4.0 * half_sum * np.minimum(u, 0.0)
+        out = -d * d / y + 4.0 * half_sum * np.minimum(u, 0.0)
         for al in alphas:
             ax = np.abs(al * u)
             # log |alpha^2 / sinh alpha| + |alpha u|, stable for large |x|
@@ -381,10 +364,12 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
             sgn *= np.sign(al * (c1 + d))
         return sgn.astype(int)
 
-    mom = integrate_log_panels(log_f, breakpoints, PANEL_NODES, signs_f,
-                               phi_f=lambda d: d * (d + 2.0 * c1))
-    return _log_p(mom, wp.b + log_det_M + c1 * c1 / y, c1 * c1, y, m,
-                  corrected)
+    out = integrate_log_panels(
+        log_f, breakpoints, PANEL_NODES, signs_f,
+        derivs_f=_moment_derivs(lambda d: d * (d + 2.0 * c1), c1 * c1, y,
+                                _volume_exponent(m, corrected)))
+    return replace(out, log_magnitude=out.log_magnitude + wp.b + log_det_M
+                   + c1 * c1 / y)
 
 
 def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP:
@@ -428,11 +413,11 @@ def p_su2_closed(s, k: int) -> LogP:
     # exponents relative to the largest, k^2 y: each n y carries n y eps of
     # rounding, which would pass into the weights as a relative error
     logs = (n - k * k) * y + np.log1p(2.0 * n * y)
-    mom = weighted_moments(logs, None, n * (3.0 + 2.0 * n * y) / g)
-    w = np.exp(logs - mom.integral.log_magnitude)
-    d2 = 1.5 / (y * y) + mom.var - float(np.sum(w * 4.0 * n * n / (g * g)))
-    return LogP(mom.integral.log_magnitude + k * k * y - 1.5 * math.log(y),
-                1, 0.25 * d2)
+    # log-derivatives centred on the largest term's, n = k^2
+    d1 = n * (3.0 + 2.0 * n * y) / g
+    d1 -= d1[0]
+    return kappa_from_nodes(logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g),
+                            1.5 / (y * y), k * k * y - 1.5 * math.log(y))
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +569,15 @@ def _p_sphere_hermite(y: float, k: int, m: int, b: float, c: np.ndarray,
     g2_rest = (-16.0 * q * e / (one_e * one_e)
                + 16.0 * k * (mean_rho_1 + k * var_rho))
 
-    logs = np.log(hw) + g
-    log_int = logsumexp_positive(logs)
-    wt = np.exp(logs - log_int)
-    wt /= wt.sum()
     t_y = kq + v / (2.0 * sy)
     t_yy = -v / (4.0 * y * sy)
+    # d1 centred on its value at the node nearest v = 0
     d1 = g1 * t_y
-    mean_d1 = float(wt @ d1)
+    d1 -= d1[np.argmin(np.abs(v))]
     folded = q * v * (kq * sy + 0.75 * v) / (y * t * t)
-    d2 = float(wt @ (folded + g2_rest * t_y * t_y + g1 * t_yy)) \
-        + float(wt @ (d1 - mean_d1) ** 2)
-    kappa = 0.25 * d2
-    return LogP(b + kq * kq * y + 0.5 * math.log(y) + log_int, 1, kappa)
+    d2 = folded + g2_rest * t_y * t_y + g1 * t_yy
+    return kappa_from_nodes(np.log(hw) + g, 1.0, d1, d2 + d1 * d1, 0.0,
+                            b + kq * kq * y + 0.5 * math.log(y))
 
 
 def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
@@ -634,9 +615,11 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
                 np.sum(np.exp(inner - shift[:, None]), axis=1))
         return -d * d / y + _log_half_form(t, q) + log_phi
 
-    mom = integrate_log_panels(log_f, breakpoints, PANEL_NODES,
-                               phi_f=lambda d: d * (d + 2.0 * t0))
-    return _log_p(mom, b + t0 * t0 / y, t0 * t0, y, m, True)
+    out = integrate_log_panels(
+        log_f, breakpoints, PANEL_NODES,
+        derivs_f=_moment_derivs(lambda d: d * (d + 2.0 * t0), t0 * t0, y,
+                                _volume_exponent(m, True)))
+    return replace(out, log_magnitude=out.log_magnitude + b + t0 * t0 / y)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +658,12 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP:
     # miss once sqrt(y/2) is far below their 0.125 spacing
     near = np.clip(peak + math.sqrt(0.5 * y) * np.arange(-8.0, 9.0), -r, r)
     bp = np.union1d(_circle_breakpoints(r), near)
-    mom = integrate_log_panels(log_f, bp, 16,
-                               phi_f=lambda z: (z - peak) * (z + peak))
-    return _log_p(mom, wp.b, peak * peak, y, 1, corrected)
+    out = integrate_log_panels(
+        log_f, bp, 16,
+        derivs_f=_moment_derivs(lambda z: (z - peak) * (z + peak),
+                                peak * peak, y,
+                                _volume_exponent(1, corrected)))
+    return replace(out, log_magnitude=out.log_magnitude + wp.b)
 
 
 def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:

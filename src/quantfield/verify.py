@@ -139,14 +139,14 @@ def check_weyl_reduction(seed: int = 7) -> CheckResult:
 
 def check_group_flatness() -> CheckResult:
     """Half-form corrected su(2) curvature vanishes for all k, both paths,
-    and the quadrature and closed-form paths agree."""
+    and the quadrature and closed-form paths agree, out to k Im s = 2e4."""
     su2 = liecore.su2()
     worst = gap = 0.0
-    for k in range(9):
-        for y in (0.5, 1.0, 2.0):
-            c = curvature(ModelSpec.group(su2, k, corrected=True), complex(0, y))
-            worst = max(worst, abs(c.kappa), abs(c.cross_check))
-            gap = max(gap, abs(c.kappa - c.cross_check))
+    points = [(k, y) for k in range(9) for y in (0.5, 1.0, 2.0)]
+    for k, y in points + [(200, 20.0), (200, 100.0)]:
+        c = curvature(ModelSpec.group(su2, k, corrected=True), complex(0, y))
+        worst = max(worst, abs(c.kappa), abs(c.cross_check))
+        gap = max(gap, abs(c.kappa - c.cross_check))
     return _all_within("corrected-su2-flat",
                        [("max|kappa|", worst, 1e-6), ("path gap", gap, 1e-7)])
 
@@ -169,17 +169,17 @@ def check_su2_bare_anchor() -> CheckResult:
 
 def check_torus_bare() -> CheckResult:
     """Torus bare curvature m/(8 y^2) on the quadrature and closed-form
-    paths, independent of the weight."""
+    paths, independent of the weight, out to k Im s = 2e4."""
     worst = spread = 0.0
     for m in (1, 2, 3):
-        for y in (0.5, 1.0, 1.5):
+        for y in (0.5, 1.0, 1.5, 20.0, 100.0):
             by_k = [curvature(ModelSpec.torus(m, [kval] * m, corrected=False),
-                              complex(0, y)) for kval in (0, 2)]
-            for c in by_k:
-                worst = max(worst, abs(c.kappa - m / (8 * y * y)),
-                            abs(c.cross_check - m / (8 * y * y)))
-            spread = max(spread, abs(by_k[0].kappa - by_k[1].kappa),
-                         abs(by_k[0].cross_check - by_k[1].cross_check))
+                              complex(0, y)) for kval in (0, 2, 200)]
+            want = m / (8 * y * y)
+            for path in ([c.kappa for c in by_k],
+                         [c.cross_check for c in by_k]):
+                worst = max(worst, *(abs(kap - want) for kap in path))
+                spread = max(spread, max(path) - min(path))
     return _all_within("bare-torus-curvature",
                        [("max|kappa-m/8y^2|", worst, 1e-6),
                         ("k-spread", spread, 1e-8)])

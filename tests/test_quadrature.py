@@ -9,7 +9,8 @@ from quantfield.logdomain import LogValue
 from quantfield.quadrature import (fd_derivative, fd_laplacian,
                                    gaussian_weighted, hermite_rule,
                                    integrate_1d, integrate_log_panels,
-                                   kappa_from_log, legendre_rule, mc_integrate)
+                                   kappa_from_log, kappa_from_nodes,
+                                   legendre_rule, mc_integrate)
 
 
 @pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
@@ -74,6 +75,68 @@ def test_log_panels_signed():
     out = integrate_log_panels(lambda x: -x * x + np.log(np.abs(x) + 1e-300),
                                bp, signs_f=lambda x: np.sign(x).astype(int))
     assert abs(out.to_float()) < 1e-14
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, -2.0], [0.0, 0.5]),
+    ([3.0, 0.5, -1.0, 2.0], [-1.0, 2.0, 0.0, 0.3]),
+    ([400.0, 399.0, 0.0], [0.0, 1.0, 5.0]),
+])
+@pytest.mark.parametrize("y", [0.5, 3.0])
+def test_kernel_sum_of_exponentials(a, b, y):
+    # p = sum_i e^{a_i y + b_i}: log p'' = Var[a] under the weights
+    # e^{a_i y + b_i} / p, so kappa = Var[a] / 4; each term's log-derivatives
+    # are a_i and 0, passed centred on a_0
+    a, b = np.array(a), np.array(b)
+    logs = a * y + b
+    out = kappa_from_nodes(logs, 1.0, a - a[0], (a - a[0]) ** 2,
+                           c0=0.8, offset=-2.0)
+    w = np.exp(logs - logs.max())
+    w /= w.sum()
+    mean = float(w @ a)
+    var = float(w @ (a - mean) ** 2)
+    want_log = float(logs.max() + np.log(np.exp(logs - logs.max()).sum()))
+    assert out.sign == 1
+    assert out.log_magnitude == pytest.approx(want_log - 2.0, rel=1e-14)
+    assert out.kappa == pytest.approx(0.25 * (0.8 + var), rel=1e-13)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_signed_terms(sign):
+    # p = sign (3 e^{2y} - e^{y}): the node values carry the signs, and
+    # log |p|'' = p''/p - (p'/p)^2 whatever the sign of p
+    y = 0.7
+    f0 = sign * np.array([3.0, -1.0])
+    rates = np.array([2.0, 1.0])
+    out = kappa_from_nodes(rates * y, f0, f0 * rates, f0 * rates ** 2)
+    p0 = 3.0 * math.exp(2 * y) - math.exp(y)
+    p1 = 6.0 * math.exp(2 * y) - math.exp(y)
+    p2 = 12.0 * math.exp(2 * y) - math.exp(y)
+    assert out.sign == sign
+    assert out.log_magnitude == pytest.approx(math.log(p0), rel=1e-14)
+    assert out.kappa == pytest.approx(0.25 * (p2 / p0 - (p1 / p0) ** 2),
+                                      rel=1e-13)
+
+
+def test_kernel_zero_sum_has_sign_zero():
+    out = kappa_from_nodes(np.zeros(2), np.array([1.0, -1.0]),
+                           np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+    assert (out.sign, out.log_magnitude) == (0, -math.inf)
+    assert math.isnan(out.kappa)
+
+
+def test_log_panels_kernel_matches_moments():
+    # e^{-x^2/y} on [-10, 10]: with f1 = x^2/y^2 and f2 = x^4/y^4 - 2x^2/y^3
+    # the kernel gives d^2/dy^2 log sqrt(pi y) = -1/(2 y^2)
+    y = 1.3
+    bp = np.linspace(-10, 10, 41)
+    out = integrate_log_panels(
+        lambda x: -x * x / y, bp,
+        derivs_f=lambda x: (x * x / y ** 2,
+                            x ** 4 / y ** 4 - 2 * x * x / y ** 3))
+    assert out.log_magnitude == pytest.approx(0.5 * math.log(math.pi * y),
+                                              abs=1e-13)
+    assert out.kappa == pytest.approx(-0.125 / (y * y), rel=1e-12)
 
 
 def test_mc_deterministic_and_correct():

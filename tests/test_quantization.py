@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 from quantfield import liecore, quantization
-from quantfield.quadrature import kappa_from_log
+from quantfield.quadrature import hermite_rule, kappa_from_log
 from quantfield.quantization import (ModelSpec, curvature, flatness_classify,
                                      hermite_order_for, jacobi_rule,
                                      legendre_value, model_log_p,
@@ -75,9 +75,10 @@ _SIZED_CASES = (
 
 @pytest.mark.parametrize("rs, lam, corrected", _SIZED_CASES)
 def test_sized_hermite_rule_matches_order_64(rs, lam, corrected, monkeypatch):
-    # ceil((|R+| + 5) / 2) nodes per axis integrate the weight and phi^2
-    # under it exactly, so log p and kappa are those of a 64-node rule
-    assert [hermite_order_for(n) for n in (0, 1, 3)] == [3, 3, 4]
+    # ceil((|R+| + 1) / 2) nodes per axis integrate P, P' and P'' (degree
+    # |R+| in the rescaled w) exactly, so log p and kappa are those of a
+    # 64-node rule
+    assert [hermite_order_for(n) for n in (0, 1, 3)] == [1, 1, 2]
     ys = (0.05, 0.5, 1.0, 2.0, 10.0)
     sized = [p_group_quadrature(complex(0, y), rs, lam, corrected) for y in ys]
     monkeypatch.setattr(quantization, "hermite_order_for", lambda n: 64)
@@ -87,6 +88,55 @@ def test_sized_hermite_rule_matches_order_64(rs, lam, corrected, monkeypatch):
                                                   rel=1e-11)
         scale = max(abs(want.kappa), rs.manifold_dim / (8.0 * y * y))
         assert abs(got.kappa - want.kappa) <= 1e-11 * scale
+
+
+# corrected groups and tori whose kappa is known exactly: (model of k,
+# m, kappa y^2)
+_EXACT_FAMILIES = {
+    "su2-corrected": (lambda k: ModelSpec.group(liecore.su2(), k), 3, 0.0),
+    "su3-kk": (lambda k: ModelSpec.group(liecore.su3(), (k, k)), 8, 0.0),
+    "su3-k0": (lambda k: ModelSpec.group(liecore.su3(), (k, 0)), 8, 0.0),
+    "torus1-bare": (lambda k: ModelSpec.torus(1, [k]), 1, 1 / 8),
+    "torus3-bare": (lambda k: ModelSpec.torus(3, [k, -k, 2 * k]), 3, 3 / 8),
+    "torus2-corrected": (lambda k: ModelSpec.torus(2, [k, 2 * k],
+                                                   corrected=True), 2, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EXACT_FAMILIES))
+def test_rescaled_group_route_matches_closed_form(family):
+    # the moment identity cancelled terms about k^2 y times kappa, so large
+    # k Im s failed the closed-form cross-check (corrected su2 at k = 200,
+    # Im s = 20; torus:1 at k = 1000, Im s = 20); rescaled about the peak,
+    # the |lambda|^2 y part of log p is linear in y and never enters kappa
+    make, m, kappa_y2 = _EXACT_FAMILIES[family]
+    for k in (0, 1, 5, 50, 200, 1000):
+        for y in (0.01, 0.5, 2.0, 20.0, 100.0, 1000.0):
+            want = kappa_y2 / (y * y)
+            got = curvature(make(k), complex(0, y)).kappa
+            scale = max(abs(want), m / (8.0 * y * y))
+            assert abs(got - want) <= 1e-12 * scale, (k, y, got)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("labels", [(0, 0), (1, 0), (2, 1)])
+def test_rescaled_group_route_on_root_walls(labels):
+    # at y = (alpha.w / alpha.lambda)^2 the node w or -w sits on the wall
+    # alpha.u = 0, where P vanishes: a route through log P or P'/P would
+    # print nan or a wrong kappa there (su3 (0, 0) at Im s = 1/8)
+    rs = liecore.su3()
+    lam = liecore.highest_weight(rs, labels)
+    M = liecore.orthonormal_change_of_basis(rs)
+    lam_u = M.T @ lam.as_array()
+    roots_u = rs.roots_array() @ M
+    nodes, _ = hermite_rule(hermite_order_for(len(roots_u)))
+    walls = sorted({(float(alpha @ w) / float(alpha @ lam_u)) ** 2
+                    for alpha in roots_u
+                    for w in itertools.product(nodes, repeat=rs.rank)})
+    assert len(walls) >= 3
+    for y in walls:
+        got = p_group_quadrature(complex(0, y), rs, lam, True).kappa
+        assert abs(got) <= 1e-12 * 8.0 / (8.0 * y * y), (y, got)
 
 
 def test_jacobi_rule_is_shared_read_only_and_exact():
