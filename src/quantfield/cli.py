@@ -33,6 +33,7 @@ __all__ = ["RunConfig", "main", "entry"]
 
 CSV_HEADER = ["model", "corrected", "k", "re_s", "im_s", "log_p", "kappa",
               "method"]
+MAX_TORUS_RANK = 64        # largest m of torus:<m>
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class RunConfig:
             return ModelSpec.group(presets[arg](), k, self.corrected)
         if kind == "torus":
             m = int(arg)
+            if m > MAX_TORUS_RANK:     # refused before any rank-m array
+                raise ValueError(f"torus:<m> takes m <= {MAX_TORUS_RANK}")
             kvec = [k] * m if np.isscalar(k) else k
             return ModelSpec.torus(m, kvec, self.corrected)
         if kind in ("sphere", "circle") and not np.isscalar(k):
@@ -191,31 +194,26 @@ def _record(cfg: RunConfig, model: ModelSpec, k, s: complex,
 
 
 def _point_records(cfg: RunConfig, want_kappa: bool) -> list:
-    def work(k, s):
+    """One record per (k, s), from one engine call per k over the s grid."""
+    grid = cfg.s_grid()
+    records = []
+    for k in cfg.k_values:
         model = cfg.model_spec(k)
-        if not want_kappa:
-            log_p = model_log_p(model)(s).log_magnitude
-            return _record(cfg, model, k, s, log_p, None, "quadrature")
-        cd = curvature(model, s)
-        return _record(cfg, model, k, s, cd.log_p, cd.kappa, cd.method)
-
-    records = [work(k, s) for k in cfg.k_values for s in cfg.s_grid()]
-
-    def k_key(k):
-        return tuple(k) if isinstance(k, list) else (k,)
-
-    records.sort(key=lambda r: (k_key(r["k"]), r["s"]["im"], r["s"]["re"]))
+        if want_kappa:
+            rows = [(cd.log_p, cd.kappa, cd.method)
+                    for cd in curvature(model, grid)]
+        else:
+            rows = [(lp.log_magnitude, None, "quadrature")
+                    for lp in model_log_p(model)(grid)]
+        records += [_record(cfg, model, k, s, *row)
+                    for s, row in zip(grid, rows)]
+    records.sort(key=lambda r: (tuple(r["k"]) if isinstance(r["k"], list)
+                                else (r["k"],), r["s"]["im"], r["s"]["re"]))
     return records
 
 
-def _cmd_p_value(cfg: RunConfig) -> int:
-    records = _point_records(cfg, want_kappa=False)
-    _with_output(cfg, lambda fh: _emit(records, cfg, fh))
-    return 0
-
-
-def _cmd_curvature(cfg: RunConfig) -> int:
-    records = _point_records(cfg, want_kappa=True)
+def _cmd_points(cfg: RunConfig, want_kappa: bool) -> int:
+    records = _point_records(cfg, want_kappa)
     _with_output(cfg, lambda fh: _emit(records, cfg, fh))
     return 0
 
@@ -245,17 +243,12 @@ def _cmd_asymptote(cfg: RunConfig) -> int:
     kind, _, arg = cfg.model.partition(":")
     if kind != "sphere":
         raise ValueError("asymptote applies to sphere models only")
-    m = int(arg)
-    records = []
-    for k in cfg.k_values:
-        for s in cfg.s_grid():
-            model = cfg.model_spec(k)
-            cd = curvature(model, s)
-            asym = sphere_asymptote(int(k), m, s)
-            rec = _record(cfg, model, k, s, None, cd.kappa, cd.method)
-            rec["asymptote"] = asym
-            rec["ratio"] = cd.kappa / asym if asym != 0 else None
-            records.append(rec)
+    records = _point_records(cfg, want_kappa=True)
+    for rec in records:
+        asym = sphere_asymptote(rec["k"], int(arg),
+                                complex(rec["s"]["re"], rec["s"]["im"]))
+        rec.update(log_p=None, asymptote=asym,
+                   ratio=rec["kappa"] / asym if asym != 0 else None)
     _with_output(cfg, lambda fh: _emit(records, replace(cfg, fmt="json"), fh))
     return 0
 
@@ -351,10 +344,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command is None:
         parser.print_usage()
         return 2
-    if args.command == "p-value":
-        return _cmd_p_value(cfg)
-    if args.command in ("curvature", "sweep"):
-        return _cmd_curvature(cfg)
+    if args.command in ("p-value", "curvature", "sweep"):
+        return _cmd_points(cfg, want_kappa=args.command != "p-value")
     if args.command == "flatness":
         return _cmd_flatness(cfg)
     if args.command == "asymptote":

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -185,8 +186,9 @@ class LogP(LogValue):
 
 
 def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
-                     f1: np.ndarray, f2: np.ndarray, c0: float = 0.0,
-                     offset: float = 0.0) -> LogP:
+                     f1: np.ndarray, f2: np.ndarray,
+                     c0: np.ndarray | float = 0.0,
+                     offset: np.ndarray | float = 0.0) -> LogP | list:
     """log p and kappa from one set of nodes: the curvature kernel that
     every quadrature engine ends in.
 
@@ -197,20 +199,24 @@ def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
     kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4; c0 is what the prefactor left
     out of the nodes adds to d^2/dy^2 log p.  The variance is one-pass, so
     positive terms with log-derivatives (d1, d2) go in as f1 = d1 - c and
-    f2 = d2 + (d1 - c)^2, c a constant near the mean of d1.  Q0 = 0 gives
-    sign 0 and kappa nan.
+    f2 = d2 + (d1 - c)^2, c a constant near the mean of d1.  Q0 = 0 (a
+    node of weight e^{-inf} counts as absent) gives sign 0 and kappa nan.
+    The sums run over the last axis: a 1-D call returns one LogP, a 2-D
+    call (a row per Im s; c0 and offset scalars or one per row) a list.
     """
-    shift = float(np.max(logs))
-    if shift == NEG_INF:
-        return LogP(NEG_INF, 0)
-    w = np.exp(logs - shift)
-    q0 = float(np.sum(w * f0))
-    if q0 == 0.0:
-        return LogP(NEG_INF, 0)
-    q1 = float(w @ f1) / q0
-    q2 = float(w @ f2) / q0
-    return LogP(shift + math.log(abs(q0)) + offset, 1 if q0 > 0 else -1,
-                0.25 * (c0 + q2 - q1 * q1))
+    logs = np.asarray(logs, dtype=float)
+    rows = logs.reshape(-1, logs.shape[-1])
+    # a row of -inf alone shifts by the lowest float: weights 0, not nan
+    shift = rows.max(axis=1, initial=-sys.float_info.max)
+    w = np.exp(rows - shift[:, None])
+    q0, q1, q2 = [(w * f).sum(axis=1).tolist() for f in (f0, f1, f2)]
+    c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
+                  else [float(x)] * len(q0) for x in (c0, offset))
+    out = [LogP(s + math.log(abs(a)) + o, 1 if a > 0 else -1,
+                0.25 * (c + d / a - (b / a) * (b / a))) if a != 0.0
+           else LogP(NEG_INF, 0)
+           for s, a, b, d, c, o in zip(shift.tolist(), q0, q1, q2, c0, offset)]
+    return out if logs.ndim > 1 else out[0]
 
 
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],

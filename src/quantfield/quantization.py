@@ -32,7 +32,9 @@ u = lambda y + sqrt(y) w (t = (k+q) y + sqrt(y) v on spheres), so that the
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -43,7 +45,7 @@ from . import liecore
 from .liecore import RootSystem, ShiftedWeight
 from .quadrature import (LogP, hermite_rule, integrate_log_panels,
                          integrate_1d, jacobi_rule, kappa_from_nodes,
-                         mc_integrate)
+                         mc_integrate, read_only)
 
 __all__ = [
     "WeightParams",
@@ -72,11 +74,11 @@ __all__ = [
 
 MAX_SPHERE_INDEX = 200
 
-#: elements per row block of the sphere integrand's (t node x Jacobi node)
-#: array: 64 KiB of float64, half of glibc's default 128 KiB mmap threshold.
-#: Blocks this small come from the heap and are reused, so a call neither
-#: maps, faults in and unmaps its temporaries (about 300 page faults per
-#: p_sphere call when the whole array is one block) nor leaves L2.
+#: elements per row block of the sphere's (node x Jacobi node) arrays and of
+#: p_su2_closed's (Im s x term) array: 64 KiB of float64, half of glibc's
+#: default 128 KiB mmap threshold.  Blocks this small come from the heap and
+#: are reused, so a call neither maps, faults in and unmaps its temporaries
+#: (about 300 page faults per p_sphere call as one block) nor leaves L2.
 _SPHERE_BLOCK = 8192
 
 #: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
@@ -116,6 +118,26 @@ def _as_complex(s) -> complex:
     return s
 
 
+def _im_grid(s) -> tuple[np.ndarray, bool]:
+    """Im s of one s (a number) or of each s of a 1-D sequence, each checked
+    by ``_as_complex``, and whether s was one number (one LogP, not a list)."""
+    one = isinstance(s, numbers.Number)
+    return np.array([_as_complex(v).imag for v in ([s] if one else s)]), one
+
+
+def _in_blocks(n_rows: int, width: int, evaluate: Callable) -> list:
+    """evaluate(rows) over consecutive slices rows of n_rows rows, each of
+    at most _SPHERE_BLOCK elements at width per row, concatenated."""
+    per = max(1, _SPHERE_BLOCK // width)
+    return [r for i in range(0, n_rows, per)
+            for r in evaluate(slice(i, i + per))]
+
+
+def _log_volume(y: Sequence[float], m: int, corrected: bool) -> np.ndarray:
+    """b(s) = -c log Im s (``_volume_exponent``) per Im s."""
+    return np.array([-_volume_exponent(m, corrected) * math.log(v) for v in y])
+
+
 @dataclass(frozen=True)
 class WeightParams:
     a: float
@@ -128,9 +150,8 @@ def weight_params(s, m: int, corrected: bool) -> WeightParams:
     """Gaussian weight coefficients a(s) = -1/Im s and the log-volume offset
     b(s) = -(m/2) log Im s (corrected) or -m log Im s (bare)."""
     y = _as_complex(s).imag
-    a = -1.0 / y
-    b = -_volume_exponent(m, corrected) * math.log(y)
-    return WeightParams(a=a, b=b, corrected=corrected, m=m)
+    return WeightParams(a=-1.0 / y, b=float(_log_volume([y], m, corrected)[0]),
+                        corrected=corrected, m=m)
 
 
 def _volume_exponent(m: int, corrected: bool) -> float:
@@ -138,10 +159,11 @@ def _volume_exponent(m: int, corrected: bool) -> float:
     return m / 2.0 if corrected else float(m)
 
 
-def _moment_derivs(psi_f: Callable[[np.ndarray], np.ndarray],
-                   centre_sq: float, y: float,
-                   c: float) -> Callable[[np.ndarray], tuple]:
-    """``derivs_f`` of the moment identity: per node, log of e^{b - phi/y}
+def _moment_panels(log_f: Callable, breakpoints: np.ndarray, nodes: int,
+                   psi_f: Callable, centre_sq: float, y: float, c: float,
+                   offset: float, signs_f: Optional[Callable] = None) -> LogP:
+    """``integrate_log_panels`` at one Im s y, kappa from the moment
+    identity and offset added to log p.  Per node, log of e^{b - phi/y}
     has y-derivatives phi/y^2 and c/y^2 - 2 phi/y^3.  psi_f gives
     psi = phi - centre_sq, centred at the integrand's peak, and
     f1 = psi/y^2, f2 = (c y^2 - 2 y phi + psi^2)/y^4."""
@@ -149,7 +171,9 @@ def _moment_derivs(psi_f: Callable[[np.ndarray], np.ndarray],
         psi = psi_f(x)
         return (psi / (y * y),
                 (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4)
-    return derivs
+    out = integrate_log_panels(log_f, breakpoints, nodes, signs_f,
+                               derivs_f=derivs)
+    return replace(out, log_magnitude=out.log_magnitude + offset)
 
 
 @dataclass(frozen=True)
@@ -253,9 +277,25 @@ def hermite_order_for(n_positive_roots: int) -> int:
     return math.ceil((n_positive_roots + 1) / 2)
 
 
-def _p_group_rescaled(y: float, roots_u: np.ndarray, lam_u: np.ndarray,
-                      c: float, offset: float) -> LogP:
-    """The Gauss-Hermite route of ``p_group_quadrature``.
+@functools.cache
+def _frame(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """M (tau = M u), the positive roots as forms in u, and log |det M|."""
+    M = liecore.orthonormal_change_of_basis(rs)
+    return read_only((M, rs.roots_array() @ M)) + (
+        math.log(abs(np.linalg.det(M))),)
+
+
+@functools.cache
+def _hermite_grid(rank: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Hermite nodes, a row each, and log-weights, once."""
+    nodes, weights = hermite_rule(order)
+    index = np.array(list(itertools.product(range(order), repeat=rank)))
+    return read_only((nodes[index], np.log(weights)[index].sum(axis=1)))
+
+
+def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray, lam_u: np.ndarray,
+                      c: float, offset: np.ndarray) -> list:
+    """The Gauss-Hermite route of ``p_group_quadrature``, a row per Im s.
 
     In orthonormal coordinates the integrand is e^{-|u|^2/y + 2 lambda.u}
     P(u), P = prod_{R+} alpha(u).  Substituting u = lambda y + sqrt(y) w,
@@ -270,23 +310,22 @@ def _p_group_rescaled(y: float, roots_u: np.ndarray, lam_u: np.ndarray,
     the roots, so no node divides by P, which vanishes on a root wall.
     """
     rank = lam_u.size
-    nodes, weights = hermite_rule(hermite_order_for(len(roots_u)))
-    w = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * rank),
-                                                  indexing="ij")], axis=-1)
-    logs = sum(g.ravel() for g in np.meshgrid(*([np.log(weights)] * rank),
-                                              indexing="ij"))
-    sy = math.sqrt(y)
-    u = lam_u * y + sy * w
-    u_y = lam_u + w / (2.0 * sy)
-    u_yy = -w / (4.0 * y * sy)
-    p0, p1, p2 = np.ones(len(w)), np.zeros(len(w)), np.zeros(len(w))
-    for alpha in roots_u:
-        a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
-        p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
-                      p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
-    return kappa_from_nodes(logs, p0, p1, p2, (c - 0.5 * rank) / (y * y),
+    w, logs = _hermite_grid(rank, hermite_order_for(len(roots_u)))
+    p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
+    if len(roots_u):
+        yy = y[:, None, None]
+        sy = np.sqrt(yy)
+        u = lam_u * yy + sy * w              # (Im s, node, axis)
+        u_y = lam_u + w / (2.0 * sy)
+        u_yy = -w / (4.0 * yy * sy)
+        for alpha in roots_u:
+            a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
+            p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
+                          p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
+    return kappa_from_nodes(logs[None].repeat(y.size, axis=0), p0, p1, p2,
+                            (c - 0.5 * rank) / (y * y),
                             offset + float(lam_u @ lam_u) * y
-                            + 0.5 * rank * math.log(y))
+                            + 0.5 * rank * np.log(y))
 
 
 def _peak_panels(lo: float, hi: float, sigma: float,
@@ -300,47 +339,18 @@ def _peak_panels(lo: float, hi: float, sigma: float,
     return np.union1d(np.linspace(lo, hi, MAX_PANELS + 1), near)
 
 
-def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
-                       corrected: bool) -> LogP:
-    """The reduced torus integral for a compact group, up to constants.
+def _p_rank1_bare_panels(y: float, alphas: np.ndarray, lam: float, c: float,
+                         offset: float) -> LogP:
+    """The panel route of ``p_group_quadrature`` (bare, rank 1) at one Im s.
 
-    corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
-    bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
-
-    The corrected integrand is polynomial-times-Gaussian and is evaluated
-    exactly by tensor Gauss-Hermite, rescaled about its peak in
-    metric-orthonormal coordinates (``_p_group_rescaled``); the bare path
-    (rank 1 only when roots are present) uses log-domain Gauss-Legendre
-    panels and the moment identity.
+    1/sinh|alpha u| decays like e^{-|alpha u|}, so for u > 0 the peak sits
+    at c1 = (lambda - sum |alpha| / 2) y.  The nodes are offsets d = u - c1
+    and the integrand is -d^2/y plus terms that stay small, with c1^2/y
+    added back to log p.  That bounds it by a Gaussian about c1, so the
+    panels cover d in [-R, R], R = TRUNCATION_RADIUS_SIGMA sigma + 1.
     """
-    sc = _as_complex(s)
-    if rs.positive_roots and rs.rank > 2:
-        raise ValueError("quadrature path with roots needs rank <= 2")
-    if rs.rank > 4:
-        raise ValueError("tensor quadrature capped at rank 4")
-    y = sc.imag
-    m = rs.manifold_dim
-    wp = weight_params(sc, m, corrected)
-    M = liecore.orthonormal_change_of_basis(rs)
-    lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
-    roots_u = rs.roots_array() @ M
-    log_det_M = math.log(abs(np.linalg.det(M)))
-
-    if corrected or not rs.positive_roots:
-        return _p_group_rescaled(y, roots_u, lam_u,
-                                 _volume_exponent(m, corrected),
-                                 wp.b + log_det_M)
-
-    if rs.rank != 1:
-        raise ValueError("bare quadrature with roots present needs rank 1")
-    # 1/sinh|alpha u| decays like e^{-|alpha u|}, so for u > 0 the peak sits
-    # at c1 = (lambda - sum |alpha| / 2) y.  The nodes are offsets d = u - c1
-    # and the integrand is -d^2/y plus terms that stay small, with c1^2/y
-    # added back to log p.  That bounds it by a Gaussian about c1, so the
-    # panels cover d in [-R, R], R = TRUNCATION_RADIUS_SIGMA sigma + 1.
-    alphas = roots_u[:, 0]
     half_sum = 0.5 * float(np.sum(np.abs(alphas)))
-    c1 = (float(lam_u[0]) - half_sum) * y
+    c1 = (lam - half_sum) * y
     sigma = math.sqrt(y / 2.0)
     reach = TRUNCATION_RADIUS_SIGMA * sigma + 1.0
     breakpoints = _peak_panels(-reach, reach, sigma, max(
@@ -364,60 +374,98 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
             sgn *= np.sign(al * (c1 + d))
         return sgn.astype(int)
 
-    out = integrate_log_panels(
-        log_f, breakpoints, PANEL_NODES, signs_f,
-        derivs_f=_moment_derivs(lambda d: d * (d + 2.0 * c1), c1 * c1, y,
-                                _volume_exponent(m, corrected)))
-    return replace(out, log_magnitude=out.log_magnitude + wp.b + log_det_M
-                   + c1 * c1 / y)
+    return _moment_panels(log_f, breakpoints, PANEL_NODES,
+                          lambda d: d * (d + 2.0 * c1), c1 * c1, y, c,
+                          offset + c1 * c1 / y, signs_f)
 
 
-def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP:
+def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
+                       corrected: bool) -> LogP | list:
+    """The reduced torus integral for a compact group, up to constants.
+
+    corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
+    bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
+
+    The corrected integrand is polynomial-times-Gaussian and is evaluated
+    exactly by tensor Gauss-Hermite, rescaled about its peak in
+    metric-orthonormal coordinates (``_p_group_rescaled``), all Im s in one
+    array; the bare path (rank 1 only when roots are present) uses
+    log-domain Gauss-Legendre panels and the moment identity, per Im s.
+    """
+    y, one = _im_grid(s)
+    if rs.positive_roots and rs.rank > 2:
+        raise ValueError("quadrature path with roots needs rank <= 2")
+    m = rs.manifold_dim
+    c = _volume_exponent(m, corrected)
+    M, roots_u, log_det_M = _frame(rs)
+    lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
+    offset = _log_volume(y, m, corrected) + log_det_M
+    if corrected or not rs.positive_roots:
+        out = _p_group_rescaled(y, roots_u, lam_u, c, offset)
+    elif rs.rank != 1:
+        raise ValueError("bare quadrature with roots present needs rank 1")
+    else:
+        out = [_p_rank1_bare_panels(yi, roots_u[:, 0], float(lam_u[0]), c, oi)
+               for yi, oi in zip(y.tolist(), offset.tolist())]
+    return out[0] if one else out
+
+
+def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP | list:
     """Corrected group manifolds: log p = |lambda*|^2 Im s + const.
 
     The Im s power vanishes because the manifold dimension satisfies
     m = rank + 2 |R+|, which the RootSystem invariant enforces; log p is
     linear in Im s, so kappa = 0.
     """
-    y = _as_complex(s).imag
-    return LogP(liecore.dual_norm_sq(rs, lam) * y, 1, 0.0)
+    y, one = _im_grid(s)
+    norm_sq = liecore.dual_norm_sq(rs, lam)
+    out = [LogP(norm_sq * v, 1, 0.0) for v in y.tolist()]
+    return out[0] if one else out
 
 
-def p_torus_closed(s, m: int, lam: ShiftedWeight, corrected: bool) -> LogP:
+def p_torus_closed(s, m: int, lam: ShiftedWeight,
+                   corrected: bool) -> LogP | list:
     """Commutative closed form: the Gaussian integral evaluates exactly,
     log p = (m/2) log y + b(s) + |lambda*|^2 y + const, so
     kappa = (c - m/2) / (4 y^2): m/(8 y^2) bare, 0 corrected."""
-    y = _as_complex(s).imag
-    wp = weight_params(s, m, corrected)
+    y, one = _im_grid(s)
     lv = lam.as_array()
     if lv.size != m:
         raise ValueError("weight length != torus rank")
-    kappa = 0.25 * (_volume_exponent(m, corrected) - m / 2.0) / (y * y)
-    return LogP((m / 2.0) * math.log(y) + wp.b + float(lv @ lv) * y, 1, kappa)
+    c, norm_sq = _volume_exponent(m, corrected), float(lv @ lv)
+    out = [LogP((m / 2.0) * math.log(v) - c * math.log(v) + norm_sq * v,
+                1, 0.25 * (c - m / 2.0) / (v * v)) for v in y.tolist()]
+    return out[0] if one else out
 
 
-def p_su2_closed(s, k: int) -> LogP:
+def p_su2_closed(s, k: int) -> LogP | list:
     """Bare SU(2): log of (Im s)^{-3/2} f(y), f = sum_j e^{n_j y} (1 + 2 n_j y),
     n_j = (k-2j)^2.
 
     kappa = (3/(2y^2) + f''/f - (f'/f)^2) / 4 with f''/f - (f'/f)^2 written
     as a mean plus a variance over the terms of f, both free of cancellation:
     per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
-    derivative less A^2 is -4 n^2/(1 + 2ny)^2.
+    derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row of terms per Im s.
     """
     if k < 0 or int(k) != k:
         raise ValueError("k must be a nonnegative integer")
-    y = _as_complex(s).imag
+    y, one = _im_grid(s)
     n = (k - 2.0 * np.arange(k + 1)) ** 2
-    g = 1.0 + 2.0 * n * y
-    # exponents relative to the largest, k^2 y: each n y carries n y eps of
-    # rounding, which would pass into the weights as a relative error
-    logs = (n - k * k) * y + np.log1p(2.0 * n * y)
-    # log-derivatives centred on the largest term's, n = k^2
-    d1 = n * (3.0 + 2.0 * n * y) / g
-    d1 -= d1[0]
-    return kappa_from_nodes(logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g),
-                            1.5 / (y * y), k * k * y - 1.5 * math.log(y))
+
+    def rows(block: slice) -> list:
+        ys = y[block]
+        ny = n * ys[:, None]
+        g = 1.0 + 2.0 * ny
+        # exponents relative to the largest, k^2 y: each n y carries n y eps
+        # of rounding, which would pass into the weights as a relative error
+        logs = (n - k * k) * ys[:, None] + np.log1p(2.0 * ny)
+        # log-derivatives centred on the largest term's, n = k^2
+        d1 = n * (3.0 + 2.0 * ny) / g
+        d1 -= d1[:, :1]
+        return kappa_from_nodes(logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g),
+                                1.5 / (ys * ys), k * k * ys - 1.5 * np.log(ys))
+    out = _in_blocks(y.size, n.size, rows)
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +477,6 @@ def _log_cosh_excess(t, c):
     t = np.asarray(t, dtype=float)
     c = np.asarray(c, dtype=float)
     return np.log((1.0 + c) + np.exp(-4.0 * t) * (1.0 - c)) - math.log(2.0)
-
-
-def _log_cosh_arg(t, c):
-    """log(cosh 2t + sinh 2t * c) for t >= 0, c in [-1, 1], overflow-safe."""
-    return 2.0 * np.asarray(t, dtype=float) + _log_cosh_excess(t, c)
 
 
 def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
@@ -477,7 +520,7 @@ def spherical_phi(k: int, m: int, t: float) -> LogValue:
     if t < 0:
         raise ValueError("need t >= 0")
     c, w = _jacobi_nodes(k, m)
-    logs = np.log(w) + k * _log_cosh_arg(t, c)
+    logs = np.log(w) + k * (2.0 * t + _log_cosh_excess(t, c))
     return LogValue.from_log(logsumexp_positive(logs), 1)
 
 
@@ -491,7 +534,7 @@ def legendre_value(k: int, x: float) -> float:
     return cur
 
 
-def p_sphere(s, k: int, m: int) -> LogP:
+def p_sphere(s, k: int, m: int) -> LogP | list:
     """Half-form corrected sphere engine:
 
     log p = b(s) + log int_0^inf e^{a t^2} (sinh 2t)^q t^q phi_k(t) dt,
@@ -504,26 +547,32 @@ def p_sphere(s, k: int, m: int) -> LogP:
         log p = b(y) + (k+q)^2 y + (1/2) log y + log int e^{-v^2} e^{g(t)} dv,
 
     integrated by SPHERE_HERMITE_ORDER fixed Gauss-Hermite nodes in v
-    (``_p_sphere_hermite``).  The (k+q)^2 y term is linear in y, so its k^2
-    never enters kappa, and the moment identity's cancellation of terms of
-    size k^2 / y is gone.  Below SPHERE_HERMITE_SWITCH the rule would need
-    nodes at t <= 0, and the panel route (``_p_sphere_panels``) integrates
-    in t instead.  Both routes size the Gauss-Jacobi rule of phi_k by its
-    exactness degree (``_jacobi_nodes``).
+    (``_p_sphere_hermite``, all such Im s in one array).  The (k+q)^2 y
+    term is linear in y, so its k^2 never enters kappa, and the moment
+    identity's cancellation of terms of size k^2 / y is gone.  Below
+    SPHERE_HERMITE_SWITCH the rule would need nodes at t <= 0, and the panel
+    route (``_p_sphere_panels``) integrates in t instead, per Im s.  Both
+    routes size the Gauss-Jacobi rule of phi_k by its exactness degree
+    (``_jacobi_nodes``).
     """
     k, m = _sphere_indices(k, m)
-    y = _as_complex(s).imag
-    q = (m - 1) / 2.0
-    b = weight_params(s, m, corrected=True).b
+    y, one = _im_grid(s)
+    b = _log_volume(y, m, True)
     c, w = _jacobi_nodes(k, m)
-    if (k + q) * math.sqrt(y) < SPHERE_HERMITE_SWITCH:
-        return _p_sphere_panels(y, k, m, b, c, np.log(w))
-    return _p_sphere_hermite(y, k, m, b, c, np.log(w))
+    logw = np.log(w)
+    high = (k + (m - 1) / 2.0) * np.sqrt(y) >= SPHERE_HERMITE_SWITCH
+    hermite = iter(_in_blocks(int(high.sum()), SPHERE_HERMITE_ORDER * c.size,
+                              lambda rows: _p_sphere_hermite(
+                                  y[high][rows], k, m, b[high][rows], c, logw)))
+    out = [next(hermite) if h else _p_sphere_panels(yi, k, m, bi, c, logw)
+           for yi, bi, h in zip(y.tolist(), b.tolist(), high.tolist())]
+    return out[0] if one else out
 
 
-def _p_sphere_hermite(y: float, k: int, m: int, b: float, c: np.ndarray,
-                      logw: np.ndarray) -> LogP:
-    """The rescaled route of ``p_sphere``.
+def _p_sphere_hermite(y, k: int, m: int, b, c: np.ndarray,
+                      logw: np.ndarray) -> LogP | list:
+    """The rescaled route of ``p_sphere``: one LogP for a number y, a list
+    for an array of them (b alike).
 
     With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
 
@@ -539,45 +588,50 @@ def _p_sphere_hermite(y: float, k: int, m: int, b: float, c: np.ndarray,
     The q/y^2 cancels against the -q T_y^2 / t^2 that log t puts into
     g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken together
     per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  Nodes with t <= 0
-    are dropped; the integrand vanishes there and, above the switch, their
-    Hermite weight is below e^{-36}.
+    get weight zero (each row drops its own); the integrand vanishes there
+    and, above the switch, their Hermite weight is below e^{-36}.
     """
-    q = (m - 1) / 2.0
-    kq = k + q
-    sy = math.sqrt(y)
+    q, kq = (m - 1) / 2.0, k + (m - 1) / 2.0
+    yv = np.asarray(y, dtype=float)[..., None]
+    sy = np.sqrt(yv)
     v, hw = hermite_rule(SPHERE_HERMITE_ORDER)
-    keep = v > -kq * sy
-    v, hw = v[keep], hw[keep]
-    t = kq * y + sy * v
+    t = kq * yv + sy * v
+    keep = t > 0.0
+    # a dropped node takes the peak's t, so that every value stays finite
+    t = np.where(keep, t, kq * yv)
     e = np.exp(-4.0 * t)
 
-    inner = logw + k * _log_cosh_excess(t[:, None], c)
+    # the Jacobi sums, a row per (Im s, node), with A + B formed once
+    bb = (1.0 - c) * e.reshape(-1, 1)
+    a_b = (1.0 + c) + bb
+    inner = logw + k * (np.log(a_b) - math.log(2.0))
     shift = inner.max(axis=1)
     frac = np.exp(inner - shift[:, None])
     norm = frac.sum(axis=1)
     frac /= norm[:, None]
-    bb = (1.0 - c) * e[:, None]
-    rho = bb / ((1.0 + c) + bb)
+    rho = bb / a_b
     mean_rho = np.sum(frac * rho, axis=1)
     var_rho = np.sum(frac * (rho - mean_rho[:, None]) ** 2, axis=1)
     mean_rho_1 = np.sum(frac * rho * (1.0 - rho), axis=1)
 
     one_e = -np.expm1(-4.0 * t)
-    g = _log_half_form(t, q) + shift + np.log(norm)
-    g1 = q * (4.0 * e / one_e + 1.0 / t) - 4.0 * k * mean_rho
+    g = _log_half_form(t, q) + (shift + np.log(norm)).reshape(t.shape)
+    g1 = q * (4.0 * e / one_e + 1.0 / t) \
+        - 4.0 * k * mean_rho.reshape(t.shape)
     # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
     g2_rest = (-16.0 * q * e / (one_e * one_e)
-               + 16.0 * k * (mean_rho_1 + k * var_rho))
+               + 16.0 * k * (mean_rho_1 + k * var_rho).reshape(t.shape))
 
     t_y = kq + v / (2.0 * sy)
-    t_yy = -v / (4.0 * y * sy)
-    # d1 centred on its value at the node nearest v = 0
+    t_yy = -v / (4.0 * yv * sy)
+    # d1 centred on its value at the node nearest v = 0 (v sorted, symmetric)
     d1 = g1 * t_y
-    d1 -= d1[np.argmin(np.abs(v))]
-    folded = q * v * (kq * sy + 0.75 * v) / (y * t * t)
+    d1 -= d1[..., (v.size - 1) // 2, None]
+    folded = q * v * (kq * sy + 0.75 * v) / (yv * t * t)
     d2 = folded + g2_rest * t_y * t_y + g1 * t_yy
-    return kappa_from_nodes(np.log(hw) + g, 1.0, d1, d2 + d1 * d1, 0.0,
-                            b + kq * kq * y + 0.5 * math.log(y))
+    return kappa_from_nodes(np.where(keep, np.log(hw) + g, -np.inf), 1.0,
+                            d1, d2 + d1 * d1, 0.0,
+                            b + kq * kq * y + 0.5 * np.log(y))
 
 
 def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
@@ -615,11 +669,9 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
                 np.sum(np.exp(inner - shift[:, None]), axis=1))
         return -d * d / y + _log_half_form(t, q) + log_phi
 
-    out = integrate_log_panels(
-        log_f, breakpoints, PANEL_NODES,
-        derivs_f=_moment_derivs(lambda d: d * (d + 2.0 * t0), t0 * t0, y,
-                                _volume_exponent(m, True)))
-    return replace(out, log_magnitude=out.log_magnitude + b + t0 * t0 / y)
+    return _moment_panels(log_f, breakpoints, PANEL_NODES,
+                          lambda d: d * (d + 2.0 * t0), t0 * t0, y,
+                          _volume_exponent(m, True), b + t0 * t0 / y)
 
 
 # ---------------------------------------------------------------------------
@@ -639,31 +691,27 @@ def _circle_breakpoints(r: float) -> np.ndarray:
     return bp
 
 
-def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP:
+def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
     """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), with
     kappa from the moments of zeta^2 about the integrand's peak, k y clipped
-    to [-r, r]."""
+    to [-r, r]; one panel set per Im s."""
     if r <= 0:
         raise ValueError("r must be positive")
-    sc = _as_complex(s)
-    y = sc.imag
-    wp = weight_params(sc, 1, corrected)
-    a = wp.a
-    peak = min(max(k * y, -r), r)
+    y, one = _im_grid(s)
 
-    def log_f(z: np.ndarray) -> np.ndarray:
-        return a * z * z + 2.0 * k * z
+    def at(y: float, b: float) -> LogP:
+        a, peak = -1.0 / y, min(max(k * y, -r), r)
+        # panels of one Gaussian width around the peak, which the fixed
+        # panels miss once sqrt(y/2) is far below their 0.125 spacing
+        near = np.clip(peak + math.sqrt(0.5 * y) * np.arange(-8.0, 9.0), -r, r)
+        return _moment_panels(lambda z: a * z * z + 2.0 * k * z,
+                              np.union1d(_circle_breakpoints(r), near), 16,
+                              lambda z: (z - peak) * (z + peak), peak * peak,
+                              y, _volume_exponent(1, corrected), b)
 
-    # panels of one Gaussian width around the peak, which the fixed panels
-    # miss once sqrt(y/2) is far below their 0.125 spacing
-    near = np.clip(peak + math.sqrt(0.5 * y) * np.arange(-8.0, 9.0), -r, r)
-    bp = np.union1d(_circle_breakpoints(r), near)
-    out = integrate_log_panels(
-        log_f, bp, 16,
-        derivs_f=_moment_derivs(lambda z: (z - peak) * (z + peak),
-                                peak * peak, y,
-                                _volume_exponent(1, corrected)))
-    return replace(out, log_magnitude=out.log_magnitude + wp.b)
+    out = [at(v, b) for v, b in zip(y.tolist(),
+                                    _log_volume(y, 1, corrected).tolist())]
+    return out[0] if one else out
 
 
 def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
@@ -677,78 +725,66 @@ def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
 # curvature dispatch and classification
 # ---------------------------------------------------------------------------
 
-def model_log_p(model: ModelSpec,
-                closed: bool = False) -> Callable[[complex], LogValue]:
-    """The log-p engine of a model as a function of s."""
-    if model.variant == "group":
-        lam = model.shifted_weight()
-        if closed:
-            if not model.corrected:
-                if model.root_system.name == "su2":
-                    return lambda s: p_su2_closed(s, int(model.weight_index))
-                if not model.root_system.positive_roots:
-                    return lambda s: p_torus_closed(
-                        s, model.root_system.rank, lam, model.corrected)
-                raise ValueError("no bare closed form for this root system")
-            return lambda s: p_group_closed(s, model.root_system, lam)
-        return lambda s: p_group_quadrature(s, model.root_system, lam,
-                                            model.corrected)
-    if model.variant == "torus":
-        lam = model.shifted_weight()
-        if closed:
-            return lambda s: p_torus_closed(s, model.m, lam, model.corrected)
-        rs = liecore.torus(model.m)
-        return lambda s: p_group_quadrature(s, rs, lam, model.corrected)
+def _engines(model: ModelSpec) -> tuple[Callable, Optional[Callable]]:
+    """The model's quadrature engine and its closed form (None if it has
+    none), each a function of one s or of a 1-D sequence of them, built
+    once: the shifted weight is computed here, not per call."""
     if model.variant == "sphere":
-        if closed:
-            raise ValueError("no closed form for spheres")
-        return lambda s: p_sphere(s, model.weight_index, model.m)
-    if closed:
-        raise ValueError("no closed form for the truncated circle")
-    return lambda s: p_truncated_circle(s, int(model.weight_index), model.r,
-                                        model.corrected)
+        return lambda s: p_sphere(s, model.weight_index, model.m), None
+    if model.variant == "truncated-circle":
+        return lambda s: p_truncated_circle(
+            s, int(model.weight_index), model.r, model.corrected), None
+    lam, corrected = model.shifted_weight(), model.corrected
+    rs = (liecore.torus(model.m) if model.variant == "torus"
+          else model.root_system)
+    closed = None
+    if model.variant == "torus" or not (corrected or rs.positive_roots):
+        closed = lambda s: p_torus_closed(s, rs.rank, lam, corrected)
+    elif corrected:
+        closed = lambda s: p_group_closed(s, rs, lam)
+    elif rs.name == "su2":
+        closed = lambda s: p_su2_closed(s, int(model.weight_index))
+    return (lambda s: p_group_quadrature(s, rs, lam, corrected)), closed
 
 
-def _has_closed_form(model: ModelSpec) -> bool:
-    try:
-        model_log_p(model, closed=True)
-    except ValueError:
-        return False
-    return True
+def model_log_p(model: ModelSpec) -> Callable:
+    """The log-p engine of a model, a function of one s or of a 1-D
+    sequence of them."""
+    return _engines(model)[0]
 
 
-def _positive(value: LogP, model: ModelSpec, s: complex) -> LogP:
-    if value.sign <= 0:
-        raise ValueError(f"p is not positive for {model.label()} at s={s}")
-    return value
+def curvature(model: ModelSpec, s):
+    """Curvature density of a model from one quadrature pass: one
+    CurvatureDensity for one s, one per s, in order, for a 1-D sequence.
 
-
-def curvature(model: ModelSpec, s) -> CurvatureDensity:
-    """Curvature density of a model at s, from one quadrature pass.
-
-    The model's engine returns log p and kappa together (the moment
-    identity, see the module docstring).  When a closed form exists it is
-    evaluated as well, reported as ``cross_check``, and the two kappas must
-    agree to CLOSED_AGREEMENT_REL relative to max(|kappa_closed|, m/(8 y^2)).
-    At most two engine calls per point.
+    The engine returns log p and kappa together (see the module docstring),
+    in one call for the whole sequence.  A closed form, where one exists,
+    is also evaluated in one call and reported as ``cross_check``; the two
+    kappas must agree to CLOSED_AGREEMENT_REL relative to
+    max(|kappa_closed|, m/(8 y^2)), or the first s where they do not raises.
     """
-    sc = _as_complex(s)
-    quad = _positive(model_log_p(model)(sc), model, sc)
-    closed = (_positive(model_log_p(model, closed=True)(sc), model, sc)
-              if _has_closed_form(model) else None)
-    if closed is not None:
-        m = model.root_system.manifold_dim if model.variant == "group" else model.m
-        scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
-        if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
-            raise ArithmeticError(
-                f"curvature paths disagree for {model.label()} at s={sc}: "
-                f"{quad.kappa} (quadrature) vs {closed.kappa} (closed form)")
-    return CurvatureDensity(kappa=quad.kappa, s=sc,
-                            weight_index=model.weight_index,
-                            method="quadrature+moments",
-                            cross_check=(None if closed is None
-                                         else closed.kappa),
-                            log_p=quad.log_magnitude)
+    one = isinstance(s, numbers.Number)
+    grid = [_as_complex(v) for v in ([s] if one else s)]
+    quad_engine, closed_engine = _engines(model)
+    quads = quad_engine(grid)
+    closeds = closed_engine(grid) if closed_engine else [None] * len(grid)
+    m = model.root_system.manifold_dim if model.variant == "group" else model.m
+    out = []
+    for sc, quad, closed in zip(grid, quads, closeds):
+        if quad.sign <= 0 or (closed is not None and closed.sign <= 0):
+            raise ValueError(f"p is not positive for {model.label()} at s={sc}")
+        if closed is not None:
+            scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
+            if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
+                raise ArithmeticError(
+                    f"curvature paths disagree for {model.label()} at s={sc}: "
+                    f"{quad.kappa} (quadrature) vs {closed.kappa} (closed form)")
+        out.append(CurvatureDensity(
+            kappa=quad.kappa, s=sc, weight_index=model.weight_index,
+            method="quadrature+moments",
+            cross_check=None if closed is None else closed.kappa,
+            log_p=quad.log_magnitude))
+    return out[0] if one else out
 
 
 @dataclass(frozen=True)
@@ -772,22 +808,17 @@ def flatness_classify(base_model: ModelSpec, k_values: Sequence,
     s_values = [_as_complex(s) for s in s_values]
     if len(k_values) < 2 or len(s_values) < 2:
         raise ValueError("need at least two weight indices and two s values")
-    table = []
-    for s in s_values:
-        for k in k_values:
-            model = replace(base_model, weight_index=k)
-            table.append((k, s, curvature(model, s).kappa))
+    by_k = [curvature(replace(base_model, weight_index=k), s_values)
+            for k in k_values]
+    table = [(k, s, row[j].kappa) for j, s in enumerate(s_values)
+             for k, row in zip(k_values, by_k)]
     max_abs = max(abs(row[2]) for row in table)
-    witness = None
-    max_gap = 0.0
-    for s in s_values:
-        rows = [(k, kap) for (k, ss, kap) in table if ss == s]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                gap = abs(rows[i][1] - rows[j][1])
-                if gap > max_gap:
-                    max_gap = gap
-                    witness = (rows[i][0], rows[j][0], s, gap)
+    witness, max_gap = None, 0.0
+    for j, s in enumerate(s_values):
+        at_s = [(k, row[j].kappa) for k, row in zip(k_values, by_k)]
+        for (k, a), (k_other, b) in itertools.combinations(at_s, 2):
+            if abs(a - b) > max_gap:
+                max_gap, witness = abs(a - b), (k, k_other, s, abs(a - b))
     if max_abs <= tol:
         verdict = "Flat"
     elif max_gap <= tol:

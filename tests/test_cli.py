@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -240,6 +241,51 @@ def test_invalid_input_exit_code(argv, capsys):
     rc, out, _ = run(argv, capsys)
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, model", [("sweep", "torus:1"),
+                                            ("sweep", "sphere:3"),
+                                            ("p-value", "circle:1"),
+                                            ("asymptote", "sphere:2")])
+def test_one_invalid_im_s_in_a_grid_exits_2(command, model, bad, capsys):
+    # the grid is checked whole before any record is printed
+    rc, out, err = run([command, "--model", model, "--corrected", "--k", "1,5",
+                        "--im-s", f"0.5,2,{bad},1"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_grid_disagreement_exits_1_naming_first_failing_s(capsys):
+    # bare su2 at k = 50 fails its closed-form cross-check at Im s 50 and
+    # 100, not at 1 or 5; the message names the first in --im-s order
+    rc, out, err = run(["sweep", "--model", "group:su2", "--k", "1,50",
+                        "--im-s", "1,100,5,50"], capsys)
+    assert rc == 1 and out == ""
+    assert "s=100j" in err and "s=50j" not in err
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_torus_above_rank_4_runs(m, capsys):
+    rc, out, err = run(["sweep", "--model", f"torus:{m}", "--k", "0,1",
+                        "--im-s", "0.5,1,20"], capsys)
+    assert rc == 0, err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 6
+    for rec in records:
+        y = rec["s"]["im"]
+        assert rec["kappa"] == pytest.approx(m / (8 * y * y), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [65, 3000])
+def test_torus_rank_above_bound_exits_2_at_once(m, capsys):
+    # refused before a rank-m root system or weight is built
+    start = time.perf_counter()
+    rc, out, err = run(["curvature", "--model", f"torus:{m}", "--k", "1",
+                        "--im-s", "1"], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2 and out == ""
+    assert "64" in err
 
 
 def _src_env():

@@ -125,6 +125,37 @@ def test_kernel_zero_sum_has_sign_zero():
     assert math.isnan(out.kappa)
 
 
+def test_kernel_rows_match_one_row_calls():
+    # a 2-D call reduces each row on its own: row i equals the 1-row call
+    # on row i, with its own c0 and offset.  Row 1 has a dropped node
+    # (weight e^{-inf}), row 2 none left, which gives sign 0
+    rng = np.random.default_rng(3)
+    logs = rng.normal(size=(4, 9)) * 30.0
+    logs[1, 4] = -math.inf
+    logs[2] = -math.inf
+    f0 = np.sign(rng.normal(size=(4, 9)))
+    f1, f2 = rng.normal(size=(2, 4, 9))
+    c0, offset = rng.normal(size=4), rng.normal(size=4)
+    rows = kappa_from_nodes(logs, f0, f1, f2, c0, offset)
+    assert len(rows) == 4
+    for i, got in enumerate(rows):
+        want = kappa_from_nodes(logs[i], f0[i], f1[i], f2[i], c0[i], offset[i])
+        assert (got.sign, got.log_magnitude) == (want.sign, want.log_magnitude)
+        assert got.kappa == want.kappa or math.isnan(got.kappa + want.kappa)
+    assert rows[2].sign == 0 and math.isnan(rows[2].kappa)
+    # the dropped node counts as absent
+    live = np.delete(np.arange(9), 4)
+    alone = kappa_from_nodes(logs[1, live], f0[1, live], f1[1, live],
+                             f2[1, live], c0[1], offset[1])
+    assert rows[1].log_magnitude == pytest.approx(alone.log_magnitude,
+                                                  rel=1e-15)
+    assert rows[1].kappa == pytest.approx(alone.kappa, rel=1e-13, abs=1e-15)
+    # scalar c0 and offset broadcast over the rows
+    shared = kappa_from_nodes(logs, f0, f1, f2, 0.5, -1.0)
+    assert shared[3] == kappa_from_nodes(logs[3], f0[3], f1[3], f2[3],
+                                         0.5, -1.0)
+
+
 def test_log_panels_kernel_matches_moments():
     # e^{-x^2/y} on [-10, 10]: with f1 = x^2/y^2 and f2 = x^4/y^4 - 2x^2/y^3
     # the kernel gives d^2/dy^2 log sqrt(pi y) = -1/(2 y^2)

@@ -579,3 +579,122 @@ def test_su3_highest_weights():
         ModelSpec.group(su3, 1).shifted_weight()
     with pytest.raises(ValueError, match="rank 1"):
         curvature(ModelSpec.group(su3, (1, 0), corrected=False), 1j)
+
+
+def _switch_y(k, m, side):
+    """Im s with (k+q) sqrt(Im s) = side."""
+    return (side / (k + (m - 1) / 2)) ** 2
+
+
+# families of curvature(model, grid) against pointwise calls: model, m, and
+# grids that are unsorted, repeat an Im s, or reach below the MAX_PANELS cap
+_GRID = (2.0, 1e-5, 0.5, 0.05, 0.5, 1.0)
+_GRID_FAMILIES = {
+    "su2-corrected": ([ModelSpec.group(liecore.su2(), k) for k in (0, 3, 50)],
+                      3, _GRID),
+    "su2-bare": ([ModelSpec.group(liecore.su2(), k, corrected=False)
+                  for k in (0, 3)], 3, _GRID),
+    "su3-kk": ([ModelSpec.group(liecore.su3(), (k, k)) for k in (0, 2)], 8,
+               _GRID),
+    "su3-k0": ([ModelSpec.group(liecore.su3(), (k, 0)) for k in (1, 3)], 8,
+               _GRID),
+    "torus1": ([ModelSpec.torus(1, [k]) for k in (0, 7)], 1, _GRID),
+    "torus2": ([ModelSpec.torus(2, [k, -k]) for k in (0, 2)], 2, _GRID),
+    "torus3": ([ModelSpec.torus(3, [k, 1, 2 * k], corrected=True)
+                for k in (0, 4)], 3, _GRID),
+    "circle1": ([ModelSpec.truncated_circle(1.0, k) for k in (3, 40)], 1,
+                _GRID),
+}
+# spheres: grids across the switch, with one row at (k+q) sqrt(Im s) = 6.005,
+# where the outermost Hermite node (v = -6.016) is dropped in that row only
+_GRID_FAMILIES.update({
+    f"sphere{m}": ([ModelSpec.sphere(m, k) for k in (5, 20)], m,
+                   lambda k, m: (4.0, _switch_y(k, m, 6.005), 1e-5, 0.3,
+                                 _switch_y(k, m, 5.99), 4.0, 2.0))
+    for m in (2, 3, 4)})
+
+
+@pytest.mark.parametrize("family", sorted(_GRID_FAMILIES))
+def test_curvature_grid_matches_pointwise(family):
+    # one engine call over the Im s grid gives what one call per Im s gives
+    models, m, grid = _GRID_FAMILIES[family]
+    for model in models:
+        ys = grid(model.weight_index, m) if callable(grid) else grid
+        batch = curvature(model, [complex(0, y) for y in ys])
+        assert [c.s for c in batch] == [complex(0, y) for y in ys]
+        for y, got in zip(ys, batch):
+            want = curvature(model, complex(0, y))
+            scale = max(abs(want.kappa), m / (8.0 * y * y))
+            assert abs(got.kappa - want.kappa) <= 1e-13 * scale, (model, y)
+            assert abs(got.log_p - want.log_p) <= \
+                1e-13 * max(1.0, abs(want.log_p)), (model, y)
+            assert got.cross_check == want.cross_check
+            if want.cross_check is not None:
+                assert got.cross_check is not None
+
+
+def test_sphere_grid_drops_the_masked_node_in_its_row_only():
+    # the row at (k+q) sqrt(Im s) = 6.005 loses the node v = -6.016, its
+    # neighbours in the grid keep all 24; each row equals its own 1-row call
+    v, _ = hermite_rule(quantization.SPHERE_HERMITE_ORDER)
+    assert v[0] < -6.005 < v[1]
+    k, m = 5, 3
+    c, w = quantization._jacobi_nodes(k, m)
+    ys = np.array([_switch_y(k, m, 6.005), 4.0, _switch_y(k, m, 6.5)])
+    bs = np.array([weight_params(complex(0, y), m, True).b for y in ys])
+    rows = quantization._p_sphere_hermite(ys, k, m, bs, c, np.log(w))
+    for y, b, got in zip(ys, bs, rows):
+        want = quantization._p_sphere_hermite(float(y), k, m, float(b), c,
+                                              np.log(w))
+        assert got.log_magnitude == pytest.approx(want.log_magnitude,
+                                                  rel=1e-15)
+        assert abs(got.kappa - want.kappa) <= 1e-13 * 3 / (8 * y * y)
+        assert abs(got.kappa) <= 1e-9 * _sphere_scale(k, m, y)
+
+
+def test_curvature_makes_one_engine_call_per_grid(monkeypatch):
+    # the quadrature engine and the closed form each run once for the whole
+    # Im s grid, and the frame of a root system is built once per process
+    calls = []
+    for name in ("p_group_quadrature", "p_su2_closed", "p_torus_closed"):
+        engine = getattr(quantization, name)
+        monkeypatch.setattr(quantization, name,
+                            lambda *a, _e=engine, _n=name: (calls.append(_n),
+                                                            _e(*a))[1])
+    grid = [0.5j, 1j, 2j, 0.5j]
+    curvature(ModelSpec.group(liecore.su2(), 3, corrected=False), grid)
+    curvature(ModelSpec.torus(3, [1, 2, 3]), grid)
+    assert calls == ["p_group_quadrature", "p_su2_closed",
+                     "p_group_quadrature", "p_torus_closed"]
+    quantization._frame.cache_clear()
+    built = []
+    basis = liecore.orthonormal_change_of_basis
+    monkeypatch.setattr(liecore, "orthonormal_change_of_basis",
+                        lambda rs: (built.append(rs), basis(rs))[1])
+    for k in ((0, 0), (1, 0), (2, 1)):
+        curvature(ModelSpec.group(liecore.su3(), k), grid)
+    assert built == [liecore.su3()]
+    M, roots_u, _ = quantization._frame(liecore.su3())
+    assert not (M.flags.writeable or roots_u.flags.writeable)
+
+
+def test_curvature_grid_error_names_first_failing_s():
+    # bare su2 at k = 50 fails its closed-form cross-check at Im s 50 and
+    # 100; a grid raises at the first of them in grid order
+    model = ModelSpec.group(liecore.su2(), 50, corrected=False)
+    with pytest.raises(ArithmeticError, match=r"s=100j"):
+        curvature(model, [1j, 100j, 5j, 50j])
+    with pytest.raises(ValueError):
+        curvature(model, [1j, 2j, complex(0, math.nan)])
+    assert curvature(model, []) == []
+
+
+@pytest.mark.parametrize("m", (5, 8, 16))
+def test_high_rank_torus_uses_one_node(m):
+    # the rescaled route needs one Hermite node per axis, so tori of any
+    # rank run: bare kappa = m/(8 y^2), corrected 0
+    for corrected, kappa_y2 in ((False, m / 8.0), (True, 0.0)):
+        model = ModelSpec.torus(m, list(range(m)), corrected=corrected)
+        for c in curvature(model, [0.01j, 1j, 1000j]):
+            y = c.s.imag
+            assert abs(c.kappa - kappa_y2 / (y * y)) <= 1e-13 * m / (8 * y * y)
