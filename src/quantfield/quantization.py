@@ -74,11 +74,13 @@ __all__ = [
 
 MAX_SPHERE_INDEX = 200
 
-#: elements per row block of the sphere's (node x Jacobi node) arrays and of
-#: p_su2_closed's (Im s x term) array: 64 KiB of float64, half of glibc's
-#: default 128 KiB mmap threshold.  Blocks this small come from the heap and
-#: are reused, so a call neither maps, faults in and unmaps its temporaries
-#: (about 300 page faults per p_sphere call as one block) nor leaves L2.
+#: elements per row block of the sphere panels' (t node x Jacobi node)
+#: arrays, of the sphere Hermite route's (Im s x Hermite node x series term)
+#: arrays and of p_su2_closed's (Im s x term) array: 64 KiB of float64, half
+#: of glibc's default 128 KiB mmap threshold.  Blocks this small come from
+#: the heap and are reused, so a call neither maps, faults in and unmaps its
+#: temporaries (about 300 page faults per p_sphere call as one block) nor
+#: leaves L2.
 _SPHERE_BLOCK = 8192
 
 #: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
@@ -87,6 +89,14 @@ _SPHERE_BLOCK = 8192
 #: worst error falls with the order to rounding level at about 20 nodes
 #: (12: 5e-11, 16: 1.5e-12, 20 to 32: 4e-13 to 9e-13).
 SPHERE_HERMITE_ORDER = 24
+
+#: the sphere's Hermite route keeps the terms of phi_k's series in e^{-4t}
+#: that reach e^{-SPHERE_SERIES_CUT} of the largest (``_series_terms``).
+#: e^{-75} = 2.7e-33, so the terms cut, at most 200 of them and weighted by
+#: i^2 <= 4e4, add less than 2.2e-26 of the largest term to any sum.  Over
+#: m in {2, ..., 7}, k <= 200 and Im s in [1e-5, 1e3] no output bit moves
+#: when the cut is lifted; some move at cuts of 36 and 45, none at 55.
+SPHERE_SERIES_CUT = 75.0
 
 #: (k+q) sqrt(Im s) at and above which the sphere takes the rescaled route.
 #: Below it the rescaled rule would need nodes at t <= 0, where the
@@ -549,30 +559,103 @@ def p_sphere(s, k: int, m: int) -> LogP | list:
     integrated by SPHERE_HERMITE_ORDER fixed Gauss-Hermite nodes in v
     (``_p_sphere_hermite``, all such Im s in one array).  The (k+q)^2 y
     term is linear in y, so its k^2 never enters kappa, and the moment
-    identity's cancellation of terms of size k^2 / y is gone.  Below
-    SPHERE_HERMITE_SWITCH the rule would need nodes at t <= 0, and the panel
-    route (``_p_sphere_panels``) integrates in t instead, per Im s.  Both
-    routes size the Gauss-Jacobi rule of phi_k by its exactness degree
-    (``_jacobi_nodes``).
+    identity's cancellation of terms of size k^2 / y is gone.  That route
+    sums phi_k as its series in e^{-4t} (``_sphere_series``), cut per Im s
+    at the smallest t any of its nodes can take (``_series_terms``): its
+    nodes sit at t of about (k+q) y, where few terms count, and one term is
+    left past t = 20.  Rows go to the kernel in order of Im s, in blocks
+    sized by the terms their first row keeps.  Below SPHERE_HERMITE_SWITCH
+    the rule would need nodes at t <= 0, and the panel route
+    (``_p_sphere_panels``) integrates in t instead, per Im s.  Its t starts
+    near 0, where all k + 1 terms count, so it sums phi_k by the
+    Gauss-Jacobi rule, sized by its exactness degree (``_jacobi_nodes``):
+    k // 2 + 1 nodes, about half as many.
     """
     k, m = _sphere_indices(k, m)
     y, one = _im_grid(s)
     b = _log_volume(y, m, True)
-    c, w = _jacobi_nodes(k, m)
-    logw = np.log(w)
-    high = (k + (m - 1) / 2.0) * np.sqrt(y) >= SPHERE_HERMITE_SWITCH
-    hermite = iter(_in_blocks(int(high.sum()), SPHERE_HERMITE_ORDER * c.size,
-                              lambda rows: _p_sphere_hermite(
-                                  y[high][rows], k, m, b[high][rows], c, logw)))
-    out = [next(hermite) if h else _p_sphere_panels(yi, k, m, bi, c, logw)
-           for yi, bi, h in zip(y.tolist(), b.tolist(), high.tolist())]
+    kq = k + (m - 1) / 2.0
+    high = kq * np.sqrt(y) >= SPHERE_HERMITE_SWITCH
+    flags, yl, bl = high.tolist(), y.tolist(), b.tolist()
+    hermite = {}
+    if any(flags):
+        rows = sorted((r for r, h in enumerate(flags) if h),
+                      key=yl.__getitem__)
+        yh = y[rows]
+        # above the switch every node's t rises with Im s, so a row's
+        # outermost node bounds its t from below, and the terms kept fall
+        # as Im s rises: a block keeps the terms of its first row
+        v0 = float(hermite_rule(SPHERE_HERMITE_ORDER)[0][0])
+        log_a = _sphere_series(k, m)
+        terms = _series_terms(log_a, kq * yh + v0 * np.sqrt(yh)).tolist()
+        i = 0
+        while i < len(rows):
+            n = terms[i]
+            block = rows[i:i + max(1, _SPHERE_BLOCK
+                                   // (SPHERE_HERMITE_ORDER * n))]
+            hermite.update(zip(block, _p_sphere_hermite(
+                yh[i:i + len(block)], k, m, b[block], log_a[:n])))
+            i += len(block)
+    if not all(flags):
+        c, w = _jacobi_nodes(k, m)
+        logw = np.log(w)
+    out = [hermite[r] if h else _p_sphere_panels(yi, k, m, bi, c, logw)
+           for r, (yi, bi, h) in enumerate(zip(yl, bl, flags))]
     return out[0] if one else out
 
 
-def _p_sphere_hermite(y, k: int, m: int, b, c: np.ndarray,
-                      logw: np.ndarray) -> LogP | list:
+@functools.cache
+def _sphere_series(k: int, m: int) -> np.ndarray:
+    """log a_i, i = 0..k, of phi_k(t) = e^{2kt} sum_i a_i e^{-4ti}, built
+    once per (k, m) and shared read-only.
+
+    Expanding (cosh 2t + sinh 2t c)^k = (e^{2t}/2)^k ((1+c) + (1-c) e^{-4t})^k
+    binomially, each term integrates against (1-c^2)^{q-1}, q = (m-1)/2, to
+    a Beta integral (DLMF 5.12): a_i = C(k,i) 2^{2q-1} B(k-i+q, i+q) > 0.
+    Both steps are ratios, a_0 = B(1/2, q) prod_{i<k} (i+q)/(i+2q) and
+    a_{i+1}/a_i = (k-i)(i+q) / ((i+1)(k-i-1+q)), so no log a_i carries the
+    rounding of a large lgamma.
+    """
+    q = (m - 1) / 2.0
+    i = np.arange(k, dtype=float)
+    log_a0 = (0.5 * math.log(math.pi) + math.lgamma(q) - math.lgamma(q + 0.5)
+              + float(np.sum(np.log1p(-q / (i + 2.0 * q)))))
+    ratio = (k - i) * (i + q) / ((i + 1.0) * (k - i - 1.0 + q))
+    log_a = np.concatenate(([log_a0], log_a0 + np.cumsum(np.log(ratio))))
+    log_a.flags.writeable = False
+    return log_a
+
+
+def _series_terms(log_a: np.ndarray, t_min: np.ndarray) -> np.ndarray:
+    """How many leading terms of the series log_a (``_sphere_series``) to
+    keep for t >= t_min, per t_min: up to the last term that reaches
+    e^{-SPHERE_SERIES_CUT} of the largest at t_min.  Past the largest
+    term's index a term's ratio to it only falls as t grows, so at every
+    t >= t_min the terms cut stay below that share."""
+    x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.size)
+    keep = x >= x.max(axis=1, keepdims=True) - SPHERE_SERIES_CUT
+    return log_a.size - keep[:, ::-1].argmax(axis=1)
+
+
+def _series_log_phi(t: np.ndarray, log_a: np.ndarray) -> tuple:
+    """log phi_k(t) - 2kt and its first two t-derivatives at each t, from
+    the terms a_i e^{-4ti} of the series log_a (``_sphere_series``): under
+    the weights a_i e^{-4ti} they are log sum, -4 E[i] and 16 Var[i]."""
+    i = np.arange(log_a.size, dtype=float)
+    x = log_a - 4.0 * t[..., None] * i
+    shift = x.max(axis=-1)
+    w = np.exp(x - shift[..., None])
+    norm = w.sum(axis=-1)
+    mean = (w @ i) / norm
+    var = np.sum(w * (i - mean[..., None]) ** 2, axis=-1) / norm
+    return shift + np.log(norm), -4.0 * mean, 16.0 * var
+
+
+def _p_sphere_hermite(y, k: int, m: int, b,
+                      log_a: np.ndarray) -> LogP | list:
     """The rescaled route of ``p_sphere``: one LogP for a number y, a list
-    for an array of them (b alike).
+    for an array of them (b alike), with phi_k summed over the terms log_a
+    of its series (``_sphere_series``, cut by ``_series_terms``).
 
     With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
 
@@ -580,16 +663,14 @@ def _p_sphere_hermite(y, k: int, m: int, b, c: np.ndarray,
 
     T_y = (k+q) + v / (2 sqrt y), T_yy = -v / (4 y^{3/2}), the moments taken
     under the normalised e^{-v^2} e^g on the Hermite nodes.  g = q h + psi,
-    h the half-form term (``_log_half_form``) and psi = log phi_k - 2kt.
-    Over the Jacobi nodes c_j, with A = 1 + c, B = (1 - c) e^{-4t} and
-    rho = B / (A + B), each inner term is proportional to (A + B)^k and
-    psi' = -4k E[rho], psi'' = 16k E[rho (1 - rho)] + 16k^2 Var[rho]
-    under those terms: closed forms, with no subtraction of large terms.
-    The q/y^2 cancels against the -q T_y^2 / t^2 that log t puts into
-    g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken together
-    per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  Nodes with t <= 0
-    get weight zero (each row drops its own); the integrand vanishes there
-    and, above the switch, their Hermite weight is below e^{-36}.
+    h the half-form term (``_log_half_form``) and psi = log phi_k - 2kt,
+    whose derivatives psi' = -4 E[i] and psi'' = 16 Var[i] are moments of
+    the series' positive terms (``_series_log_phi``): no subtraction of
+    large terms.  The q/y^2 cancels against the -q T_y^2 / t^2 that log t
+    puts into g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken
+    together per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  Nodes with
+    t <= 0 get weight zero (each row drops its own); the integrand vanishes
+    there and, above the switch, their Hermite weight is below e^{-36}.
     """
     q, kq = (m - 1) / 2.0, k + (m - 1) / 2.0
     yv = np.asarray(y, dtype=float)[..., None]
@@ -599,28 +680,14 @@ def _p_sphere_hermite(y, k: int, m: int, b, c: np.ndarray,
     keep = t > 0.0
     # a dropped node takes the peak's t, so that every value stays finite
     t = np.where(keep, t, kq * yv)
-    e = np.exp(-4.0 * t)
-
-    # the Jacobi sums, a row per (Im s, node), with A + B formed once
-    bb = (1.0 - c) * e.reshape(-1, 1)
-    a_b = (1.0 + c) + bb
-    inner = logw + k * (np.log(a_b) - math.log(2.0))
-    shift = inner.max(axis=1)
-    frac = np.exp(inner - shift[:, None])
-    norm = frac.sum(axis=1)
-    frac /= norm[:, None]
-    rho = bb / a_b
-    mean_rho = np.sum(frac * rho, axis=1)
-    var_rho = np.sum(frac * (rho - mean_rho[:, None]) ** 2, axis=1)
-    mean_rho_1 = np.sum(frac * rho * (1.0 - rho), axis=1)
-
-    one_e = -np.expm1(-4.0 * t)
-    g = _log_half_form(t, q) + (shift + np.log(norm)).reshape(t.shape)
-    g1 = q * (4.0 * e / one_e + 1.0 / t) \
-        - 4.0 * k * mean_rho.reshape(t.shape)
+    m4t = -4.0 * t
+    one_e = -np.expm1(m4t)
+    ratio = np.exp(m4t) / one_e
+    psi, psi1, psi2 = _series_log_phi(t, log_a)
+    g = _log_half_form(t, q) + psi
+    g1 = q * (4.0 * ratio + 1.0 / t) + psi1
     # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
-    g2_rest = (-16.0 * q * e / (one_e * one_e)
-               + 16.0 * k * (mean_rho_1 + k * var_rho).reshape(t.shape))
+    g2_rest = psi2 - 16.0 * q * ratio / one_e
 
     t_y = kq + v / (2.0 * sy)
     t_yy = -v / (4.0 * yv * sy)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_jacobi
+from scipy.special import eval_gegenbauer, roots_jacobi
 
 from quantfield import liecore, quantization
 from quantfield.quadrature import hermite_rule, kappa_from_log
@@ -324,9 +324,9 @@ def test_sphere_routes_agree_at_switch(k, m):
     for side in (1 - 1e-9, 1 + 1e-9):
         y = (quantization.SPHERE_HERMITE_SWITCH * side / (k + q)) ** 2
         b = weight_params(complex(0, y), m, True).b
-        args = (y, k, m, b, c, np.log(w))
-        hermite = quantization._p_sphere_hermite(*args)
-        panels = quantization._p_sphere_panels(*args)
+        hermite = quantization._p_sphere_hermite(
+            y, k, m, b, quantization._sphere_series(k, m))
+        panels = quantization._p_sphere_panels(y, k, m, b, c, np.log(w))
         assert p_sphere(complex(0, y), k, m) == (panels if side < 1 else hermite)
         assert hermite.log_magnitude == pytest.approx(panels.log_magnitude,
                                                       rel=1e-12)
@@ -340,7 +340,9 @@ def test_sphere_routes_agree_at_switch(k, m):
 @pytest.mark.parametrize("k", (0, 1, 5, 50, 200))
 def test_jacobi_rule_sized_by_degree(monkeypatch, k, m):
     # the inner integrand is a degree-k polynomial in c, so k // 2 + 1 nodes
-    # are exact: a rule of twice the size changes no value beyond rounding
+    # are exact: a rule of twice the size changes no value beyond rounding.
+    # Only the panel rows (Im s below the switch) and spherical_phi use the
+    # rule; the Hermite rows sum phi_k's series and are unchanged by the patch
     ys = (0.2, 1.0, 2.0, 20.0)
     sized = [p_sphere(complex(0, y), k, m) for y in ys]
     phis = [spherical_phi(k, m, t) for t in (0.0, 0.3, 2.0)]
@@ -357,6 +359,104 @@ def test_jacobi_rule_sized_by_degree(monkeypatch, k, m):
     for t, got in zip((0.0, 0.3, 2.0), phis):
         assert got.log_magnitude == pytest.approx(
             spherical_phi(k, m, t).log_magnitude, rel=1e-13, abs=1e-13)
+
+
+def _jacobi_log_phi(k, m, t):
+    """log phi_k(t) - 2kt, psi' and psi'' from the Gauss-Jacobi sums: with
+    A = 1 + c, B = (1 - c) e^{-4t}, rho = B / (A + B), each node's term is
+    w_j ((A + B) / 2)^k, psi' = -4k E[rho] and
+    psi'' = 16k E[rho (1 - rho)] + 16k^2 Var[rho] under those terms."""
+    c, w = quantization._jacobi_nodes(k, m)
+    bb = (1.0 - c) * math.exp(-4.0 * t)
+    a_b = (1.0 + c) + bb
+    inner = np.log(w) + k * (np.log(a_b) - math.log(2.0))
+    frac = np.exp(inner - inner.max())
+    norm = frac.sum()
+    frac /= norm
+    rho = bb / a_b
+    mean = frac @ rho
+    return (inner.max() + math.log(norm), -4.0 * k * mean,
+            16.0 * k * (frac @ (rho * (1.0 - rho)))
+            + 16.0 * k * k * (frac @ (rho - mean) ** 2))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("k", (0, 1, 2, 5, 20, 50, 200))
+def test_sphere_series_matches_jacobi_sums(k, m):
+    # two exact evaluations of phi_k: its power series in e^{-4t}, all
+    # k + 1 terms, and the k // 2 + 1 node Gauss-Jacobi rule
+    ts = (0.0, 1e-3, 0.1, 1.0, 10.0, 150.0)
+    series = quantization._series_log_phi(
+        np.array(ts), quantization._sphere_series(k, m))
+    for j, t in enumerate(ts):
+        psi, psi1, psi2 = _jacobi_log_phi(k, m, t)
+        assert abs(series[0][j] - psi) <= 1e-12 * max(1.0, abs(psi)), t
+        assert abs(series[1][j] - psi1) <= 1e-12 * abs(psi1), t
+        assert abs(series[2][j] - psi2) <= 1e-12 * abs(psi2), t
+
+
+def test_sphere_series_is_cut_at_rounding(monkeypatch):
+    # past t of about 20 one term is left; near the switch all k + 1 count
+    kept = []
+    hermite = quantization._p_sphere_hermite
+
+    def spy(y, k, m, b, log_a):
+        kept.append((np.size(y), log_a.size))
+        return hermite(y, k, m, b, log_a)
+
+    monkeypatch.setattr(quantization, "_p_sphere_hermite", spy)
+    for m in (2, 3, 4, 7):
+        assert quantization._jacobi_nodes(200, m)[0].size == 101
+        kept.clear()
+        p_sphere([1j, 2j], 200, m)
+        p_sphere(1e-3j, 200, m)
+        # one kernel call per grid: blocks are sized by the terms kept
+        assert kept[0][0] == 2 and kept[0][1] <= 2
+        assert kept[1] == (1, 201)
+        # the cut is per Im s: the row near the switch keeps all terms, the
+        # rest of its grid one, whatever their order
+        kept.clear()
+        grid = [100j, 1e-3j, 2j, 1j]
+        rows = p_sphere(grid, 200, m)
+        assert kept == [(1, 201), (3, 1)]
+        for s, got in zip(grid, rows):
+            want = p_sphere(s, 200, m)
+            assert got.log_magnitude == pytest.approx(want.log_magnitude,
+                                                      rel=1e-15)
+            # kappa is a difference of terms up to m / (8 y^2) in size
+            assert abs(got.kappa - want.kappa) <= 1e-13 * max(
+                abs(want.kappa), m / (8.0 * s.imag ** 2))
+    # a long grid takes blocks of at most _SPHERE_BLOCK values
+    kept.clear()
+    p_sphere([complex(0, y) for y in np.linspace(4.0, 100.0, 400)], 5, 3)
+    assert sum(rows for rows, _ in kept) == 400 and len(kept) > 1
+    assert all(rows * quantization.SPHERE_HERMITE_ORDER * terms
+               <= quantization._SPHERE_BLOCK for rows, terms in kept)
+    # lifting the cut changes no bit of any Hermite row
+    ys = np.logspace(-4, 3, 30)
+    cases = [(k, m, y) for m in (2, 3, 4, 7) for k in (0, 5, 50, 200)
+             for y in ys if (k + (m - 1) / 2) * math.sqrt(y)
+             >= quantization.SPHERE_HERMITE_SWITCH]
+    kept.clear()
+    cut = [p_sphere(complex(0, y), k, m) for k, m, y in cases]
+    assert sum(terms < k + 1 for (_, terms), (k, _, _) in zip(kept, cases)) \
+        >= len(cases) // 2
+    monkeypatch.setattr(quantization, "SPHERE_SERIES_CUT", math.inf)
+    assert [p_sphere(complex(0, y), k, m) for k, m, y in cases] == cut
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6))
+@pytest.mark.parametrize("k", (0, 1, 5, 50, 200))
+def test_spherical_phi_matches_gegenbauer(k, m):
+    # Laplace's integral (DLMF 18.10): with q = (m-1)/2,
+    # phi_k(t) = 2^{2q-1} k! Gamma(q)^2 / Gamma(k+2q) C_k^{(q)}(cosh 2t)
+    q = (m - 1) / 2
+    for t in (0.01, 0.3, 1.0):
+        want = ((2 * q - 1) * math.log(2.0) + math.lgamma(k + 1)
+                + 2 * math.lgamma(q) - math.lgamma(k + 2 * q)
+                + math.log(eval_gegenbauer(k, q, math.cosh(2 * t))))
+        got = spherical_phi(k, m, t).log_magnitude
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), t
 
 
 @pytest.mark.parametrize("m", (2, 3, 4, 6))
@@ -639,13 +739,12 @@ def test_sphere_grid_drops_the_masked_node_in_its_row_only():
     v, _ = hermite_rule(quantization.SPHERE_HERMITE_ORDER)
     assert v[0] < -6.005 < v[1]
     k, m = 5, 3
-    c, w = quantization._jacobi_nodes(k, m)
+    log_a = quantization._sphere_series(k, m)
     ys = np.array([_switch_y(k, m, 6.005), 4.0, _switch_y(k, m, 6.5)])
     bs = np.array([weight_params(complex(0, y), m, True).b for y in ys])
-    rows = quantization._p_sphere_hermite(ys, k, m, bs, c, np.log(w))
+    rows = quantization._p_sphere_hermite(ys, k, m, bs, log_a)
     for y, b, got in zip(ys, bs, rows):
-        want = quantization._p_sphere_hermite(float(y), k, m, float(b), c,
-                                              np.log(w))
+        want = quantization._p_sphere_hermite(float(y), k, m, float(b), log_a)
         assert got.log_magnitude == pytest.approx(want.log_magnitude,
                                                   rel=1e-15)
         assert abs(got.kappa - want.kappa) <= 1e-13 * 3 / (8 * y * y)
