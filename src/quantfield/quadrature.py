@@ -2,9 +2,8 @@
 
 The workhorses are:
 
-* ``hermite_rule`` / ``legendre_rule`` / ``jacobi_rule`` -- Gauss rules by
-                             order, built once per process and shared
-                             read-only,
+* ``hermite_rule`` / ``legendre_rule`` -- Gauss rules by order, built once
+                             per process and shared read-only,
 * ``integrate_1d``        -- fixed composite Gauss-Legendre of a 1-D integrand
                              on a finite interval, one array-valued call,
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
@@ -44,7 +43,6 @@ from .logdomain import LogValue, NEG_INF, logsumexp_positive, signed_logsumexp
 __all__ = [
     "hermite_rule",
     "legendre_rule",
-    "jacobi_rule",
     "read_only",
     "QuadratureSpec",
     "integrate_1d",
@@ -81,46 +79,6 @@ def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
     shared read-only."""
     return read_only(leggauss(order))
-
-
-@functools.cache
-def jacobi_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights for the weight (1-x^2)^alpha on
-    [-1, 1], alpha > -1, built once per (n, alpha) and shared read-only.
-
-    Golub & Welsch (1969), as numpy builds ``leggauss`` and ``hermgauss``:
-    the nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
-    polished by one Newton step on the orthonormal three-term recurrence, and
-    the weights are the Christoffel numbers mu0 / sum_{j<n} q_j(x)^2 with
-    q_0 = 1.  Against 40-digit weights (n <= 48, alpha in [-1/2, 3/2]) the
-    relative error is at most 3.8e-14.
-    """
-    a = float(alpha)
-    k = np.arange(2.0, n)
-    # beta_1 = 1/(3+2a) on its own: the general formula is 0/0 at a = -1/2
-    beta = np.concatenate(([1.0 / (3.0 + 2.0 * a)],
-                           k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a + 1.0)
-                                                * (2.0 * k + 2.0 * a - 1.0))))
-    # s[j] = sqrt(beta_j); s[n] = 1 leaves q_n unnormalised, which neither
-    # its zeros nor the Newton step see
-    s = np.concatenate(([0.0], np.sqrt(beta[:n - 1]), [1.0]))
-
-    def recurrence(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{j<n} q_j(x)^2 and the Newton step q_n(x) / q_n'(x)."""
-        q0, q1 = np.zeros_like(x), np.ones_like(x)
-        d0, d1 = np.zeros_like(x), np.zeros_like(x)
-        total = np.zeros_like(x)
-        for j in range(n):
-            total += q1 * q1
-            q0, q1 = q1, (x * q1 - s[j] * q0) / s[j + 1]
-            d0, d1 = d1, (q0 + x * d1 - s[j] * d0) / s[j + 1]
-        return total, q1 / d1
-
-    x = np.linalg.eigvalsh(np.diag(s[1:n], -1))
-    x -= recurrence(x)[1]
-    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
-    w = mu0 / recurrence(x)[0]
-    return read_only(((x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0))
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .logdomain import LogValue, logsumexp_positive
+from .logdomain import LogValue
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
 from .quadrature import (LogP, hermite_rule, integrate_log_panels,
-                         integrate_1d, jacobi_rule, kappa_from_nodes,
-                         mc_integrate, read_only)
+                         integrate_1d, kappa_from_nodes, mc_integrate,
+                         read_only)
 
 __all__ = [
     "WeightParams",
@@ -59,7 +59,6 @@ __all__ = [
     "p_group_closed",
     "p_torus_closed",
     "p_su2_closed",
-    "jacobi_rule",
     "spherical_phi",
     "legendre_value",
     "p_sphere",
@@ -74,13 +73,11 @@ __all__ = [
 
 MAX_SPHERE_INDEX = 200
 
-#: elements per row block of the sphere panels' (t node x Jacobi node)
-#: arrays, of the sphere Hermite route's (Im s x Hermite node x series term)
-#: arrays and of p_su2_closed's (Im s x term) array: 64 KiB of float64, half
-#: of glibc's default 128 KiB mmap threshold.  Blocks this small come from
-#: the heap and are reused, so a call neither maps, faults in and unmaps its
-#: temporaries (about 300 page faults per p_sphere call as one block) nor
-#: leaves L2.
+#: elements per row block of the sphere Hermite route's (Im s x Hermite node
+#: x series term) arrays and of p_su2_closed's (Im s x term) array: 64 KiB of
+#: float64, half of glibc's default 128 KiB mmap threshold.  Blocks this
+#: small come from the heap and are reused, so a call neither maps, faults
+#: in and unmaps its temporaries nor leaves L2.
 _SPHERE_BLOCK = 8192
 
 #: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
@@ -98,9 +95,13 @@ SPHERE_HERMITE_ORDER = 24
 #: when the cut is lifted; some move at cuts of 36 and 45, none at 55.
 SPHERE_SERIES_CUT = 75.0
 
-#: (k+q) sqrt(Im s) at and above which the sphere takes the rescaled route.
-#: Below it the rescaled rule would need nodes at t <= 0, where the
-#: integrand is cut off, so the panel route integrates in t instead.
+#: (k+q) sqrt(Im s) at and above which the sphere takes the rescaled route,
+#: or q/4 where that is larger (m > 49).  Below it the rescaled rule would
+#: need nodes at t <= 0, where the integrand is cut off, or would have to
+#: fit t^q = t0^q (1 + v / ((k+q) sqrt y))^q about the peak t0 = (k+q) y,
+#: of degree q past the rule's 47, which it does not while
+#: q / ((k+q) sqrt y) > 4: at m = 200, k = 0 and (k+q) sqrt y = 6 its kappa
+#: is 13% off.  The panel route integrates in t instead.
 SPHERE_HERMITE_SWITCH = 6.0
 
 #: the quadrature and closed-form kappa must agree to this, relative to
@@ -482,13 +483,6 @@ def p_su2_closed(s, k: int) -> LogP | list:
 # spheres
 # ---------------------------------------------------------------------------
 
-def _log_cosh_excess(t, c):
-    """log(cosh 2t + sinh 2t * c) - 2t for t >= 0, c in [-1, 1]."""
-    t = np.asarray(t, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return np.log((1.0 + c) + np.exp(-4.0 * t) * (1.0 - c)) - math.log(2.0)
-
-
 def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
     """log of the half-form factor (sinh 2t)^q t^q less its growth 2 q t.
 
@@ -498,14 +492,6 @@ def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
     """
     with np.errstate(divide="ignore"):
         return q * (np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t))
-
-
-def _jacobi_nodes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Jacobi rule (``jacobi_rule``, weight (1-c^2)^{(m-3)/2})
-    that integrates the sphere's inner integrand exactly: it is a polynomial
-    of degree k in c = cos u, and n nodes are exact to degree 2n - 1, so
-    n = k // 2 + 1."""
-    return jacobi_rule(k // 2 + 1, (m - 3) / 2.0)
 
 
 def _sphere_indices(k, m) -> tuple[int, int]:
@@ -521,17 +507,13 @@ def _sphere_indices(k, m) -> tuple[int, int]:
 
 
 def spherical_phi(k: int, m: int, t: float) -> LogValue:
-    """log of int_0^pi (cosh 2t + sinh 2t cos u)^k sin^{m-2} u du.
-
-    Substituting c = cos u turns this into a Gauss-Jacobi integral with
-    weight (1-c^2)^{(m-3)/2}, exact for the degree-k polynomial integrand.
-    """
+    """log of int_0^pi (cosh 2t + sinh 2t cos u)^k sin^{m-2} u du, summed
+    as its series in e^{-4t} (``_sphere_series``, ``_series_phi``)."""
     k, m = _sphere_indices(k, m)
     if t < 0:
         raise ValueError("need t >= 0")
-    c, w = _jacobi_nodes(k, m)
-    logs = np.log(w) + k * (2.0 * t + _log_cosh_excess(t, c))
-    return LogValue.from_log(logsumexp_positive(logs), 1)
+    return LogValue.from_log(
+        2.0 * k * t + float(_series_phi(t, _sphere_series(k, m))), 1)
 
 
 def legendre_value(k: int, x: float) -> float:
@@ -565,18 +547,19 @@ def p_sphere(s, k: int, m: int) -> LogP | list:
     nodes sit at t of about (k+q) y, where few terms count, and one term is
     left past t = 20.  Rows go to the kernel in order of Im s, in blocks
     sized by the terms their first row keeps.  Below SPHERE_HERMITE_SWITCH
-    the rule would need nodes at t <= 0, and the panel route
-    (``_p_sphere_panels``) integrates in t instead, per Im s.  Its t starts
-    near 0, where all k + 1 terms count, so it sums phi_k by the
-    Gauss-Jacobi rule, sized by its exactness degree (``_jacobi_nodes``):
-    k // 2 + 1 nodes, about half as many.
+    (or q/4) the rule would need nodes at t <= 0, or would not resolve t^q,
+    and the panel route (``_p_sphere_panels``) integrates in t instead, per
+    Im s.  Its t starts near 0, where all k + 1 terms count, so it sums
+    them all by Horner's rule (``_series_phi``).
     """
     k, m = _sphere_indices(k, m)
     y, one = _im_grid(s)
     b = _log_volume(y, m, True)
-    kq = k + (m - 1) / 2.0
-    high = kq * np.sqrt(y) >= SPHERE_HERMITE_SWITCH
+    q = (m - 1) / 2.0
+    kq = k + q
+    high = kq * np.sqrt(y) >= max(SPHERE_HERMITE_SWITCH, q / 4.0)
     flags, yl, bl = high.tolist(), y.tolist(), b.tolist()
+    log_a = _sphere_series(k, m)
     hermite = {}
     if any(flags):
         rows = sorted((r for r, h in enumerate(flags) if h),
@@ -586,7 +569,6 @@ def p_sphere(s, k: int, m: int) -> LogP | list:
         # outermost node bounds its t from below, and the terms kept fall
         # as Im s rises: a block keeps the terms of its first row
         v0 = float(hermite_rule(SPHERE_HERMITE_ORDER)[0][0])
-        log_a = _sphere_series(k, m)
         terms = _series_terms(log_a, kq * yh + v0 * np.sqrt(yh)).tolist()
         i = 0
         while i < len(rows):
@@ -596,10 +578,7 @@ def p_sphere(s, k: int, m: int) -> LogP | list:
             hermite.update(zip(block, _p_sphere_hermite(
                 yh[i:i + len(block)], k, m, b[block], log_a[:n])))
             i += len(block)
-    if not all(flags):
-        c, w = _jacobi_nodes(k, m)
-        logw = np.log(w)
-    out = [hermite[r] if h else _p_sphere_panels(yi, k, m, bi, c, logw)
+    out = [hermite[r] if h else _p_sphere_panels(yi, k, m, bi, log_a)
            for r, (yi, bi, h) in enumerate(zip(yl, bl, flags))]
     return out[0] if one else out
 
@@ -635,6 +614,14 @@ def _series_terms(log_a: np.ndarray, t_min: np.ndarray) -> np.ndarray:
     x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.size)
     keep = x >= x.max(axis=1, keepdims=True) - SPHERE_SERIES_CUT
     return log_a.size - keep[:, ::-1].argmax(axis=1)
+
+
+def _series_phi(t, log_a: np.ndarray):
+    """log phi_k(t) - 2kt at each t, the whole series log_a
+    (``_sphere_series``) summed by Horner's rule in z = e^{-4t}.  Every a_i
+    and z^i is positive and sum a_i = phi_k(0) = B(1/2, q) <= pi, so the
+    sum neither cancels nor overflows."""
+    return np.log(np.polyval(np.exp(log_a[::-1]), np.exp(-4.0 * t)))
 
 
 def _series_log_phi(t: np.ndarray, log_a: np.ndarray) -> tuple:
@@ -701,9 +688,11 @@ def _p_sphere_hermite(y, k: int, m: int, b,
                             b + kq * kq * y + 0.5 * np.log(y))
 
 
-def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
-                     logw: np.ndarray) -> LogP:
-    """The panel route of ``p_sphere``, for (k+q) sqrt(y) below the switch.
+def _p_sphere_panels(y: float, k: int, m: int, b: float,
+                     log_a: np.ndarray) -> LogP:
+    """The panel route of ``p_sphere``, for (k+q) sqrt(y) below the switch,
+    with phi_k summed over all terms log_a of its series
+    (``_sphere_series``, by ``_series_phi``).
 
     The growth of (sinh 2t)^q phi_k(t) is e^{2(k+q)t}, and with a = -1/y
     a t^2 + 2(k+q) t = t0^2/y - (t - t0)^2/y for t0 = (k+q) y.  The
@@ -721,20 +710,12 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float, c: np.ndarray,
     lo, hi = max(-t0, -reach), reach
     breakpoints = _peak_panels(lo, hi, sigma, max(
         48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
-    rows = max(1, _SPHERE_BLOCK // c.size)
 
     def log_f(d: np.ndarray) -> np.ndarray:
         # log of e^{a t^2} (sinh 2t)^q t^q phi_k(t) less t0^2/y, with the
-        # e^{2t} growth factored out of sinh 2t and of every inner factor
+        # e^{2t} growth factored out of sinh 2t and of phi_k
         t = t0 + d
-        log_phi = np.empty_like(t)
-        for i in range(0, t.size, rows):
-            inner = logw[None, :] + k * _log_cosh_excess(t[i:i + rows, None],
-                                                         c[None, :])
-            shift = inner.max(axis=1)
-            log_phi[i:i + rows] = shift + np.log(
-                np.sum(np.exp(inner - shift[:, None]), axis=1))
-        return -d * d / y + _log_half_form(t, q) + log_phi
+        return -d * d / y + _log_half_form(t, q) + _series_phi(t, log_a)
 
     return _moment_panels(log_f, breakpoints, PANEL_NODES,
                           lambda d: d * (d + 2.0 * t0), t0 * t0, y,

@@ -195,6 +195,17 @@ def test_curvature_small_im_s_relative_cross_check(capsys):
     assert rec["tolerances"] == {"tol": 1e-5}
 
 
+def test_sphere_panels_run_at_large_m(capsys):
+    # m = 400 below the switch, on the panel route; 40-digit mpmath value
+    # from the moments of t^2 with phi_k by mpmath's gegenbauer
+    rc, out, err = run(["curvature", "--model", "sphere:400", "--corrected",
+                        "--k", "5", "--im-s", "1e-4"], capsys)
+    assert rc == 0, err
+    # the moment identity cancels terms of size m / (8 y^2) = 5e9 down to it
+    assert abs(json.loads(out)["kappa"] - 529461.25257563587) \
+        <= 1e-12 * 400 / (8 * 1e-4 ** 2)
+
+
 def test_su3_dynkin_labels(capsys):
     rc, out, _ = run(["flatness", "--model", "group:su3", "--corrected",
                       "--k", "0/0,1/0", "--im-s", "1,2"], capsys)

@@ -14,7 +14,7 @@ from scipy.special import eval_gegenbauer, roots_jacobi
 from quantfield import liecore, quantization
 from quantfield.quadrature import hermite_rule, kappa_from_log
 from quantfield.quantization import (ModelSpec, curvature, flatness_classify,
-                                     hermite_order_for, jacobi_rule,
+                                     hermite_order_for,
                                      legendre_value, model_log_p,
                                      p_group_closed, p_group_quadrature,
                                      p_su2_closed, p_torus_closed,
@@ -139,31 +139,6 @@ def test_rescaled_group_route_on_root_walls(labels):
         assert abs(got) <= 1e-12 * 8.0 / (8.0 * y * y), (y, got)
 
 
-def test_jacobi_rule_is_shared_read_only_and_exact():
-    for alpha, n in itertools.product((-0.5, 0.0, 0.5, 1.5),
-                                      (1, 2, 3, 6, 11, 48, 76, 101, 108)):
-        shared = jacobi_rule(n, alpha)
-        assert jacobi_rule(n, alpha) is shared
-        x, w = shared
-        for arr in shared:
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        # exact to degree 2n - 1: int x^{2j} (1-x^2)^alpha dx
-        # = Gamma(j+1/2) Gamma(alpha+1) / Gamma(j+alpha+3/2), by its ratio
-        # recursion in j, which keeps the reference to a few ulps
-        want = math.sqrt(math.pi) * math.gamma(alpha + 1) \
-            / math.gamma(alpha + 1.5)
-        for j in range(n):
-            if j:
-                want *= (j - 0.5) / (j + alpha + 0.5)
-            assert np.sum(w * x ** (2 * j)) == pytest.approx(want, rel=1e-13)
-        # scipy as an oracle: same nodes, and weights within its own error
-        # (up to 1.1e-12 against 40-digit weights, where this rule's is 5e-14)
-        xs, ws = roots_jacobi(n, alpha, alpha)
-        assert np.max(np.abs(x - xs)) <= 4.5e-16
-        assert np.max(np.abs(w / ws - 1.0)) <= 2e-11
-
-
 def test_bare_su2_quadrature_vs_closed():
     # equality up to one global constant, 1e-7 relative across k and y
     rs = liecore.su2()
@@ -270,10 +245,10 @@ def test_sphere_rejects_non_integral_indices():
 @pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (10, 4, 0.2),
                                      (150, 3, 1e-3)])
 def test_sphere_row_blocks(monkeypatch, k, m, y):
-    # inputs on the panel route, (k+q) sqrt(y) below the switch.  The row
-    # blocks change no digit of the one-block evaluation and keep every
-    # temporary small: at k = 150, y = 1e-3 the integrand is 2,856 t nodes
-    # x 76 Jacobi nodes, about 1.7 MB of float64 per temporary as one block
+    # inputs on the panel route, (k+q) sqrt(y) below the switch.  The block
+    # size changes no digit, and every temporary stays small: at k = 150,
+    # y = 1e-3 the integrand is 2,856 t nodes, each with phi_k's 151 series
+    # terms summed by Horner's rule, one value per node
     assert (k + (m - 1) / 2) * math.sqrt(y) < quantization.SPHERE_HERMITE_SWITCH
     tracemalloc.start()
     try:
@@ -320,13 +295,12 @@ def test_sphere_m3_closed_form(k):
 @pytest.mark.parametrize("k", (0, 5, 20))
 def test_sphere_routes_agree_at_switch(k, m):
     q = (m - 1) / 2
-    c, w = quantization._jacobi_nodes(k, m)
+    log_a = quantization._sphere_series(k, m)
     for side in (1 - 1e-9, 1 + 1e-9):
         y = (quantization.SPHERE_HERMITE_SWITCH * side / (k + q)) ** 2
         b = weight_params(complex(0, y), m, True).b
-        hermite = quantization._p_sphere_hermite(
-            y, k, m, b, quantization._sphere_series(k, m))
-        panels = quantization._p_sphere_panels(y, k, m, b, c, np.log(w))
+        hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
+        panels = quantization._p_sphere_panels(y, k, m, b, log_a)
         assert p_sphere(complex(0, y), k, m) == (panels if side < 1 else hermite)
         assert hermite.log_magnitude == pytest.approx(panels.log_magnitude,
                                                       rel=1e-12)
@@ -336,37 +310,14 @@ def test_sphere_routes_agree_at_switch(k, m):
         assert abs(hermite.kappa - panels.kappa) <= 5e-9 * scale
 
 
-@pytest.mark.parametrize("m", (2, 3, 4, 6))
-@pytest.mark.parametrize("k", (0, 1, 5, 50, 200))
-def test_jacobi_rule_sized_by_degree(monkeypatch, k, m):
-    # the inner integrand is a degree-k polynomial in c, so k // 2 + 1 nodes
-    # are exact: a rule of twice the size changes no value beyond rounding.
-    # Only the panel rows (Im s below the switch) and spherical_phi use the
-    # rule; the Hermite rows sum phi_k's series and are unchanged by the patch
-    ys = (0.2, 1.0, 2.0, 20.0)
-    sized = [p_sphere(complex(0, y), k, m) for y in ys]
-    phis = [spherical_phi(k, m, t) for t in (0.0, 0.3, 2.0)]
-    assert quantization._jacobi_nodes(k, m)[0].size == k // 2 + 1
-    monkeypatch.setattr(quantization, "_jacobi_nodes", lambda k, m: jacobi_rule(
-        2 * (k // 2 + 1), (m - 3) / 2.0))
-    for y, got in zip(ys, sized):
-        want = p_sphere(complex(0, y), k, m)
-        assert got.log_magnitude == pytest.approx(want.log_magnitude,
-                                                  rel=1e-13)
-        # kappa is a difference of terms up to m / (8 y^2) in size
-        scale = max(abs(want.kappa), m / (8.0 * y * y))
-        assert abs(got.kappa - want.kappa) <= 1e-13 * scale, y
-    for t, got in zip((0.0, 0.3, 2.0), phis):
-        assert got.log_magnitude == pytest.approx(
-            spherical_phi(k, m, t).log_magnitude, rel=1e-13, abs=1e-13)
-
-
 def _jacobi_log_phi(k, m, t):
-    """log phi_k(t) - 2kt, psi' and psi'' from the Gauss-Jacobi sums: with
-    A = 1 + c, B = (1 - c) e^{-4t}, rho = B / (A + B), each node's term is
-    w_j ((A + B) / 2)^k, psi' = -4k E[rho] and
-    psi'' = 16k E[rho (1 - rho)] + 16k^2 Var[rho] under those terms."""
-    c, w = quantization._jacobi_nodes(k, m)
+    """log phi_k(t) - 2kt, psi' and psi'' from the Gauss-Jacobi sums of
+    scipy's k // 2 + 1 node rule for the weight (1-c^2)^{(m-3)/2}, exact for
+    the degree-k polynomial integrand: with A = 1 + c, B = (1 - c) e^{-4t},
+    rho = B / (A + B), each node's term is w_j ((A + B) / 2)^k,
+    psi' = -4k E[rho] and psi'' = 16k E[rho (1 - rho)] + 16k^2 Var[rho]
+    under those terms."""
+    c, w = roots_jacobi(k // 2 + 1, (m - 3) / 2, (m - 3) / 2)
     bb = (1.0 - c) * math.exp(-4.0 * t)
     a_b = (1.0 + c) + bb
     inner = np.log(w) + k * (np.log(a_b) - math.log(2.0))
@@ -384,13 +335,16 @@ def _jacobi_log_phi(k, m, t):
 @pytest.mark.parametrize("k", (0, 1, 2, 5, 20, 50, 200))
 def test_sphere_series_matches_jacobi_sums(k, m):
     # two exact evaluations of phi_k: its power series in e^{-4t}, all
-    # k + 1 terms, and the k // 2 + 1 node Gauss-Jacobi rule
+    # k + 1 terms (in the log domain with its derivatives, and by Horner's
+    # rule), and scipy's k // 2 + 1 node Gauss-Jacobi rule
     ts = (0.0, 1e-3, 0.1, 1.0, 10.0, 150.0)
-    series = quantization._series_log_phi(
-        np.array(ts), quantization._sphere_series(k, m))
+    log_a = quantization._sphere_series(k, m)
+    series = quantization._series_log_phi(np.array(ts), log_a)
+    horner = quantization._series_phi(np.array(ts), log_a)
     for j, t in enumerate(ts):
         psi, psi1, psi2 = _jacobi_log_phi(k, m, t)
         assert abs(series[0][j] - psi) <= 1e-12 * max(1.0, abs(psi)), t
+        assert abs(horner[j] - psi) <= 1e-12 * max(1.0, abs(psi)), t
         assert abs(series[1][j] - psi1) <= 1e-12 * abs(psi1), t
         assert abs(series[2][j] - psi2) <= 1e-12 * abs(psi2), t
 
@@ -406,7 +360,6 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
 
     monkeypatch.setattr(quantization, "_p_sphere_hermite", spy)
     for m in (2, 3, 4, 7):
-        assert quantization._jacobi_nodes(200, m)[0].size == 101
         kept.clear()
         p_sphere([1j, 2j], 200, m)
         p_sphere(1e-3j, 200, m)
@@ -443,6 +396,53 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
         >= len(cases) // 2
     monkeypatch.setattr(quantization, "SPHERE_SERIES_CUT", math.inf)
     assert [p_sphere(complex(0, y), k, m) for k, m, y in cases] == cut
+
+
+# kappa of the corrected sphere at (k+q) sqrt(Im s) = 6, 10 and 20, per
+# (m, k): mpmath quadrature at 30 digits of the moments of t^2, with phi_k
+# from mpmath's gegenbauer, on panels of sqrt(Im s)/2 about the peak
+_LARGE_M_SPHERE_KAPPA = {
+    (150, 0): (23299.341558742373, 8584.815751725791, 260.02910806269085),
+    (150, 50): (37908.94298054662, 31233.943428389564, 2025.405622185201),
+    (150, 200): (49637.661704907565, 74879.91559768474, 36816.98056283102),
+    (200, 0): (60121.7041612224, 32243.70501877287, 1383.8248925736382),
+    (200, 50): (82588.73424792018, 74338.92731067151, 7009.961089185525),
+    (200, 200): (103450.00828059264, 147176.75928237644, 81381.57390466043),
+    (400, 0): (520742.51710580714, 446295.58119007153, 69857.31288040483),
+    (400, 50): (580041.2813978526, 581540.7570471785, 157549.0426402983),
+    (400, 200): (658198.503069163, 815341.1097918979, 610247.2640743818),
+}
+
+
+@pytest.mark.parametrize("m", (150, 200, 400))
+@pytest.mark.parametrize("k", (0, 50, 200))
+def test_large_m_sphere_switch(k, m):
+    # past m = 49 the 24 Hermite nodes (exact to degree 47) do not resolve
+    # the factor t^q about the peak until (k+q) sqrt(y) >= q/4, and the
+    # panels integrate in t below that.  At the switch 6 the rescaled rule
+    # read m = 200, k = 0 13% off, and m = 400 up to 300 times kappa
+    q = (m - 1) / 2
+    log_a = quantization._sphere_series(k, m)
+    switch = max(quantization.SPHERE_HERMITE_SWITCH, q / 4)
+    for x, want in zip((6.0, 10.0, 20.0), _LARGE_M_SPHERE_KAPPA[m, k]):
+        y = (x / (k + q)) ** 2
+        got = p_sphere(complex(0, y), k, m)
+        assert (x >= switch) == (got == quantization._p_sphere_hermite(
+            y, k, m, weight_params(complex(0, y), m, True).b, log_a))
+        # the panels' moment identity cancels terms of size m / (8 y^2)
+        assert abs(got.kappa - want) <= 2e-13 * m / (8 * y * y), x
+    for side in (1 - 1e-9, 1 + 1e-9):
+        y = (switch * side / (k + q)) ** 2
+        b = weight_params(complex(0, y), m, True).b
+        hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
+        panels = quantization._p_sphere_panels(y, k, m, b, log_a)
+        assert p_sphere(complex(0, y), k, m) == (panels if side < 1
+                                                 else hermite)
+        scale = max(abs(panels.kappa), _sphere_scale(k, m, y))
+        assert abs(hermite.kappa - panels.kappa) <= 5e-11 * scale
+    if (k, m) == (0, 200):
+        assert p_sphere(complex(0, (6 / 99.5) ** 2), 0, 200).kappa \
+            == pytest.approx(60121.7041612224, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6))
