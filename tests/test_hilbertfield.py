@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,9 +17,14 @@ def area_field():
     return abelian_area_example(scale=1.0)
 
 
+def _twist(x):
+    """a = (-i y, 0): cancels the area example's curvature."""
+    return np.stack([-1j * x[..., 1], np.zeros(x.shape[:-1])], axis=-1)
+
+
 @pytest.fixture(scope="module")
 def flat_field(area_field):
-    return twist_to_flat(area_field, lambda x: np.array([-1j * x[1], 0.0]))
+    return twist_to_flat(area_field, _twist)
 
 
 def test_path_validation():
@@ -44,19 +51,25 @@ def test_curvature_exact_vs_fd(area_field):
     assert np.max(np.abs(exact + exact.transpose(1, 0, 2, 3))) == 0.0
 
 
+def _bad_connection(x):
+    """A_x = y e_12: its curvature is nowhere scalar."""
+    A = np.zeros(x.shape[:-1] + (2, 2, 2), dtype=complex)
+    A[..., 0, 0, 1] = x[..., 1]
+    return A
+
+
 def test_classification(area_field, flat_field):
     assert classify(area_field).verdict == "ProjectivelyFlat"
     assert classify(flat_field).verdict == "Flat"
 
-    def bad(x):
-        A = np.zeros((2, 2, 2), dtype=complex)
-        A[0] = np.array([[0.0, x[1]], [0.0, 0.0]])
-        return A
-
-    nb = ConnectionField(bad, 2, 2, (0.0, 0.0), (1.0, 1.0))
+    nb = ConnectionField(_bad_connection, 2, 2, (0.0, 0.0), (1.0, 1.0))
     res = classify(nb)
     assert res.verdict == "NotProjectivelyFlat"
     assert res.witness is not None
+    # a NaN curvature is no evidence of flatness
+    nan = ConnectionField(lambda x: np.full(x.shape[:-1] + (2, 2, 2), np.nan),
+                          2, 2, (0.0, 0.0), (1.0, 1.0))
+    assert classify(nan).verdict == "NotProjectivelyFlat"
 
 
 def test_scalar_field_of_projectively_flat(area_field):
@@ -98,8 +111,9 @@ def _su2_connection(x):
     """A non-abelian su(2) connection with curvature that is nowhere
     scalar: A_x = i(3 sin 2y s1 + x s3), A_y = i(2 cos 3x s2 + xy s1)."""
     s1, s2, s3 = SIGMA
-    return np.array([1j * (3 * np.sin(2 * x[1]) * s1 + x[0] * s3),
-                     1j * (2 * np.cos(3 * x[0]) * s2 + x[0] * x[1] * s1)])
+    u, v = x[..., 0, None, None], x[..., 1, None, None]
+    return np.stack([1j * (3 * np.sin(2 * v) * s1 + u * s3),
+                     1j * (2 * np.cos(3 * u) * s2 + u * v * s1)], axis=-3)
 
 
 def _dop853_transport(coeffs, path, n=2):
@@ -141,7 +155,8 @@ def _damped_su2_connection(x):
     the connection is not anti-Hermitian, so transport is not unitary and
     its Magnus exponents take the Pade fallback of ``_expm``."""
     return _su2_connection(x) \
-        + np.array([0.6 * x[1], -0.4 * x[0]])[:, None, None] * np.eye(2)
+        + np.stack([0.6 * x[..., 1], -0.4 * x[..., 0]],
+                   axis=-1)[..., None, None] * np.eye(2)
 
 
 def test_non_unitary_transport_against_dop853():
@@ -244,23 +259,42 @@ _PINNED_TRANSPORTS = np.array([
 
 def test_step_sequence_is_pinned():
     # 6 loops under the unitary connection, then 6 under the damped one,
-    # all drawn from one generator: stacking the 9 node samples of a trial
-    # must keep every step, so the connection calls and the transports
-    # stay those of the one-call-per-node controller
+    # all drawn from one generator: sampling the nodes of every live
+    # segment in one callback must keep every step, so the sampled points
+    # and the transports stay those of the one-call-per-node controller
     rng = np.random.default_rng(2)
     calls = []
     got = []
     for conn in [_su2_connection] * 6 + [_damped_su2_connection] * 6:
         def coeffs(x, conn=conn):
-            calls.append(x)
+            calls.append(x[..., 0].size)
             return conn(x)
 
         fieldc = ConnectionField(coeffs, 2, 2, (-1.0, -1.0), (1.5, 1.5))
         pts = [tuple(rng.uniform(-0.8, 1.3, size=2)) for _ in range(4)]
         got.append(parallel_transport(
             fieldc, BasePath.from_points(pts + [pts[0]])))
-    assert len(calls) == 9792
+    assert sum(calls) == 9792
     assert np.max(np.abs(np.array(got) - _PINNED_TRANSPORTS)) < 1e-13
+
+
+def test_batch_matches_one_path_calls():
+    # lockstep transport of a batch equals one call per path: paths of
+    # 1, 2 and 4 segments (so of different step counts), one with a
+    # repeated vertex (a zero-length segment) and one that never moves
+    rng = np.random.default_rng(7)
+    paths = [BasePath.from_points([tuple(rng.uniform(-0.8, 1.3, size=2))
+                                   for _ in range(k)]) for k in (2, 3, 5)]
+    paths += [BasePath.from_points([(0.1, 0.2), (0.6, -0.3), (0.6, -0.3),
+                                    (1.0, 0.4)]),
+              BasePath.from_points([(0.3, 0.3), (0.3, 0.3)])]
+    for conn in (_su2_connection, _damped_su2_connection):
+        fieldc = ConnectionField(conn, 2, 2, (-1.0, -1.0), (1.5, 1.5))
+        got = parallel_transport(fieldc, paths)
+        want = np.array([parallel_transport(fieldc, p) for p in paths])
+        assert got.shape == (len(paths), 2, 2)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got[-1], np.eye(2))
 
 
 def test_transport_raises_on_non_finite_connection():
@@ -268,8 +302,9 @@ def test_transport_raises_on_non_finite_connection():
 
     def coeffs(x):
         calls.append(x)
-        A = np.zeros((2, 2, 2), dtype=complex)
-        A[0] = (np.nan if x[0] > 0.5 else 1j) * np.eye(2)
+        A = np.zeros(x.shape[:-1] + (2, 2, 2), dtype=complex)
+        A[..., 0, :, :] = np.where(x[..., 0] > 0.5, np.nan,
+                                   1j)[..., None, None] * np.eye(2)
         return A
 
     fieldc = ConnectionField(coeffs, 2, 2, (0.0, 0.0), (1.0, 1.0))
@@ -277,8 +312,54 @@ def test_transport_raises_on_non_finite_connection():
     with pytest.raises(ArithmeticError,
                        match=r"non-finite connection at \[0\.88729833 0\. "):
         parallel_transport(fieldc, BasePath.from_points([(0, 0), (1, 0)]))
-    assert len(calls) <= 9          # raised within the first step
+    assert len(calls) == 1          # raised within the first callback
+    # in a batch, the bad node of the second path is named with its path
+    with pytest.raises(ArithmeticError,
+                       match=r"non-finite connection at \[0\.88729833 0\.3 *\]"
+                             r" on the segment \(0\.0, 0\.3\) -> "
+                             r"\(1\.0, 0\.3\) of path 1$"):
+        parallel_transport(fieldc, [BasePath.from_points([(0, 0), (0.4, 0)]),
+                                    BasePath.from_points([(0, 0.3), (1, 0.3)])])
+    assert len(calls) == 2
 
+
+def _pole(x):
+    """A_x = i/(x - 0.4321) Id: no step carries transport past x = 0.4321."""
+    A = np.zeros(x.shape[:-1] + (2, 2, 2), dtype=complex)
+    A[..., 0, :, :] = (1j / (x[..., 0] - 0.4321))[..., None, None] * np.eye(2)
+    return A
+
+
+def test_transport_underflow_names_the_segment_in_plain_floats():
+    fieldc = ConnectionField(_pole, 2, 2, (0.0, 0.0), (1.0, 1.0))
+    across = BasePath.from_points([(0, 0.2), (1, 0.2)])
+    msg = re.escape("step size underflow at t=0.4321 on the segment "
+                    "(0.0, 0.2) -> (1.0, 0.2)")
+    with pytest.raises(ArithmeticError, match=msg + "$"):
+        parallel_transport(fieldc, across)
+    short = BasePath.from_points([(0, 0.5), (0.3, 0.5)])
+    with pytest.raises(ArithmeticError, match=msg + " of path 1$"):
+        parallel_transport(fieldc, [short, across])
+
+
+@pytest.mark.parametrize("which", ["area", "flat", "su2", "bad"])
+def test_classify_matches_pointwise_curvature(which, area_field, flat_field):
+    fieldc = {"area": area_field, "flat": flat_field,
+              "su2": ConnectionField(_su2_connection, 2, 2,
+                                     (-1.0, -1.0), (1.5, 1.5)),
+              "bad": ConnectionField(_bad_connection, 2, 2,
+                                     (0.0, 0.0), (1.0, 1.0))}[which]
+    res = classify(fieldc)
+    samples = [curvature_at(fieldc, x) for x in fieldc.grid(5)]
+    norms = [s.max_norm() for s in samples]
+    devs = [s.deviation_from_scalar() for s in samples]
+    assert res.max_curvature == max(norms)
+    assert res.max_scalar_deviation == max(devs)
+    verdict = ("Flat" if max(norms) <= 1e-8 else "ProjectivelyFlat"
+               if max(devs) <= 1e-8 else "NotProjectivelyFlat")
+    assert res.verdict == verdict
+    if verdict == "NotProjectivelyFlat":
+        assert res.witness.point == samples[int(np.argmax(devs))].point
 
 
 def test_trivialize(flat_field):
@@ -294,7 +375,7 @@ def test_trivialize_refuses_curved(area_field):
 
 def test_twist_guards(area_field, flat_field):
     # twisting an already flat field is a no-op
-    assert twist_to_flat(flat_field, lambda x: np.zeros(2)) is flat_field
+    assert twist_to_flat(flat_field, np.zeros_like) is flat_field
     # a potential that does not cancel r is rejected
-    with pytest.raises(ArithmeticError):
-        twist_to_flat(area_field, lambda x: np.array([+1j * x[1], 0.0]))
+    with pytest.raises(ArithmeticError, match=r"component \(0,1\)"):
+        twist_to_flat(area_field, lambda x: -_twist(x))
