@@ -18,7 +18,8 @@ The workhorses are:
                              ``quantization`` ends in it,
 * ``mc_integrate``        -- seeded Monte Carlo over a ball in n <= 4
                              dimensions, one array-valued call of the
-                             integrand,
+                             integrand; a stacked integrand gets per-row
+                             estimates and their covariance from one draw,
 * ``fd_laplacian`` / ``fd_derivative`` -- central stencils, always
                              Richardson-extrapolated,
 * ``kappa_from_log``      -- the scalar curvature density
@@ -216,9 +217,14 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class MCResult:
-    value: float
-    stderr: float
+    """A Monte Carlo estimate: per row of a stacked integrand, or scalars
+    for a scalar one.  ``cov`` is the covariance of the estimates, (m, m)
+    for m rows; a scalar integrand's is its variance, stderr**2."""
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray
     samples: int
+    cov: float | np.ndarray
 
 
 def _ball_volume(n: int, radius: float) -> float:
@@ -238,25 +244,48 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
     ``f`` is called once, on all sample points at once, coordinates first:
     ``p`` has shape (n, samples), so ``p[0]`` is every sample's first
     coordinate.  Its result is broadcast to (samples,), so a constant
-    integrand may return a scalar.
+    integrand may return a scalar, or to (m, samples) for a stack of m
+    integrands over the same draw: then value and stderr hold one entry
+    per row and cov the rows' (m, m) covariance.
     Dimension is capped at 4: this is an oracle, not a cubature engine.
     """
     center = np.asarray(center, dtype=float)
     radius = float(radius)
     n = center.size
-    if n > 4:
-        raise ValueError("mc_integrate supports dimension <= 4")
+    if not 1 <= n <= 4:
+        raise ValueError("mc_integrate supports dimension 1 to 4")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a stderr, got {samples}")
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, n))
-    radii = radius * rng.uniform(size=samples) ** (1.0 / n)
-    pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
-    pts *= radii[:, None]
-    pts += center
+    # one scale per point, R u^(1/n) / |d|, built in place in the array of u
+    scale = rng.uniform(size=samples)
+    scale **= 1.0 / n
+    scale *= radius
+    norm = np.einsum("ij,ij->i", pts, pts)
+    np.sqrt(norm, out=norm)
+    scale /= norm
+    del norm
+    pts *= scale[:, None]
+    del scale
+    if center.any():
+        pts += center
+    vals = np.asarray(f(pts.T), dtype=float)
+    del pts
+    stacked = vals.ndim == 2
+    rows = np.broadcast_to(vals, (len(vals) if stacked else 1, samples))
     volume = _ball_volume(n, radius)
-    vals = np.broadcast_to(np.asarray(f(pts.T), dtype=float), (samples,))
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if samples > 1 else 0.0
-    return MCResult(volume * mean, volume * std / math.sqrt(samples), samples)
+    mean = rows.mean(axis=1)
+    dev = rows - mean[:, None]
+    cov = (volume * volume / (samples * (samples - 1.0))) * (dev @ dev.T)
+    if not stacked:
+        return MCResult(volume * float(mean[0]), math.sqrt(cov[0, 0]),
+                        samples, float(cov[0, 0]))
+    return MCResult(volume * mean, np.sqrt(np.diag(cov)), samples, cov)
 
 
 def fd_laplacian(f: Callable[[np.ndarray], float],

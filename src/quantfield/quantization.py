@@ -114,6 +114,10 @@ CLOSED_AGREEMENT_REL = 1e-9
 TRUNCATION_RADIUS_SIGMA = 8.0
 PANEL_NODES = 24
 
+#: a circle row whose peak k y lies this many widths sqrt(Im s) inside
+#: (-r, r) is torus:1 to within e^{-100}: it skips the panels
+CIRCLE_INTERIOR_WIDTHS = 10.0
+
 #: panels of sigma / 2 past this count (Im s below about 5e-5) become
 #: MAX_PANELS uniform panels plus edges at sigma * {-8, ..., 8} about the
 #: peak, so a Gaussian far narrower than the window is still resolved
@@ -742,12 +746,22 @@ def _circle_breakpoints(r: float) -> np.ndarray:
 def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
     """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), with
     kappa from the moments of zeta^2 about the integrand's peak, k y clipped
-    to [-r, r]; one panel set per Im s."""
+    to [-r, r]; one panel set per Im s.
+
+    Where the peak k y lies CIRCLE_INTERIOR_WIDTHS Gaussian widths sqrt(y)
+    inside (-r, r), the integral is torus:1's sqrt(pi y) e^{k^2 y} up to
+    e^{-CIRCLE_INTERIOR_WIDTHS^2}, and so are its y-derivatives: those rows
+    take torus:1's log p and kappa = (c - 1/2) / (4 y^2), which the moment
+    identity would lose to cancellation."""
     if r <= 0:
         raise ValueError("r must be positive")
     y, one = _im_grid(s)
+    c = _volume_exponent(1, corrected)
 
     def at(y: float, b: float) -> LogP:
+        if r - abs(k) * y >= CIRCLE_INTERIOR_WIDTHS * math.sqrt(y):
+            return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
+                        0.25 * (c - 0.5) / (y * y))
         a, peak = -1.0 / y, min(max(k * y, -r), r)
         # panels of one Gaussian width around the peak, which the fixed
         # panels miss once sqrt(y/2) is far below their 0.125 spacing
@@ -755,7 +769,7 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
         return _moment_panels(lambda z: a * z * z + 2.0 * k * z,
                               np.union1d(_circle_breakpoints(r), near), 16,
                               lambda z: (z - peak) * (z + peak), peak * peak,
-                              y, _volume_exponent(1, corrected), b)
+                              y, c, b)
 
     out = [at(v, b) for v, b in zip(y.tolist(),
                                     _log_volume(y, 1, corrected).tolist())]
@@ -900,10 +914,14 @@ def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
     """Cross-check of the adjoint-orbit reduction for su(2).
 
     Ratios of integrals of two radial profiles over the ball of radius 6 in
-    the full 3-dimensional algebra (Monte Carlo, 200,000 samples each) must
-    match the ratios of the reduced 1-D torus integrals with density
-    prod_{alpha in R} |alpha(tau)| = 4 t^2.  Normalization constants cancel
-    in the ratios.  The profiles take arrays of radii (``np.exp``, not
+    the full 3-dimensional algebra (Monte Carlo, both profiles on one draw
+    of 200,000 samples) must match the ratios of the reduced 1-D torus
+    integrals with density prod_{alpha in R} |alpha(tau)| = 4 t^2, within
+    3 sigma.  Normalization constants cancel in the ratios.  sigma is the
+    delta method's, from the covariance C of the two estimates a and b:
+    var(a/b) = (a/b)^2 (C_aa/a^2 + C_bb/b^2 - 2 C_ab/(a b)), clamped at 0;
+    the profiles' positive correlation makes it smaller than for two
+    independent draws.  The profiles take arrays of radii (``np.exp``, not
     ``math.exp``).
     """
     samples, radius = 200_000, 6.0
@@ -915,15 +933,22 @@ def weyl_reduction_check(f1: Callable[[np.ndarray], np.ndarray],
     def density(t: np.ndarray) -> np.ndarray:
         return coef * t ** power
 
-    i3 = []
-    for idx, f in enumerate((f1, f2)):
-        res = mc_integrate(lambda p: f(np.sqrt(np.einsum("ij,ij->j", p, p))),
-                           [0.0, 0.0, 0.0], radius, samples, seed + idx)
-        i3.append(res)
+    def profiles(p: np.ndarray) -> np.ndarray:
+        t = np.einsum("ij,ij->j", p, p)
+        np.sqrt(t, out=t)
+        v1, v2 = f1(t), f2(t)
+        # freed before the stack is built, so the check's memory peak is
+        # the points plus the two rows and their stack
+        del t
+        return np.stack((v1, v2))
+
+    i3 = mc_integrate(profiles, [0.0, 0.0, 0.0], radius, samples, seed)
+    (a, b), cov = i3.value.tolist(), i3.cov.tolist()
     i1 = [integrate_1d(lambda t: f(np.abs(t)) * density(t), (-radius, radius))
           for f in (f1, f2)]
-    ratio3 = i3[0].value / i3[1].value
-    sig = abs(ratio3) * math.sqrt((i3[0].stderr / i3[0].value) ** 2
-                                  + (i3[1].stderr / i3[1].value) ** 2)
+    ratio3 = a / b
+    var = ratio3 * ratio3 * (cov[0][0] / (a * a) + cov[1][1] / (b * b)
+                             - 2.0 * cov[0][1] / (a * b))
+    sig = math.sqrt(max(var, 0.0))
     ratio1 = i1[0] / i1[1]
     return ReductionCheck(ratio3, sig, ratio1, abs(ratio3 - ratio1) <= 3.0 * sig)

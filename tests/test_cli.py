@@ -88,6 +88,21 @@ def test_cached_parser_gives_fresh_output(capsys):
     assert '"corrected": false' in in_sequence[2][1]
 
 
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("k, y", [(3, 1e-9), (1000, 1e-6), (1000, 1e-4),
+                                  (100000, 1e-6)])
+def test_circle_interior_reads_torus_1(k, y, corrected, capsys):
+    # the peak k y lies far inside (-1, 1): kappa = (c - 1/2)/(4y^2), c = 1
+    # bare and 1/2 corrected, judged against the bare value 1/(8y^2)
+    argv = ["curvature", "--model", "circle:1", "--k", str(k),
+            "--im-s", repr(y)] + (["--corrected"] if corrected else [])
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    c = 0.5 if corrected else 1.0
+    got = json.loads(out)["kappa"]
+    assert abs(got - (c - 0.5) / (4 * y * y)) <= 1e-15 / (8 * y * y)
+
+
 def test_asymptote(capsys):
     rc, out, _ = run(["asymptote", "--model", "sphere:2", "--k", "10",
                       "--im-s", "1"], capsys)

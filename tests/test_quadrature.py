@@ -226,6 +226,69 @@ def test_mc_dimension_cap():
         mc_integrate(lambda p: 1.0, [0.0] * 5, 1.0, 10, 0)
 
 
+@pytest.mark.parametrize("center, radius, samples", [
+    ([0.0, 0.0], 1.0, 1),           # one sample: no stderr to report
+    ([0.0, 0.0], 1.0, 0),
+    ([0.0, 0.0], -1.0, 100),
+    ([0.0, 0.0], 0.0, 100),
+    ([0.0, 0.0], math.nan, 100),
+    ([0.0, 0.0], math.inf, 100),
+    ([0.0, math.nan], 1.0, 100),
+    ([math.inf, 0.0], 1.0, 100),
+    ([], 1.0, 100),
+])
+def test_mc_rejects_invalid_inputs(center, radius, samples):
+    with pytest.raises(ValueError):
+        mc_integrate(lambda p: 1.0, center, radius, samples, 0)
+
+
+def _profiles(p):
+    r2 = np.einsum("ij,ij->j", p, p)
+    return np.exp(-r2), np.exp(-0.25 * r2), p[0] * p[1]
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [0.5, -1.0, 0.25]])
+def test_mc_stacked_rows_are_the_scalar_calls(center):
+    # one draw for a stack of integrands: each row is the scalar call on
+    # the same seed, and cov is the rows' covariance with stderr^2 on its
+    # diagonal
+    radius, samples, seed = 2.0, 20000, 5
+    stacked = mc_integrate(lambda p: np.stack(_profiles(p)), center, radius,
+                           samples, seed)
+    assert stacked.value.shape == stacked.stderr.shape == (3,)
+    assert stacked.cov.shape == (3, 3)
+    for i in range(3):
+        one = mc_integrate(lambda p: _profiles(p)[i], center, radius,
+                           samples, seed)
+        assert isinstance(one.value, float) and isinstance(one.stderr, float)
+        assert one.cov == pytest.approx(one.stderr ** 2, rel=1e-15)
+        assert stacked.value[i] == pytest.approx(one.value, rel=1e-14)
+        assert stacked.stderr[i] == pytest.approx(one.stderr, rel=1e-14)
+    assert np.diag(stacked.cov).tolist() == pytest.approx(
+        (stacked.stderr ** 2).tolist(), rel=1e-15)
+    assert np.array_equal(stacked.cov, stacked.cov.T)
+    # the covariance of the means: the samples' covariance over samples
+    seen = []
+
+    def recorded(p):
+        seen.append(np.stack(_profiles(p)))
+        return seen[0]
+
+    mc_integrate(recorded, center, radius, samples, seed)
+    volume = 4.0 / 3.0 * math.pi * radius ** 3
+    want = volume ** 2 * np.cov(seen[0]) / samples
+    assert np.max(np.abs(stacked.cov - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_mc_stacked_constant_rows_broadcast():
+    res = mc_integrate(lambda p: np.array([[1.0], [2.0]]), [0.0, 0.0], 1.0,
+                       1000, 3)
+    assert res.value.tolist() == pytest.approx([math.pi, 2 * math.pi],
+                                               rel=1e-15)
+    assert res.stderr.tolist() == [0.0, 0.0]
+    assert not res.cov.any()
+
+
 def test_fd_derivative_orders():
     f = math.sin
     x = 0.7

@@ -483,6 +483,46 @@ def test_truncated_circle_large_r_limit():
     assert got == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
 
 
+def _circle_erf_log_p(k, r, y, corrected):
+    # complete the square, zeta = k y + sqrt(y) v:
+    # log p = b + k^2 y + (1/2) log y + log int_A^B e^{-v^2} dv
+    a, b = (-r - k * y) / math.sqrt(y), (r - k * y) / math.sqrt(y)
+    mass = 0.5 * math.sqrt(math.pi) * (2.0 - math.erfc(b) - math.erfc(-a))
+    c = 0.5 if corrected else 1.0
+    return -c * math.log(y) + k * k * y + 0.5 * math.log(y) + math.log(mass)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_truncated_circle_interior_log_p_is_the_erf_form(corrected):
+    # rows whose peak k y is at least 10 sqrt(y) inside (-1, 1), mixed in
+    # one call with rows that are not
+    points = [(3, 1e-9), (1000, 1e-6), (1000, 1e-4), (100000, 1e-6),
+              (0, 1e-3), (-40, 1e-3), (5, 0.005)]
+    for k, y in points:
+        assert 1.0 - abs(k) * y >= 10.0 * math.sqrt(y)
+        grid = [complex(0, y), 0.5j, complex(0, y), 2j]
+        got = p_truncated_circle(grid, k, 1.0, corrected)
+        want = _circle_erf_log_p(k, 1.0, y, corrected)
+        for row in (got[0], got[2]):
+            assert row.sign == 1
+            assert abs(row.log_magnitude - want) <= 1e-14 * abs(want)
+        assert got[0] == got[2]
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("widths", [9.0, 9.99, 10.01, 11.0])
+def test_truncated_circle_interior_switch_is_seamless(widths, corrected):
+    # either side of r - k y = 10 sqrt(y) the panels and the torus:1 rows
+    # give the same log p and kappa
+    y = 1e-3
+    k = round((1.0 - widths * math.sqrt(y)) / y)
+    row = p_truncated_circle(complex(0, y), k, 1.0, corrected)
+    want = _circle_erf_log_p(k, 1.0, y, corrected)
+    assert abs(row.log_magnitude - want) <= 1e-13 * abs(want)
+    c = 0.5 if corrected else 1.0
+    assert abs(row.kappa - (c - 0.5) / (4 * y * y)) <= 1e-9 / (8 * y * y)
+
+
 @pytest.mark.parametrize("corrected", [False, True])
 @pytest.mark.parametrize("y", [1e-4, 1e-6, 1e-9])
 def test_truncated_circle_small_im_s(y, corrected):
@@ -592,6 +632,47 @@ def test_weyl_reduction_3sigma():
     chk = weyl_reduction_check(lambda t: np.exp(-t * t),
                                lambda t: np.exp(-0.25 * t * t), seed=123)
     assert chk.agrees
+
+
+def test_weyl_reduction_draws_once(monkeypatch):
+    # both profiles are evaluated on one draw of 200,000 points
+    calls = []
+    real = quantization.mc_integrate
+
+    def counted(f, center, radius, samples, seed):
+        calls.append((samples, seed))
+        return real(f, center, radius, samples, seed)
+
+    monkeypatch.setattr(quantization, "mc_integrate", counted)
+    chk = weyl_reduction_check(lambda t: np.exp(-t * t),
+                               lambda t: np.exp(-0.5 * t * t), seed=7)
+    assert calls == [(200_000, 7)]
+    assert chk.agrees
+
+
+def test_weyl_reduction_identical_profiles():
+    # the same profile twice: the ratio is 1 on every draw, so its delta
+    # method variance is 0 up to rounding, clamped at 0
+    f = lambda t: np.exp(-t * t)
+    chk = weyl_reduction_check(f, f, seed=3)
+    assert (chk.ratio_3d, chk.ratio_3d_sigma, chk.ratio_1d) == (1.0, 0.0, 1.0)
+    assert chk.agrees
+
+
+def test_weyl_reduction_sigma_is_calibrated(monkeypatch):
+    # z-scores of the shared draw's ratio against the 1-D oracle have unit
+    # spread: sigma neither ignores the profiles' covariance (too large a
+    # sigma, z std about 0.5) nor overstates it.  5,000 samples per draw.
+    real = quantization.mc_integrate
+    monkeypatch.setattr(quantization, "mc_integrate",
+                        lambda f, center, radius, samples, seed:
+                        real(f, center, radius, 5000, seed))
+    z = []
+    for seed in range(60):
+        chk = weyl_reduction_check(lambda t: np.exp(-t * t),
+                                   lambda t: np.exp(-0.5 * t * t), seed=seed)
+        z.append((chk.ratio_3d - chk.ratio_1d) / chk.ratio_3d_sigma)
+    assert 0.75 <= float(np.std(z)) <= 1.3
 
 
 @settings(max_examples=15, deadline=None)
