@@ -8,9 +8,9 @@ The workhorses are:
                              on a finite interval, one array-valued call,
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
-* ``integrate_log_panels``-- composite Gauss-Legendre of log-domain integrands
-                             on caller-chosen panels, optionally ending in
-                             the curvature kernel,
+* ``integrate_log_panels``-- composite Gauss-Legendre of positive log-domain
+                             integrands on caller-chosen panels, optionally
+                             ending in the curvature kernel,
 * ``kappa_from_nodes``    -- the curvature kernel: log p and
                              kappa = (1/4) d^2/dy^2 log p from one set of
                              weighted nodes and the integrand's first two
@@ -181,19 +181,13 @@ def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
                          breakpoints: Sequence[float],
                          nodes_per_panel: int = 24,
-                         signs_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                          derivs_f: Optional[Callable[[np.ndarray], tuple]] = None,
                          ) -> LogValue | LogP:
-    """Composite Gauss-Legendre quadrature of exp(log_f) over fixed panels.
-
-    ``log_f`` maps an array of abscissae to log magnitudes; an optional
-    ``signs_f`` supplies pointwise signs (default: all positive).  Returns
-    the integral as a LogValue or, when ``derivs_f`` is given, the
-    ``kappa_from_nodes`` result of the same nodes: ``derivs_f`` maps the
-    abscissae to (f1, f2), the first and second y-derivatives of the
-    integrand over its magnitude, and the signs multiply all three of f0,
-    f1 and f2.
-    """
+    """Composite Gauss-Legendre quadrature over fixed panels of the
+    positive exp(log_f), log_f a function of an array of abscissae: a
+    LogValue or, given ``derivs_f``, the ``kappa_from_nodes`` result of the
+    same nodes, ``derivs_f`` mapping the abscissae to (f1, f2), the first
+    two y-derivatives of the integrand over its value."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -204,15 +198,10 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
     logw = np.log(np.outer(half, w)).ravel()
     logs = log_f(x) + logw
-    signs = None if signs_f is None else signs_f(x)
     if derivs_f is not None:
-        f0 = 1.0 if signs is None else signs
-        f1, f2 = derivs_f(x)
-        return kappa_from_nodes(logs, f0, f0 * f1, f0 * f2)
-    if signs is None:
-        total = logsumexp_positive(logs)
-        return LogValue.from_log(total, 1) if total != NEG_INF else LogValue.zero()
-    return signed_logsumexp(logs, signs)
+        return kappa_from_nodes(logs, 1.0, *derivs_f(x))
+    total = logsumexp_positive(logs)
+    return LogValue.from_log(total, 1) if total != NEG_INF else LogValue.zero()
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,16 @@ y = Im s alone.  Each returns kappa with log p from one quadrature pass
 go to ``quadrature.kappa_from_nodes``, the one place that forms kappa.
 Closed forms return theirs analytically.
 
-What the nodes hold fixed sets those derivatives.  The panel routes (bare
-su(2), spheres below the switch, the circle) hold phi's variable fixed, which
-gives the moment identity
+What the nodes hold fixed sets those derivatives.  The panel routes (spheres
+below the switch, the circle) hold phi's variable fixed, which gives the
+moment identity
 
     4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y.
 
 Its leading terms, of size |lambda|^2 / y, cancel down to kappa.  The group,
 torus and sphere Hermite routes instead rescale about the peak,
-u = lambda y + sqrt(y) w (t = (k+q) y + sqrt(y) v on spheres), so that the
-|lambda|^2 y part of log p is linear in y and never enters kappa.
+u = mu y + sqrt(y) w per weight mu (t = (k+q) y + sqrt(y) v on spheres), so
+that the |mu|^2 y part of log p is linear in y and never enters kappa.
 """
 from __future__ import annotations
 
@@ -73,8 +73,11 @@ __all__ = [
 
 MAX_SPHERE_INDEX = 200
 
-#: elements per row block of the sphere Hermite route's (Im s x Hermite node
-#: x series term) arrays and of p_su2_closed's (Im s x term) array: 64 KiB of
+#: largest k of bare su(2), whose engines build arrays of about k values
+MAX_BARE_SU2_INDEX = 10 ** 6
+
+#: elements per row block of the (Im s x node) arrays of the sphere Hermite
+#: route, the group route and p_su2_closed: 64 KiB of
 #: float64, half of glibc's default 128 KiB mmap threshold.  Blocks this
 #: small come from the heap and are reused, so a call neither maps, faults
 #: in and unmaps its temporaries nor leaves L2.
@@ -87,13 +90,15 @@ _SPHERE_BLOCK = 8192
 #: (12: 5e-11, 16: 1.5e-12, 20 to 32: 4e-13 to 9e-13).
 SPHERE_HERMITE_ORDER = 24
 
-#: the sphere's Hermite route keeps the terms of phi_k's series in e^{-4t}
-#: that reach e^{-SPHERE_SERIES_CUT} of the largest (``_series_terms``).
-#: e^{-75} = 2.7e-33, so the terms cut, at most 200 of them and weighted by
-#: i^2 <= 4e4, add less than 2.2e-26 of the largest term to any sum.  Over
-#: m in {2, ..., 7}, k <= 200 and Im s in [1e-5, 1e3] no output bit moves
-#: when the cut is lifted; some move at cuts of 36 and 45, none at 55.
-SPHERE_SERIES_CUT = 75.0
+#: the Hermite routes keep the terms of a sum that reach e^{-SERIES_CUT} of
+#: the largest: the sphere those of phi_k's series in e^{-4t}
+#: (``_series_terms``), bare groups their weights at a call's smallest Im s
+#: (``_p_group_rescaled``).  e^{-75} = 2.7e-33, so the sphere's terms cut,
+#: at most 200 of them and weighted by i^2 <= 4e4, add less than 2.2e-26 of
+#: the largest term to any sum.  Over m in {2, ..., 7}, k <= 200 and Im s in
+#: [1e-5, 1e3] no output bit moves when the cut is lifted; some move at cuts
+#: of 36 and 45, none at 55.
+SERIES_CUT = 75.0
 
 #: (k+q) sqrt(Im s) at and above which the sphere takes the rescaled route,
 #: or q/4 where that is larger (m > 49).  Below it the rescaled rule would
@@ -108,7 +113,7 @@ SPHERE_HERMITE_SWITCH = 6.0
 #: max(|kappa_closed|, m / (8 y^2))
 CLOSED_AGREEMENT_REL = 1e-9
 
-#: the bare su(2) and sphere panels cover the peak d = 0 out to
+#: the sphere panels cover the peak d = 0 out to
 #: +-(TRUNCATION_RADIUS_SIGMA sigma + 1), sigma = sqrt(Im s / 2), with
 #: PANEL_NODES Gauss-Legendre nodes per panel
 TRUNCATION_RADIUS_SIGMA = 8.0
@@ -176,7 +181,7 @@ def _volume_exponent(m: int, corrected: bool) -> float:
 
 def _moment_panels(log_f: Callable, breakpoints: np.ndarray, nodes: int,
                    psi_f: Callable, centre_sq: float, y: float, c: float,
-                   offset: float, signs_f: Optional[Callable] = None) -> LogP:
+                   offset: float) -> LogP:
     """``integrate_log_panels`` at one Im s y, kappa from the moment
     identity and offset added to log p.  Per node, log of e^{b - phi/y}
     has y-derivatives phi/y^2 and c/y^2 - 2 phi/y^3.  psi_f gives
@@ -186,8 +191,7 @@ def _moment_panels(log_f: Callable, breakpoints: np.ndarray, nodes: int,
         psi = psi_f(x)
         return (psi / (y * y),
                 (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4)
-    out = integrate_log_panels(log_f, breakpoints, nodes, signs_f,
-                               derivs_f=derivs)
+    out = integrate_log_panels(log_f, breakpoints, nodes, derivs_f=derivs)
     return replace(out, log_magnitude=out.log_magnitude + offset)
 
 
@@ -280,16 +284,13 @@ class CurvatureDensity:
 # group engines
 # ---------------------------------------------------------------------------
 
-def hermite_order_for(n_positive_roots: int) -> int:
+def hermite_order_for(degree: int) -> int:
     """Gauss-Hermite nodes per axis that make the rescaled group integral
-    and its first two y-derivatives exact.
-
-    At fixed w the integrand is a Gaussian times P = prod_{R+} alpha(u),
-    u = lambda y + sqrt(y) w, and P, P' and P'' are polynomials of degree
-    |R+| in w.  n nodes integrate degree 2n - 1 exactly (Golub & Welsch
-    1969), so n = ceil((|R+| + 1) / 2): 1 for tori and su(2), 2 for su(3).
-    """
-    return math.ceil((n_positive_roots + 1) / 2)
+    and its first two y-derivatives exact: at fixed w they are a Gaussian
+    times polynomials of degree |R+| (f = P) or 2 |R+| (f = P^2) in w, and
+    n nodes integrate degree 2n - 1 exactly (Golub & Welsch 1969): 1 for
+    tori and corrected su(2), 2 for corrected su(3) and bare su(2)."""
+    return math.ceil((degree + 1) / 2)
 
 
 @functools.cache
@@ -308,90 +309,82 @@ def _hermite_grid(rank: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only((nodes[index], np.log(weights)[index].sum(axis=1)))
 
 
-def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray, lam_u: np.ndarray,
-                      c: float, offset: np.ndarray) -> list:
+def _bare_weights(lam_u: np.ndarray, roots_u: np.ndarray,
+                  y_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights lambda - (j + 1/2) alpha, j < 2 lambda.alpha/alpha.alpha,
+    of the rank-1 irreducible of shifted weight lambda, largest first, and
+    their log multiplicities: mu and -mu give the same integral, so each
+    pair is one row of multiplicity 2 (mu = 0 has 1).  Only the weights that
+    count at Im s >= y_min are kept (see ``_p_group_rescaled``)."""
+    if len(lam_u) != 1:
+        raise ValueError("bare quadrature with roots present needs rank 1")
+    alpha = roots_u[0]
+    n = 2.0 * float(lam_u @ alpha) / float(alpha @ alpha)
+    dim = round(n)
+    if dim < 1 or abs(n - dim) > 1e-9 * n:
+        raise ValueError("a bare group needs a dominant integral weight; "
+                         f"lambda gives {n} weights")
+    if dim - 1 > MAX_BARE_SU2_INDEX:     # before any array of them is built
+        raise ValueError(f"bare su2 takes k <= {MAX_BARE_SU2_INDEX}, "
+                         f"got k = {dim - 1}")
+    j = np.arange((dim + 1) // 2, dtype=float)
+    mu = lam_u - (j[:, None] + 0.5) * alpha
+    log_mult = np.where(2.0 * j + 1.0 == dim, 0.0, math.log(2.0))
+    share = log_mult + (np.einsum("ij,ij->i", mu, mu) - mu[0] @ mu[0]) * y_min
+    keep = share >= share.max() - SERIES_CUT
+    return mu[keep], log_mult[keep]
+
+
+def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray, mu: np.ndarray,
+                      log_mult: np.ndarray, c: float,
+                      offset: np.ndarray) -> list:
     """The Gauss-Hermite route of ``p_group_quadrature``, a row per Im s.
 
-    In orthonormal coordinates the integrand is e^{-|u|^2/y + 2 lambda.u}
-    P(u), P = prod_{R+} alpha(u).  Substituting u = lambda y + sqrt(y) w,
-
-        p = e^{b + offset} e^{|lambda|^2 y} y^{rank/2} Q(y),
-        Q = int e^{-|w|^2} P(lambda y + sqrt(y) w) dw,
-
-    and |lambda|^2 y is linear in y, so it never enters kappa:
-    4 kappa = (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2.  At fixed w only P
-    depends on y, through u_y = lambda + w/(2 sqrt y) and
-    u_yy = -w/(4 y^{3/2}); P, P' and P'' come from the product rule over
-    the roots, so no node divides by P, which vanishes on a root wall.
+    In orthonormal coordinates the integrand is a sum over the weights mu
+    (rows, largest |mu| first) of mult e^{-|u|^2/y + 2 mu.u} f(u), f the
+    product of alpha(u) over the rows of roots_u (P = prod_{R+} alpha, or
+    P^2: each root twice).  With u = mu y + sqrt(y) w per term and
+    top = |mu_0|^2, p = e^{b + offset + top y} y^{rank/2} Q(y), where
+    Q = sum_mu mult e^{Delta y} int e^{-|w|^2} f dw, Delta = |mu|^2 - top,
+    and 4 kappa = (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2.  A node is a (weight,
+    Hermite node) pair of log-weight log mult + Delta y and values f,
+    Delta f + f', Delta^2 f + 2 Delta f' + f'', with f, f' and f'' from the
+    product rule (u_y = mu + w/(2 sqrt y), u_yy = -w/(4 y^{3/2})): no node
+    divides by f, which vanishes on root walls.  A term is at most
+    mult e^{Delta y} times the top one (its integral of f grows with |mu|),
+    so the caller drops the weights below e^{-SERIES_CUT} of the largest at
+    the smallest Im s: at most 5e5 of them add below 2e-27 of Q, and below
+    1e-23 / y^2 to Q''/Q.  One weight (corrected groups, tori) has
+    Delta = 0, and its nodes are those of f alone.
     """
-    rank = lam_u.size
+    rank, top = mu.shape[1], float(mu[0] @ mu[0])
     w, logs = _hermite_grid(rank, hermite_order_for(len(roots_u)))
-    p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
-    if len(roots_u):
-        yy = y[:, None, None]
-        sy = np.sqrt(yy)
-        u = lam_u * yy + sy * w              # (Im s, node, axis)
-        u_y = lam_u + w / (2.0 * sy)
-        u_yy = -w / (4.0 * yy * sy)
-        for alpha in roots_u:
-            a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
-            p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
-                          p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
-    return kappa_from_nodes(logs[None].repeat(y.size, axis=0), p0, p1, p2,
-                            (c - 0.5 * rank) / (y * y),
-                            offset + float(lam_u @ lam_u) * y
-                            + 0.5 * rank * np.log(y))
+    # one column per (weight, Hermite node), weights outermost
+    delta = np.einsum("ij,ij->i", mu, mu)
+    delta = np.repeat(delta - delta[0], len(logs))    # 0 on the top weight
+    mu = np.repeat(mu, len(w), axis=0)
+    w = np.tile(w, (len(log_mult), 1))
+    logs = (log_mult[:, None] + logs).ravel()
 
-
-def _peak_panels(lo: float, hi: float, sigma: float,
-                 n_panels: int) -> np.ndarray:
-    """Edges of n_panels uniform panels on [lo, hi] about a Gaussian peak of
-    width sigma at offset 0; past MAX_PANELS, MAX_PANELS uniform panels plus
-    edges at sigma * {-8, ..., 8}, clipped to [lo, hi]."""
-    if n_panels <= MAX_PANELS:
-        return np.linspace(lo, hi, n_panels + 1)
-    near = np.clip(sigma * np.arange(-8.0, 9.0), lo, hi)
-    return np.union1d(np.linspace(lo, hi, MAX_PANELS + 1), near)
-
-
-def _p_rank1_bare_panels(y: float, alphas: np.ndarray, lam: float, c: float,
-                         offset: float) -> LogP:
-    """The panel route of ``p_group_quadrature`` (bare, rank 1) at one Im s.
-
-    1/sinh|alpha u| decays like e^{-|alpha u|}, so for u > 0 the peak sits
-    at c1 = (lambda - sum |alpha| / 2) y.  The nodes are offsets d = u - c1
-    and the integrand is -d^2/y plus terms that stay small, with c1^2/y
-    added back to log p.  That bounds it by a Gaussian about c1, so the
-    panels cover d in [-R, R], R = TRUNCATION_RADIUS_SIGMA sigma + 1.
-    """
-    half_sum = 0.5 * float(np.sum(np.abs(alphas)))
-    c1 = (lam - half_sum) * y
-    sigma = math.sqrt(y / 2.0)
-    reach = TRUNCATION_RADIUS_SIGMA * sigma + 1.0
-    breakpoints = _peak_panels(-reach, reach, sigma, max(
-        32, int(math.ceil(2.0 * reach / (sigma / 2.0)))))
-
-    def log_f(d: np.ndarray) -> np.ndarray:
-        u = c1 + d
-        out = -d * d / y + 4.0 * half_sum * np.minimum(u, 0.0)
-        for al in alphas:
-            ax = np.abs(al * u)
-            # log |alpha^2 / sinh alpha| + |alpha u|, stable for large |x|
-            excess = np.log1p(-np.exp(-2 * ax)) - math.log(2.0)
-            small = ax < 1e-8
-            excess = np.where(small, np.log(np.maximum(ax, 1e-300)) - ax, excess)
-            out += 2.0 * np.log(np.maximum(ax, 1e-300)) - excess
-        return out
-
-    def signs_f(d: np.ndarray) -> np.ndarray:
-        sgn = np.ones_like(d)
-        for al in alphas:
-            sgn *= np.sign(al * (c1 + d))
-        return sgn.astype(int)
-
-    return _moment_panels(log_f, breakpoints, PANEL_NODES,
-                          lambda d: d * (d + 2.0 * c1), c1 * c1, y, c,
-                          offset + c1 * c1 / y, signs_f)
+    def rows(block: slice) -> list:
+        yb = y[block]
+        p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
+        if len(roots_u):
+            yy = yb[:, None, None]
+            sy = np.sqrt(yy)
+            u = mu * yy + sy * w                 # (Im s, column, axis)
+            u_y = mu + w / (2.0 * sy)
+            u_yy = -w / (4.0 * yy * sy)
+            for alpha in roots_u:
+                a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
+                p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
+                              p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
+        p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
+        return kappa_from_nodes(logs + delta * yb[:, None], p0, p1, p2,
+                                (c - 0.5 * rank) / (yb * yb),
+                                offset[block] + top * yb
+                                + 0.5 * rank * np.log(yb))
+    return _in_blocks(y.size, len(logs), rows)
 
 
 def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
@@ -401,27 +394,27 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
     corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
     bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
 
-    The corrected integrand is polynomial-times-Gaussian and is evaluated
-    exactly by tensor Gauss-Hermite, rescaled about its peak in
-    metric-orthonormal coordinates (``_p_group_rescaled``), all Im s in one
-    array; the bare path (rank 1 only when roots are present) uses
-    log-domain Gauss-Legendre panels and the moment identity, per Im s.
-    """
+    Averaged over the Weyl group, the bare integrand is prod alpha^2 times
+    sum_w det(w) e^{2 w lambda} / prod 2 sinh alpha (2^{|R+|}/|W| = 1 in
+    rank 1), by Weyl's character formula sum_mu mult(mu) e^{2 mu(tau)}.  So
+    tensor Gauss-Hermite about each peak (``_p_group_rescaled``, one array)
+    is exact: corrected, one term with P = prod alpha; bare (rank 1 when
+    roots are present), P^2 per weight (``_bare_weights``)."""
     y, one = _im_grid(s)
     if rs.positive_roots and rs.rank > 2:
         raise ValueError("quadrature path with roots needs rank <= 2")
+    if not y.size:
+        return []
     m = rs.manifold_dim
-    c = _volume_exponent(m, corrected)
     M, roots_u, log_det_M = _frame(rs)
     lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
-    offset = _log_volume(y, m, corrected) + log_det_M
-    if corrected or not rs.positive_roots:
-        out = _p_group_rescaled(y, roots_u, lam_u, c, offset)
-    elif rs.rank != 1:
-        raise ValueError("bare quadrature with roots present needs rank 1")
-    else:
-        out = [_p_rank1_bare_panels(yi, roots_u[:, 0], float(lam_u[0]), c, oi)
-               for yi, oi in zip(y.tolist(), offset.tolist())]
+    mu, log_mult = lam_u[None], np.zeros(1)
+    if not corrected and rs.positive_roots:     # f = P^2: each root twice
+        mu, log_mult = _bare_weights(lam_u, roots_u, float(y.min()))
+        roots_u = np.concatenate((roots_u, roots_u))
+    out = _p_group_rescaled(y, roots_u, mu, log_mult,
+                            _volume_exponent(m, corrected),
+                            _log_volume(y, m, corrected) + log_det_M)
     return out[0] if one else out
 
 
@@ -462,8 +455,8 @@ def p_su2_closed(s, k: int) -> LogP | list:
     per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
     derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row of terms per Im s.
     """
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a nonnegative integer")
+    if not (0 <= k <= MAX_BARE_SU2_INDEX and int(k) == k):
+        raise ValueError(f"k must be an integer in [0, {MAX_BARE_SU2_INDEX}]")
     y, one = _im_grid(s)
     n = (k - 2.0 * np.arange(k + 1)) ** 2
 
@@ -612,11 +605,11 @@ def _sphere_series(k: int, m: int) -> np.ndarray:
 def _series_terms(log_a: np.ndarray, t_min: np.ndarray) -> np.ndarray:
     """How many leading terms of the series log_a (``_sphere_series``) to
     keep for t >= t_min, per t_min: up to the last term that reaches
-    e^{-SPHERE_SERIES_CUT} of the largest at t_min.  Past the largest
+    e^{-SERIES_CUT} of the largest at t_min.  Past the largest
     term's index a term's ratio to it only falls as t grows, so at every
     t >= t_min the terms cut stay below that share."""
     x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.size)
-    keep = x >= x.max(axis=1, keepdims=True) - SPHERE_SERIES_CUT
+    keep = x >= x.max(axis=1, keepdims=True) - SERIES_CUT
     return log_a.size - keep[:, ::-1].argmax(axis=1)
 
 
@@ -712,8 +705,11 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float,
     sigma = math.sqrt(y / 2.0)
     reach = TRUNCATION_RADIUS_SIGMA * sigma + 1.0
     lo, hi = max(-t0, -reach), reach
-    breakpoints = _peak_panels(lo, hi, sigma, max(
-        48, int(math.ceil((hi - lo) / (sigma / 2.0)))))
+    n_panels = max(48, int(math.ceil((hi - lo) / (sigma / 2.0))))
+    breakpoints = np.linspace(lo, hi, min(n_panels, MAX_PANELS) + 1)
+    if n_panels > MAX_PANELS:
+        breakpoints = np.union1d(breakpoints, np.clip(
+            sigma * np.arange(-8.0, 9.0), lo, hi))
 
     def log_f(d: np.ndarray) -> np.ndarray:
         # log of e^{a t^2} (sinh 2t)^q t^q phi_k(t) less t0^2/y, with the

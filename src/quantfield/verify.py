@@ -153,18 +153,26 @@ def check_group_flatness() -> CheckResult:
 
 def check_su2_bare_anchor() -> CheckResult:
     """Bare su(2) curvature hits its two closed-form values at s = i, and
-    the k = 0, 1 family is not projectively flat, with gap 1/9 at s = i."""
+    the k = 0, 1 family is not projectively flat, with gap 1/9 at s = i.
+    At k = 200, Im s in {20, 100} kappa meets the closed form (to 1e-12 of
+    3/(8 y^2)) and, within 2/(k^2 y), the large-k limit rank/(8 y^2)."""
     su2 = liecore.su2()
     res = flatness_classify(ModelSpec.group(su2, 0, corrected=False),
                             [0, 1], [1j, 2j])
     kappa = {k: kap for k, s, kap in res.table if s == 1j}
     gap = (abs(res.witness[3] - 1.0 / 9.0)
            if res.verdict == "NotProjectivelyFlat" else math.inf)
+    far = [(8.0 * c.s.imag ** 2, c) for c in curvature(
+        ModelSpec.group(su2, 200, corrected=False), [20j, 100j])]
+    path_gap = max(abs(c.kappa - c.cross_check) * y8 / 3.0 for y8, c in far)
+    limit_gap = max(abs(y8 * c.kappa - 1.0) for y8, c in far)
     return _all_within("bare-su2-anchors",
                        [("kappa(0,i)-3/8", abs(kappa[0] - 0.375), 1e-6),
                         ("kappa(1,i)-19/72",
                          abs(kappa[1] - (0.375 - 1.0 / 9.0)), 1e-5),
-                        ("witness gap-1/9", gap, 1e-5)])
+                        ("witness gap-1/9", gap, 1e-5),
+                        ("k=200 path gap", path_gap, 1e-12),
+                        ("k=200 1/(8y^2) rel", limit_gap, 1e-5)])
 
 
 def check_torus_bare() -> CheckResult:

@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+from quantfield import quantization
 from quantfield.cli import CSV_HEADER, _build_parser, main
 
 
@@ -282,9 +284,18 @@ def test_one_invalid_im_s_in_a_grid_exits_2(command, model, bad, capsys):
     assert err.startswith("error:")
 
 
-def test_grid_disagreement_exits_1_naming_first_failing_s(capsys):
-    # bare su2 at k = 50 fails its closed-form cross-check at Im s 50 and
-    # 100, not at 1 or 5; the message names the first in --im-s order
+def test_grid_disagreement_exits_1_naming_first_failing_s(capsys,
+                                                         monkeypatch):
+    # a closed form moved off the quadrature at Im s 50 and 100, not at 1
+    # or 5, fails the cross-check there; the message names the first in
+    # --im-s order
+    closed = quantization.p_su2_closed
+
+    def off_at_50_and_100(s, k):
+        return [replace(c, kappa=c.kappa + 1.0) if v.imag in (50, 100) else c
+                for v, c in zip(s, closed(s, k))]
+
+    monkeypatch.setattr(quantization, "p_su2_closed", off_at_50_and_100)
     rc, out, err = run(["sweep", "--model", "group:su2", "--k", "1,50",
                         "--im-s", "1,100,5,50"], capsys)
     assert rc == 1 and out == ""

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer, roots_jacobi
 
 from quantfield import liecore, quantization
+from quantfield.cli import main as cli_main
 from quantfield.quadrature import hermite_rule, kappa_from_log
 from quantfield.quantization import (ModelSpec, curvature, flatness_classify,
                                      hermite_order_for,
@@ -70,13 +72,16 @@ _SIZED_CASES = (
     + [(liecore.torus(m), liecore.torus_weight(m, k), False)
        for m in (1, 2, 3) for k in ([0] * m, [1, -2, 3][:m])]
     + [(liecore.su3(), liecore.highest_weight(liecore.su3(), labels), True)
-       for labels in ((0, 0), (1, 0), (2, 1), (3, 3))])
+       for labels in ((0, 0), (1, 0), (2, 1), (3, 3))]
+    + [(liecore.su2(), liecore.su2_weight(k), False)
+       for k in (0, 1, 2, 5, 20)])
 
 
 @pytest.mark.parametrize("rs, lam, corrected", _SIZED_CASES)
 def test_sized_hermite_rule_matches_order_64(rs, lam, corrected, monkeypatch):
     # ceil((|R+| + 1) / 2) nodes per axis integrate P, P' and P'' (degree
-    # |R+| in the rescaled w) exactly, so log p and kappa are those of a
+    # |R+| in the rescaled w) exactly, and |R+| + 1 nodes the bare P^2 and
+    # its derivatives (degree 2 |R+|), so log p and kappa are those of a
     # 64-node rule
     assert [hermite_order_for(n) for n in (0, 1, 3)] == [1, 1, 2]
     ys = (0.05, 0.5, 1.0, 2.0, 10.0)
@@ -168,19 +173,23 @@ def _su2_bare_kappa_decimal(k: int, y: float) -> float:
     """kappa of the bare su2 character sum at 40 digits (stdlib decimal):
     p = y^{-3/2} f, f = sum_j e^{n_j y} (1 + 2 n_j y), n_j = (k-2j)^2, and
     4 kappa = 3/(2y^2) + f''/f - (f'/f)^2 with f' = sum e^{ny} n (3 + 2ny)
-    and f'' = sum e^{ny} n^2 (5 + 2ny)."""
+    and f'' = sum e^{ny} n^2 (5 + 2ny).  Terms with e^{ny} below e^{-300}
+    of the largest, n = k^2, are skipped: each is below e^{-300} of the
+    n = k^2 term of every sum, so 1e6 of them move none by 1e-40 of itself."""
     ctx = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
     with decimal.localcontext(ctx):
-        y = decimal.Decimal(y)
+        yd = decimal.Decimal(y)
         f = d1 = d2 = decimal.Decimal(0)
         for j in range(k + 1):
             n = (k - 2 * j) ** 2
-            e = (n * y).exp()
-            f += e * (1 + 2 * n * y)
-            d1 += e * n * (3 + 2 * n * y)
-            d2 += e * n * n * (5 + 2 * n * y)
-        return float((3 / (2 * y * y) + d2 / f - (d1 / f) ** 2) / 4)
+            if (k * k - n) * y > 300.0:
+                continue
+            e = (n * yd).exp()
+            f += e * (1 + 2 * n * yd)
+            d1 += e * n * (3 + 2 * n * yd)
+            d2 += e * n * n * (5 + 2 * n * yd)
+        return float((3 / (2 * yd * yd) + d2 / f - (d1 / f) ** 2) / 4)
 
 
 @pytest.mark.parametrize("k, y", [(200, 1000.0), (1000, 20.0), (50, 50.0)])
@@ -190,6 +199,81 @@ def test_su2_closed_kappa_against_40_digits(k, y):
     got = p_su2_closed(complex(0, y), k).kappa
     assert got == pytest.approx(_su2_bare_kappa_decimal(k, y), rel=1e-12,
                                 abs=0.0)
+
+
+# bare su2 at large k Im s, where a route that holds u fixed cancels terms
+# about k^2 Im s times larger than kappa
+_BARE_SU2_POINTS = [(50, 50.0), (100, 100.0), (200, 1000.0), (1000, 20.0),
+                    (1000, 1000.0), (10, 1000.0), (100000, 1.0)]
+
+
+@pytest.mark.parametrize("k, y", _BARE_SU2_POINTS)
+def test_bare_su2_cli_matches_40_digits(k, y, capsys):
+    rc = cli_main(["curvature", "--model", "group:su2", "--k", str(k),
+                   "--im-s", repr(y)])
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    got = json.loads(out.out)["kappa"]
+    want = _su2_bare_kappa_decimal(k, y)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 3.0 / (8.0 * y * y))
+
+
+def test_bare_su2_k0_is_the_anchor():
+    # at k = 0 the only weight is 0 and Q(y) is proportional to y^{|R+|}:
+    # kappa = 3/(8 y^2) exactly
+    ys = np.logspace(-8, 3, 45)
+    for y, c in zip(ys, curvature(ModelSpec.group(liecore.su2(), 0, False),
+                                  [complex(0, v) for v in ys])):
+        want = 3.0 / (8.0 * y * y)
+        assert abs(c.kappa - want) <= 1e-14 * want
+
+
+def test_bare_su2_weights_are_the_character():
+    # folded weights k - 2j >= 0, multiplicity 2 (1 at weight 0), sum k + 1
+    for k in (0, 1, 2, 7, 10):
+        mu, log_mult = quantization._bare_weights(np.array([k + 1.0]),
+                                                  np.array([[2.0]]), 0.0)
+        assert mu[:, 0].tolist() == list(range(k, -1, -2))
+        assert round(float(np.exp(log_mult).sum())) == k + 1
+    with pytest.raises(ValueError, match="dominant integral"):
+        quantization._bare_weights(np.array([1.5]), np.array([[2.0]]), 0.0)
+
+
+def test_bare_su2_weight_cut_moves_no_bit(monkeypatch):
+    # the weights cut at the smallest Im s are below e^{-75} of the largest
+    ys = [complex(0, y) for y in (1e-6, 1e-3, 0.05, 1.0, 20.0)]
+    models = [ModelSpec.group(liecore.su2(), k, corrected=False)
+              for k in (3, 50, 1000)]
+    cut = [model_log_p(model)(ys) for model in models]
+    monkeypatch.setattr(quantization, "SERIES_CUT", math.inf)
+    assert [model_log_p(model)(ys) for model in models] == cut
+
+
+def test_bare_su2_label_cap(capsys):
+    # past the cap the label is refused before any array of its k + 1
+    # weights is built (10^12 of them raised numpy's memory error); at the
+    # cap the closed form's (Im s x k) rows dominate a peak of about 70 MB
+    rc = cli_main(["curvature", "--model", "group:su2", "--k",
+                   str(10 ** 12), "--im-s", "1"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error:") and "Traceback" not in out.err
+    k = quantization.MAX_BARE_SU2_INDEX
+    tracemalloc.start()
+    try:
+        rc = cli_main(["sweep", "--model", "group:su2", "--k", str(k),
+                       "--im-s", "1e-9,1,1000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    assert peak < 96 * 2 ** 20
+    # exit 0: each row agreed with the closed form; at Im s 1 and 1000 the
+    # top weight alone counts and kappa is the large-k limit 1/(8 y^2)
+    for rec in map(json.loads, out.out.splitlines()[1:]):
+        y = rec["s"]["im"]
+        assert rec["kappa"] == pytest.approx(1.0 / (8.0 * y * y), rel=1e-5)
 
 
 def test_su2_closed_values():
@@ -394,7 +478,7 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
     cut = [p_sphere(complex(0, y), k, m) for k, m, y in cases]
     assert sum(terms < k + 1 for (_, terms), (k, _, _) in zip(kept, cases)) \
         >= len(cases) // 2
-    monkeypatch.setattr(quantization, "SPHERE_SERIES_CUT", math.inf)
+    monkeypatch.setattr(quantization, "SERIES_CUT", math.inf)
     assert [p_sphere(complex(0, y), k, m) for k, m, y in cases] == cut
 
 
@@ -553,17 +637,17 @@ class _PanelsSeen(Exception):
 
 
 @pytest.mark.parametrize("k", (0, 2, 8))
-def test_bare_su2_panel_count_is_capped(monkeypatch, k):
-    # at Im s = 1e-12 panels of sigma/2 over +-(8 sigma + 1) would number
-    # about 5.7 million; the spy stops the call before anything is
-    # integrated
+def test_sphere_panel_count_is_capped(monkeypatch, k):
+    # at Im s = 1e-12, below the sphere's switch, panels of sigma/2 over
+    # [0, t0 + 8 sigma + 1] would number about 2.8 million; the spy stops
+    # the call before anything is integrated
     def spy(log_f, breakpoints, nodes_per_panel, *args, **kwargs):
         assert len(breakpoints) - 1 <= quantization.MAX_PANELS + 17
         raise _PanelsSeen
 
     monkeypatch.setattr(quantization, "integrate_log_panels", spy)
     with pytest.raises(_PanelsSeen):
-        curvature(ModelSpec.group(liecore.su2(), k, corrected=False), 1e-12j)
+        curvature(ModelSpec.sphere(2, k), 1e-12j)
 
 
 @pytest.mark.parametrize("k", (0, 2, 8))
@@ -858,9 +942,16 @@ def test_curvature_makes_one_engine_call_per_grid(monkeypatch):
     assert not (M.flags.writeable or roots_u.flags.writeable)
 
 
-def test_curvature_grid_error_names_first_failing_s():
-    # bare su2 at k = 50 fails its closed-form cross-check at Im s 50 and
-    # 100; a grid raises at the first of them in grid order
+def test_curvature_grid_error_names_first_failing_s(monkeypatch):
+    # a closed form moved off the quadrature at Im s 50 and 100 fails the
+    # cross-check there; a grid raises at the first of them in grid order
+    closed = quantization.p_su2_closed
+
+    def off_at_50_and_100(s, k):
+        return [replace(c, kappa=c.kappa + 1.0) if v.imag in (50, 100) else c
+                for v, c in zip(s, closed(s, k))]
+
+    monkeypatch.setattr(quantization, "p_su2_closed", off_at_50_and_100)
     model = ModelSpec.group(liecore.su2(), 50, corrected=False)
     with pytest.raises(ArithmeticError, match=r"s=100j"):
         curvature(model, [1j, 100j, 5j, 50j])
