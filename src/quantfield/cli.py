@@ -61,8 +61,8 @@ class RunConfig:
             return ModelSpec.group(presets[arg](), k, self.corrected)
         if kind == "torus":
             m = int(arg)
-            if m > MAX_TORUS_RANK:     # refused before any rank-m array
-                raise ValueError(f"torus:<m> takes m <= {MAX_TORUS_RANK}")
+            if not 1 <= m <= MAX_TORUS_RANK:   # before any rank-m array
+                raise ValueError(f"torus:<m> takes 1 <= m <= {MAX_TORUS_RANK}")
             kvec = [k] * m if np.isscalar(k) else k
             return ModelSpec.torus(m, kvec, self.corrected)
         if kind in ("sphere", "circle") and not np.isscalar(k):

@@ -1,7 +1,8 @@
 """Root-system data, Weyl characters, adjoint operators and half-form densities.
 
-Shipped presets: tori of rank 1-3, su(2), su(3) and the symmetric pairs
-so(m+1)/so(m) for m <= 6.
+Root systems are generated from their simple roots (``RootSystem``).
+Shipped presets: tori of any rank, su(2) and su(3), with their adjoint data,
+and the symmetric pairs so(m+1)/so(m) for every m >= 2.
 
 Normalization: every preset fixes an explicit inner product on the Cartan
 subalgebra; the su(2) preset uses |tau|^2 = t^2 with positive root
@@ -58,32 +59,65 @@ class WeylElement:
         return np.asarray(self.matrix, dtype=float)
 
 
+#: largest Weyl group built; simple roots 2.2 rad apart give an infinite one
+MAX_WEYL_ORDER = 2000
+
+
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system from its simple roots (linear forms, as coefficient
+    tuples; none for a torus) and the Cartan metric.  The Weyl group is the
+    breadth-first closure of the simple reflections tau -> tau - alpha(tau)
+    alpha^vee, each element signed (-1)^(word length) and keyed by its
+    entries to 9 digits, so float products meet; the positive roots are the
+    simple roots' images alpha o w, in that order, that are non-negative
+    combinations of them (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.3)."""
+
     rank: int
-    positive_roots: tuple            # linear forms, coefficient tuples
-    weyl_elements: tuple             # WeylElement instances
+    simple_roots: tuple
     inner_product: tuple             # SPD matrix on the Cartan subalgebra
-    manifold_dim: int                # dim of the underlying group manifold
     name: str = ""
+    positive_roots: tuple = field(init=False, compare=False)
+    weyl_elements: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        for alpha in self.positive_roots:
-            if len(alpha) != self.rank:
-                raise ValueError("root coefficient length != rank")
-        if self.manifold_dim != self.rank + 2 * len(self.positive_roots):
-            raise ValueError(
-                "manifold_dim must equal rank + 2 * (number of positive roots)")
+        if any(len(alpha) != self.rank for alpha in self.simple_roots):
+            raise ValueError("root coefficient length != rank")
         G = self.gram()
         if G.shape != (self.rank, self.rank) or not np.allclose(G, G.T):
             raise ValueError("inner_product must be a symmetric rank x rank matrix")
         if np.any(np.linalg.eigvalsh(G) <= 0):
             raise ValueError("inner_product must be positive definite")
-        for w in self.weyl_elements:
-            if w.det not in (1, -1):
-                raise ValueError("Weyl element determinant must be +-1")
+        simple = np.asarray(self.simple_roots, dtype=float).reshape(-1, self.rank)
+        dual = np.linalg.solve(G, simple.T).T           # metric duals, rows
+        coroots = 2.0 * dual / np.einsum("ij,ij->i", simple, dual)[:, None]
+        key = lambda a: tuple(np.round(a, 9).ravel().tolist())
+        weyl, seen = [(np.eye(self.rank), 1)], {key(np.eye(self.rank))}
+        for g, det in weyl:                             # grows as it goes
+            for h in (g - np.outer(g @ c, a) for c, a in zip(coroots, simple)):
+                if key(h) in seen:
+                    continue
+                if len(weyl) == MAX_WEYL_ORDER:
+                    raise ValueError(f"{self.name or 'these simple roots'}: "
+                                     f"over {MAX_WEYL_ORDER} Weyl elements, "
+                                     "so no finite root system")
+                seen.add(key(h))
+                weyl.append((h, -det))
+        to_simple, positive = np.linalg.pinv(simple), {}
+        for beta in (a @ g for a in simple for g, _ in weyl):
+            if np.all(beta @ to_simple >= -1e-9):
+                positive.setdefault(key(beta), tuple(beta.tolist()))
+        object.__setattr__(self, "positive_roots", tuple(positive.values()))
+        object.__setattr__(self, "weyl_elements", tuple(
+            WeylElement(tuple(map(tuple, g.tolist())), det) for g, det in weyl))
+
+    @property
+    def manifold_dim(self) -> int:
+        """dim of the group manifold, rank + 2 |R+|."""
+        return self.rank + 2 * len(self.positive_roots)
 
     def gram(self) -> np.ndarray:
         return np.asarray(self.inner_product, dtype=float)
@@ -94,9 +128,8 @@ class RootSystem:
 
     def rho(self) -> np.ndarray:
         """Half sum of the positive roots, as a linear form."""
-        if not self.positive_roots:
-            return np.zeros(self.rank)
         return 0.5 * self.roots_array().sum(axis=0)
+
 
 @dataclass(frozen=True)
 class ShiftedWeight:
@@ -178,66 +211,23 @@ def _preset(key, build) -> RootSystem:
 
 def torus(rank: int) -> RootSystem:
     """Commutative preset: no roots, trivial Weyl group, identity metric."""
-    def build():
-        ident = tuple(map(tuple, np.eye(rank)))
-        return RootSystem(rank=rank, positive_roots=(),
-                          weyl_elements=(WeylElement(ident, 1),),
-                          inner_product=ident, manifold_dim=rank,
-                          name=f"torus{rank}")
-    return _preset(("torus", rank), build)
+    return _preset(("torus", rank), lambda: RootSystem(
+        rank, (), tuple(map(tuple, np.eye(rank))), f"torus{rank}"))
 
 
 def su2() -> RootSystem:
-    return _preset("su2", lambda: RootSystem(
-        rank=1,
-        positive_roots=((2.0,),),
-        weyl_elements=(WeylElement(((1.0,),), 1), WeylElement(((-1.0,),), -1)),
-        inner_product=((1.0,),),
-        manifold_dim=3,
-        name="su2",
-    ))
-
-
-def _perm_matrix_on_plane(perm: tuple) -> np.ndarray:
-    """Action of a permutation of (theta1, theta2, theta3) on coordinates
-    (u, v) of the trace-zero plane theta = (u, v, -u-v)."""
-    basis = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # d theta / d(u,v)
-    out = np.empty((2, 2))
-    for col, vec in enumerate(np.eye(2)):
-        theta = vec @ basis
-        permuted = theta[list(perm)]
-        out[:, col] = permuted[:2]
-    return out
+    return _preset("su2", lambda: RootSystem(1, ((2.0,),), ((1.0,),), "su2"))
 
 
 def su3() -> RootSystem:
     """su(3) in coordinates (u, v) of the Cartan plane theta = (u, v, -u-v).
 
-    Positive roots theta_i - theta_j, i < j; the metric is half the sum of
-    squares of the theta's, matching the su(2) preset on embedded su(2)'s.
+    Simple roots theta_1 - theta_2 and theta_2 - theta_3; the metric is half
+    the sum of squares of the theta's, matching the su(2) preset on embedded
+    su(2)'s.
     """
-    return _preset("su3", _build_su3)
-
-
-def _build_su3() -> RootSystem:
-    perms = {
-        (0, 1, 2): 1, (1, 0, 2): -1, (2, 1, 0): -1,
-        (0, 2, 1): -1, (2, 0, 1): 1, (1, 2, 0): 1,
-    }
-    weyl = []
-    for perm, sign in perms.items():
-        mat = _perm_matrix_on_plane(perm)
-        det = int(round(np.linalg.det(mat)))
-        assert det == sign
-        weyl.append(WeylElement(tuple(map(tuple, mat)), det))
-    return RootSystem(
-        rank=2,
-        positive_roots=((1.0, -1.0), (2.0, 1.0), (1.0, 2.0)),
-        weyl_elements=tuple(weyl),
-        inner_product=((1.0, 0.5), (0.5, 1.0)),
-        manifold_dim=8,
-        name="su3",
-    )
+    return _preset("su3", lambda: RootSystem(
+        2, ((1.0, -1.0), (1.0, 2.0)), ((1.0, 0.5), (0.5, 1.0)), "su3"))
 
 
 def _structure_constants_from_matrices(basis: list[np.ndarray]) -> np.ndarray:
@@ -346,11 +336,9 @@ def shifted_weight(rs: RootSystem, highest_weight: Sequence[float],
 
 def fundamental_weights(rs: RootSystem) -> np.ndarray:
     """The fundamental weights as rows of linear forms, ordered like the
-    simple roots among the positive roots: <omega_i, alpha_j^vee> = delta_ij
-    for the metric dual of the Cartan metric."""
-    roots = rs.roots_array()
-    sums = {tuple(np.round(a + b, 9)) for a in roots for b in roots}
-    simple = np.array([a for a in roots if tuple(np.round(a, 9)) not in sums])
+    simple roots: <omega_i, alpha_j^vee> = delta_ij for the metric dual of
+    the Cartan metric."""
+    simple = np.asarray(rs.simple_roots, dtype=float)
     dual = np.linalg.inv(rs.gram())
     coroots = 2.0 * simple / np.einsum("ij,jk,ik->i", simple, dual,
                                        simple)[:, None]
@@ -381,10 +369,7 @@ def _check_point(rs: RootSystem, tau) -> np.ndarray:
 
 def root_product(rs: RootSystem, tau) -> float:
     """Product of alpha(tau) over the positive roots."""
-    t = _check_point(rs, tau)
-    if not rs.positive_roots:
-        return 1.0
-    return float(np.prod(rs.roots_array() @ t))
+    return float(np.prod(rs.roots_array() @ _check_point(rs, tau)))
 
 
 def _log_sinh(x: float) -> LogValue:
@@ -396,26 +381,27 @@ def _log_sinh(x: float) -> LogValue:
                              1 if x > 0 else -1)
 
 
+def _weyl_parts(rs: RootSystem, lam: np.ndarray,
+                t: np.ndarray) -> tuple[LogValue, float, LogValue]:
+    """sum_w det(w) e^{2 lam(w t)} over the Weyl group, its largest
+    exponent, and prod_{alpha in R+} sinh alpha(t)."""
+    logs = [2.0 * float(lam @ (w.as_array() @ t)) for w in rs.weyl_elements]
+    prod = LogValue.from_value(1.0)
+    for a in rs.roots_array() @ t:
+        prod = prod * _log_sinh(float(a))
+    return (signed_logsumexp(logs, [w.det for w in rs.weyl_elements]),
+            max(logs), prod)
+
+
 def weyl_denominator(rs: RootSystem, tau) -> tuple[LogValue, LogValue]:
     """Both closed forms of the denominator, which must agree:
 
     product side  prod_{alpha in R+} sinh alpha(tau)
     sum side      2^{-|R+|} sum_{w in W} det(w) exp(2 rho(w tau))
     """
-    t = _check_point(rs, tau)
-    nroots = len(rs.positive_roots)
-    prod_side = LogValue.from_value(1.0)
-    if nroots:
-        for a in rs.roots_array() @ t:
-            prod_side = prod_side * _log_sinh(float(a))
-    rho = rs.rho()
-    logs, signs = [], []
-    for w in rs.weyl_elements:
-        logs.append(2.0 * float(rho @ (w.as_array() @ t)))
-        signs.append(w.det)
-    sum_side = signed_logsumexp(logs, signs)
-    sum_side = sum_side * LogValue.from_log(-nroots * math.log(2.0))
-    return prod_side, sum_side
+    alt, _, prod = _weyl_parts(rs, rs.rho(), _check_point(rs, tau))
+    return prod, alt * LogValue.from_log(-len(rs.positive_roots)
+                                         * math.log(2.0))
 
 
 def character_at(rs: RootSystem, lam: ShiftedWeight, tau,
@@ -431,21 +417,13 @@ def character_at(rs: RootSystem, lam: ShiftedWeight, tau,
     nroots = len(rs.positive_roots)
 
     def raw(tt: np.ndarray) -> Optional[float]:
-        logs, signs = [], []
-        for w in rs.weyl_elements:
-            logs.append(2.0 * float(lv @ (w.as_array() @ tt)))
-            signs.append(w.det)
-        num = signed_logsumexp(logs, signs)
-        denom = LogValue.from_value(1.0)
-        if nroots:
-            for a in rs.roots_array() @ tt:
-                denom = denom * _log_sinh(float(a))
-            denom = denom * LogValue.from_log(nroots * math.log(2.0))
+        num, top, denom = _weyl_parts(rs, lv, tt)
+        denom = denom * LogValue.from_log(nroots * math.log(2.0))
         if denom.sign == 0:
             return None
         # the alternating numerator cancels with the denominator near its
         # zero set; judge smallness relative to the numerator term scale
-        if nroots and denom.log_magnitude - max(logs) < math.log(denominator_floor):
+        if nroots and denom.log_magnitude - top < math.log(denominator_floor):
             return None
         return (num / denom).to_float()
 
@@ -521,7 +499,7 @@ def half_form_density_group(data, point) -> float:
     if isinstance(data, RootSystem):
         t = _check_point(data, point)
         out = 1.0
-        for a in (data.roots_array() @ t if data.positive_roots else []):
+        for a in data.roots_array() @ t:
             out *= 2.0 * math.sinh(a) / a if a != 0.0 else 2.0
         return out
     adj: AdjointData = data

@@ -197,11 +197,11 @@ def _moment_panels(log_f: Callable, breakpoints: np.ndarray, nodes: int,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A quantization target: Group(root system), Torus(m), Sphere(m) or
-    TruncatedCircle(r), plus the half-form correction flag and the character
-    index."""
+    """A quantization target: Group(root system; a torus is the rootless
+    group), Sphere(m) or TruncatedCircle(r), plus the half-form correction
+    flag and the character index."""
 
-    variant: str                      # group | torus | sphere | truncated-circle
+    variant: str                      # group | sphere | truncated-circle
     corrected: bool
     weight_index: object              # int k, Dynkin labels or ShiftedWeight
     root_system: Optional[RootSystem] = None
@@ -209,12 +209,10 @@ class ModelSpec:
     r: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant not in ("group", "torus", "sphere", "truncated-circle"):
+        if self.variant not in ("group", "sphere", "truncated-circle"):
             raise ValueError(f"unknown model variant {self.variant!r}")
         if self.variant == "group" and self.root_system is None:
             raise ValueError("group model needs a root system")
-        if self.variant == "torus" and (self.m is None or self.m < 1):
-            raise ValueError("torus model needs m >= 1")
         if self.variant == "sphere":
             if self.m is None or self.m < 2:
                 raise ValueError("sphere model needs m >= 2")
@@ -222,8 +220,9 @@ class ModelSpec:
                 raise ValueError(
                     "bare sphere quantization is not supported: only the "
                     "half-form corrected weight is defined for spheres")
-        if self.variant == "truncated-circle" and (self.r is None or self.r <= 0):
-            raise ValueError("truncated-circle model needs r > 0")
+        if self.variant == "truncated-circle" and not 0 < (self.r or 0) < math.inf:
+            raise ValueError(
+                f"truncated circle needs a finite r > 0, got r = {self.r}")
 
     @classmethod
     def group(cls, rs: RootSystem, k, corrected: bool = True) -> "ModelSpec":
@@ -231,7 +230,7 @@ class ModelSpec:
 
     @classmethod
     def torus(cls, m: int, k, corrected: bool = False) -> "ModelSpec":
-        return cls("torus", corrected, k, m=m)
+        return cls.group(liecore.torus(m), k, corrected)
 
     @classmethod
     def sphere(cls, m: int, k: int) -> "ModelSpec":
@@ -243,10 +242,10 @@ class ModelSpec:
         return cls("truncated-circle", corrected, k, r=r)
 
     def label(self) -> str:
-        if self.variant == "group":
-            return f"group:{self.root_system.name or 'custom'}"
-        if self.variant == "torus":
-            return f"torus:{self.m}"
+        rs = self.root_system
+        if self.variant == "group":        # a rootless group is a torus
+            return (f"group:{rs.name or 'custom'}" if rs.positive_roots
+                    else f"torus:{rs.rank}")
         if self.variant == "sphere":
             return f"sphere:{self.m}"
         return f"circle:{self.r:g}"
@@ -265,8 +264,6 @@ class ModelSpec:
                     f"{rs.name or 'this root system'} takes a highest weight "
                     f"as {rs.rank} Dynkin labels (e.g. 1/0), not an integer")
             return liecore.highest_weight(rs, self.weight_index)
-        if self.variant == "torus":
-            return liecore.torus_weight(self.m, self.weight_index)
         raise ValueError("sphere / truncated-circle models use an integer index")
 
 
@@ -421,9 +418,9 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
 def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP | list:
     """Corrected group manifolds: log p = |lambda*|^2 Im s + const.
 
-    The Im s power vanishes because the manifold dimension satisfies
-    m = rank + 2 |R+|, which the RootSystem invariant enforces; log p is
-    linear in Im s, so kappa = 0.
+    The Im s power vanishes because the manifold dimension is
+    m = rank + 2 |R+| (``RootSystem.manifold_dim``); log p is linear in
+    Im s, so kappa = 0.
     """
     y, one = _im_grid(s)
     norm_sq = liecore.dual_norm_sq(rs, lam)
@@ -454,11 +451,18 @@ def p_su2_closed(s, k: int) -> LogP | list:
     as a mean plus a variance over the terms of f, both free of cancellation:
     per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
     derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row of terms per Im s.
+    Only the terms with (n - k^2) y_min >= -SERIES_CUT at the smallest Im s
+    are built, |k - 2j| >= a for a^2 = k^2 - SERIES_CUT / y_min: the others
+    are below e^{-SERIES_CUT} of the n = k^2 term at every Im s.
     """
     if not (0 <= k <= MAX_BARE_SU2_INDEX and int(k) == k):
         raise ValueError(f"k must be an integer in [0, {MAX_BARE_SU2_INDEX}]")
     y, one = _im_grid(s)
-    n = (k - 2.0 * np.arange(k + 1)) ** 2
+    a = math.sqrt(max(k * k - SERIES_CUT / y.min(initial=math.inf), 0.0))
+    low = math.floor((k - a) / 2.0) + 1           # j < low: k - 2j >= a
+    j = np.concatenate((np.arange(low),
+                        np.arange(max(math.ceil((k + a) / 2.0), low), k + 1)))
+    n = (k - 2.0 * j) ** 2
 
     def rows(block: slice) -> list:
         ys = y[block]
@@ -749,8 +753,8 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
     e^{-CIRCLE_INTERIOR_WIDTHS^2}, and so are its y-derivatives: those rows
     take torus:1's log p and kappa = (c - 1/2) / (4 y^2), which the moment
     identity would lose to cancellation."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"truncated circle needs a finite r > 0, got r = {r}")
     y, one = _im_grid(s)
     c = _volume_exponent(1, corrected)
 
@@ -792,11 +796,10 @@ def _engines(model: ModelSpec) -> tuple[Callable, Optional[Callable]]:
     if model.variant == "truncated-circle":
         return lambda s: p_truncated_circle(
             s, int(model.weight_index), model.r, model.corrected), None
-    lam, corrected = model.shifted_weight(), model.corrected
-    rs = (liecore.torus(model.m) if model.variant == "torus"
-          else model.root_system)
+    lam, corrected, rs = (model.shifted_weight(), model.corrected,
+                          model.root_system)
     closed = None
-    if model.variant == "torus" or not (corrected or rs.positive_roots):
+    if not rs.positive_roots:
         closed = lambda s: p_torus_closed(s, rs.rank, lam, corrected)
     elif corrected:
         closed = lambda s: p_group_closed(s, rs, lam)
@@ -826,7 +829,7 @@ def curvature(model: ModelSpec, s):
     quad_engine, closed_engine = _engines(model)
     quads = quad_engine(grid)
     closeds = closed_engine(grid) if closed_engine else [None] * len(grid)
-    m = model.root_system.manifold_dim if model.variant == "group" else model.m
+    m = model.root_system.manifold_dim if model.root_system else model.m
     out = []
     for sc, quad, closed in zip(grid, quads, closeds):
         if quad.sign <= 0 or (closed is not None and closed.sign <= 0):

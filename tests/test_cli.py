@@ -262,13 +262,26 @@ def test_removed_fd_flags_are_rejected(capsys):
     ["curvature", "--model", "torus:1", "--k", "0", "--tol", "-1"],
     ["transport", "--scale", "nan"],
     ["curvature", "--model", "torus:1", "--k", "0", "--seed", "3"],
+    ["curvature", "--model", "torus:0", "--k", "0"],
+    ["curvature", "--model", "torus:-1", "--k", "0"],
 ], ids=["empty-k", "empty-im-s", "inf-torus", "inf-su2", "nan-sphere",
         "inf-circle-p-value", "inf-flatness", "nan-re-s", "inf-re-asymptote",
-        "nan-tol", "negative-tol", "nan-transport-scale", "removed-seed"])
+        "nan-tol", "negative-tol", "nan-transport-scale", "removed-seed",
+        "torus-rank-0", "torus-rank-negative"])
 def test_invalid_input_exit_code(argv, capsys):
     rc, out, _ = run(argv, capsys)
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf", "0", "-1"])
+def test_circle_radius_must_be_finite_and_positive(r, capsys):
+    # circle:nan once exited 2 blaming p, and circle:inf printed torus:1's
+    # kappa with exit 0: every row took the interior branch
+    rc, out, err = run(["curvature", "--model", f"circle:{r}", "--k", "1"],
+                       capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "finite r > 0" in err
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])

@@ -21,13 +21,69 @@ def systems():
 
 
 def test_dimension_invariant(systems):
-    # manifold dimension must be rank + 2 |R+|
+    # manifold dimension is rank + 2 |R+|, derived from the simple roots
     assert systems["su2"].manifold_dim == 3
     assert systems["su3"].manifold_dim == 8
     with pytest.raises(ValueError):
-        RootSystem(rank=1, positive_roots=((2.0,),),
-                   weyl_elements=systems["su2"].weyl_elements,
-                   inner_product=((1.0,),), manifold_dim=5)
+        RootSystem(1, ((2.0,),), ((-1.0,),))    # not positive definite
+
+
+def _root_set(rows) -> set:
+    return {tuple(np.round(r, 9) + 0.0) for r in rows}
+
+
+#: (simple roots in orthonormal coordinates, |W|, |R+|)
+BUILT = {
+    "B2": (((1.0, -1.0), (0.0, 1.0)), 8, 4),
+    "G2": (((1.0, 0.0), (-1.5, math.sqrt(3) / 2)), 12, 6),
+    "B3": (((1.0, -1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 0.0, 1.0)), 48, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_builder_generates_the_classical_systems(name):
+    simple, order, n_pos = BUILT[name]
+    rank = len(simple)
+    rs = RootSystem(rank, simple, tuple(map(tuple, np.eye(rank))), name)
+    assert len(rs.weyl_elements) == order
+    assert len(rs.positive_roots) == n_pos
+    assert rs.manifold_dim == rank + 2 * n_pos
+    roots = rs.roots_array()
+    full = _root_set(np.vstack([roots, -roots]))
+    assert len(full) == 2 * n_pos
+    for w in rs.weyl_elements:
+        assert w.det == pytest.approx(np.linalg.det(w.as_array()), abs=1e-12)
+        assert _root_set(np.vstack([roots, -roots]) @ w.as_array()) == full
+    assert rs.rho() == pytest.approx(
+        liecore.fundamental_weights(rs).sum(axis=0), abs=1e-12)
+
+
+def test_su3_builder_matches_the_permutation_matrices(systems):
+    # the Weyl group of su(3) permutes (theta1, theta2, theta3); on the
+    # coordinates (u, v) of theta = (u, v, -u-v) these are the six matrices
+    # below, each with the sign of its permutation
+    perms = {(((1, 0), (0, 1)), 1), (((0, 1), (1, 0)), -1),
+             (((-1, -1), (0, 1)), -1), (((1, 0), (-1, -1)), -1),
+             (((-1, -1), (1, 0)), 1), (((0, 1), (-1, -1)), 1)}
+    rs = systems["su3"]
+    assert {(w.matrix, w.det) for w in rs.weyl_elements} == perms
+    assert rs.positive_roots == ((1.0, -1.0), (2.0, 1.0), (1.0, 2.0))
+    assert rs.rho() == pytest.approx(
+        liecore.fundamental_weights(rs).sum(axis=0), abs=1e-12)
+
+
+def test_builder_refuses_a_non_crystallographic_angle():
+    # simple roots 2.2 rad apart generate an infinite reflection group
+    simple = ((1.0, 0.0), (math.cos(2.2), math.sin(2.2)))
+    with pytest.raises(ValueError, match="no finite root system"):
+        RootSystem(2, simple, ((1.0, 0.0), (0.0, 1.0)))
+
+
+def test_torus_is_the_rootless_system():
+    rs = torus(3)
+    assert rs.positive_roots == () and rs.manifold_dim == 3
+    assert [(w.matrix, w.det) for w in rs.weyl_elements] == \
+        [(tuple(map(tuple, np.eye(3))), 1)]
 
 
 def test_weyl_closure(systems):

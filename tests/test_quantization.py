@@ -252,7 +252,7 @@ def test_bare_su2_weight_cut_moves_no_bit(monkeypatch):
 def test_bare_su2_label_cap(capsys):
     # past the cap the label is refused before any array of its k + 1
     # weights is built (10^12 of them raised numpy's memory error); at the
-    # cap the closed form's (Im s x k) rows dominate a peak of about 70 MB
+    # cap the route's weights dominate the peak
     rc = cli_main(["curvature", "--model", "group:su2", "--k",
                    str(10 ** 12), "--im-s", "1"])
     out = capsys.readouterr()
@@ -274,6 +274,20 @@ def test_bare_su2_label_cap(capsys):
     for rec in map(json.loads, out.out.splitlines()[1:]):
         y = rec["s"]["im"]
         assert rec["kappa"] == pytest.approx(1.0 / (8.0 * y * y), rel=1e-5)
+
+
+def test_su2_closed_builds_only_the_terms_that_count():
+    # at the cap it once built all k + 1 terms per row, a 68.7 MB peak; the
+    # terms within e^{-SERIES_CUT} of the top one at Im s 1e-9 are 38,232
+    tracemalloc.start()
+    try:
+        got = p_su2_closed([1e-9j, 1j, 1000j], quantization.MAX_BARE_SU2_INDEX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.3e6            # the weight route's peak at this call
+    for c, y in zip(got[1:], (1.0, 1000.0)):
+        assert c.kappa == pytest.approx(1.0 / (8.0 * y * y), rel=1e-5)
 
 
 def test_su2_closed_values():
@@ -565,6 +579,14 @@ def test_truncated_circle_erf_value():
 def test_truncated_circle_large_r_limit():
     got = p_truncated_circle(1j, 0, 8.0, corrected=False).log_magnitude
     assert got == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0])
+def test_truncated_circle_needs_a_finite_positive_radius(r):
+    with pytest.raises(ValueError, match="finite r > 0"):
+        p_truncated_circle(1j, 1, r, corrected=False)
+    with pytest.raises(ValueError, match="finite r > 0"):
+        ModelSpec.truncated_circle(r, 1)
 
 
 def _circle_erf_log_p(k, r, y, corrected):
