@@ -194,19 +194,21 @@ def _record(cfg: RunConfig, model: ModelSpec, k, s: complex,
 
 
 def _point_records(cfg: RunConfig, want_kappa: bool) -> list:
-    """One record per (k, s), from one engine call per k over the s grid."""
+    """One record per (k, s), from one engine call over every (k, Im s)
+    pair, k-major: ``curvature`` for kappa, the model's log-p engine for
+    log p alone.  Every k is checked, in order, before the engine runs."""
     grid = cfg.s_grid()
-    records = []
-    for k in cfg.k_values:
-        model = cfg.model_spec(k)
-        if want_kappa:
-            rows = [(cd.log_p, cd.kappa, cd.method)
-                    for cd in curvature(model, grid)]
-        else:
-            rows = [(lp.log_magnitude, None, "quadrature")
-                    for lp in model_log_p(model)(grid)]
-        records += [_record(cfg, model, k, s, *row)
-                    for s, row in zip(grid, rows)]
+    models = [cfg.model_spec(k) for k in cfg.k_values]
+    ks = [model.weight_index for model in models]
+    if want_kappa:
+        by_k = [[(cd.log_p, cd.kappa, cd.method) for cd in row]
+                for row in curvature(models[0], grid, ks=ks)]
+    else:
+        by_k = [[(lp.log_magnitude, None, "quadrature") for lp in row]
+                for row in model_log_p(models[0], ks)(grid)]
+    records = [_record(cfg, models[0], k, s, *row)
+               for k, rows in zip(cfg.k_values, by_k)
+               for s, row in zip(grid, rows)]
     records.sort(key=lambda r: (tuple(r["k"]) if isinstance(r["k"], list)
                                 else (r["k"],), r["s"]["im"], r["s"]["re"]))
     return records

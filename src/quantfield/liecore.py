@@ -11,6 +11,7 @@ lambda(t) = (k+1)t and |lambda*|^2 = (k+1)^2.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -113,6 +114,14 @@ class RootSystem:
         object.__setattr__(self, "positive_roots", tuple(positive.values()))
         object.__setattr__(self, "weyl_elements", tuple(
             WeylElement(tuple(map(tuple, g.tolist())), det) for g, det in weyl))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.simple_roots, self.inner_product,
+                     self.name))
+
+    def __hash__(self) -> int:     # once: torus:64's metric has 4,096 entries
+        return self._hash
 
     @property
     def manifold_dim(self) -> int:
@@ -311,7 +320,7 @@ def so_pair_adjoint(m: int) -> AdjointData:
 def su2_weight(k: int) -> ShiftedWeight:
     """Shifted weight (k+1) t of the (k+1)-dimensional su(2) irreducible."""
     if k < 0:
-        raise ValueError("character index k must be >= 0")
+        raise ValueError(f"character index k must be >= 0, got k = {k}")
     return ShiftedWeight((float(k + 1),), source_label=k)
 
 

@@ -138,19 +138,54 @@ def _as_complex(s) -> complex:
     return s
 
 
-def _im_grid(s) -> tuple[np.ndarray, bool]:
+def _rows(s, ks: Sequence) -> tuple[np.ndarray, list, bool]:
     """Im s of one s (a number) or of each s of a 1-D sequence, each checked
-    by ``_as_complex``, and whether s was one number (one LogP, not a list)."""
+    by ``_as_complex``; ks, one weight index per s, as a list; and whether s
+    was one number (one LogP, not a list)."""
     one = isinstance(s, numbers.Number)
-    return np.array([_as_complex(v).imag for v in ([s] if one else s)]), one
+    y = np.array([_as_complex(v).imag for v in ([s] if one else s)])
+    ks = list(ks)
+    if len(ks) != y.size:
+        raise ValueError(f"{len(ks)} weight indices for {y.size} values of s")
+    return y, ks, one
 
 
-def _in_blocks(n_rows: int, width: int, evaluate: Callable) -> list:
-    """evaluate(rows) over consecutive slices rows of n_rows rows, each of
-    at most _SPHERE_BLOCK elements at width per row, concatenated."""
-    per = max(1, _SPHERE_BLOCK // width)
-    return [r for i in range(0, n_rows, per)
-            for r in evaluate(slice(i, i + per))]
+def _stack(parts: list, at: list, fill: float) -> np.ndarray:
+    """parts[at[r]] as row r, each padded with fill to the longest part; one
+    part serves every row under a row axis of length 1."""
+    if len(parts) == 1:
+        return parts[0][None]
+    n = max(map(len, parts))
+    return np.array([p if len(p) == n else np.concatenate(
+        (p, np.full((n - len(p),) + p.shape[1:], fill))) for p in parts])[at]
+
+
+def _in_blocks(keys: list, widths: list, per_term: int, terms: Callable,
+               evaluate: Callable) -> list:
+    """evaluate(rows, arrays) over blocks of rows, the results in row order.
+
+    Row r sums the first widths[r] terms of its key keys[r].  Rows go in
+    order of falling width, a block at most _SPHERE_BLOCK // (per_term * n)
+    of them, n its first row's width, so a wide row never widens a narrow
+    row's block.  terms(key, rows) gives a key's arrays of terms (along the
+    first axis) for each run of its rows in the block, the first a
+    log-weight; arrays has them a row each (``_stack``), padded with -inf
+    and 0."""
+    order = sorted(range(len(keys)), key=widths.__getitem__, reverse=True)
+    out, i = [None] * len(keys), 0
+    while i < len(order):
+        block = order[i:i + max(1, _SPHERE_BLOCK
+                                // (per_term * widths[order[i]]))]
+        i += len(block)
+        runs = [(key, list(rows)) for key, rows
+                in itertools.groupby(block, key=keys.__getitem__)]
+        at = [g for g, (_, rows) in enumerate(runs) for _ in rows]
+        parts = zip(*[terms(key, rows) for key, rows in runs])
+        arrays = [_stack(col, at, 0.0 if j else -math.inf)
+                  for j, col in enumerate(parts)]
+        for r, value in zip(block, evaluate(np.array(block), arrays)):
+            out[r] = value
+    return out
 
 
 def _log_volume(y: Sequence[float], m: int, corrected: bool) -> np.ndarray:
@@ -250,20 +285,21 @@ class ModelSpec:
             return f"sphere:{self.m}"
         return f"circle:{self.r:g}"
 
-    def shifted_weight(self) -> ShiftedWeight:
-        if isinstance(self.weight_index, ShiftedWeight):
-            return self.weight_index
+    def shifted_weight(self, k=None) -> ShiftedWeight:
+        k = self.weight_index if k is None else k   # the model's by default
+        if isinstance(k, ShiftedWeight):
+            return k
         if self.variant == "group":
             rs = self.root_system
-            if rs.name == "su2" and np.isscalar(self.weight_index):
-                return liecore.su2_weight(int(self.weight_index))
+            if rs.name == "su2" and np.isscalar(k):
+                return liecore.su2_weight(int(k))
             if not rs.positive_roots:
-                return liecore.torus_weight(rs.rank, self.weight_index)
-            if np.isscalar(self.weight_index):
+                return liecore.torus_weight(rs.rank, k)
+            if np.isscalar(k):
                 raise ValueError(
                     f"{rs.name or 'this root system'} takes a highest weight "
-                    f"as {rs.rank} Dynkin labels (e.g. 1/0), not an integer")
-            return liecore.highest_weight(rs, self.weight_index)
+                    f"as {rs.rank} Dynkin labels (e.g. 1/0), not k = {k}")
+            return liecore.highest_weight(rs, k)
         raise ValueError("sphere / truncated-circle models use an integer index")
 
 
@@ -306,17 +342,13 @@ def _hermite_grid(rank: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only((nodes[index], np.log(weights)[index].sum(axis=1)))
 
 
-def _bare_weights(lam_u: np.ndarray, roots_u: np.ndarray,
-                  y_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weights lambda - (j + 1/2) alpha, j < 2 lambda.alpha/alpha.alpha,
-    of the rank-1 irreducible of shifted weight lambda, largest first, and
-    their log multiplicities: mu and -mu give the same integral, so each
-    pair is one row of multiplicity 2 (mu = 0 has 1).  Only the weights that
-    count at Im s >= y_min are kept (see ``_p_group_rescaled``)."""
+def _bare_dim(lam_u: np.ndarray, roots_u: np.ndarray) -> tuple[int, float]:
+    """The dimension 2 lambda.alpha/alpha.alpha of the rank-1 irreducible of
+    shifted weight lambda, checked, and alpha.alpha."""
     if len(lam_u) != 1:
         raise ValueError("bare quadrature with roots present needs rank 1")
-    alpha = roots_u[0]
-    n = 2.0 * float(lam_u @ alpha) / float(alpha @ alpha)
+    alpha_sq = float(roots_u[0] @ roots_u[0])
+    n = 2.0 * float(lam_u @ roots_u[0]) / alpha_sq
     dim = round(n)
     if dim < 1 or abs(n - dim) > 1e-9 * n:
         raise ValueError("a bare group needs a dominant integral weight; "
@@ -324,21 +356,43 @@ def _bare_weights(lam_u: np.ndarray, roots_u: np.ndarray,
     if dim - 1 > MAX_BARE_SU2_INDEX:     # before any array of them is built
         raise ValueError(f"bare su2 takes k <= {MAX_BARE_SU2_INDEX}, "
                          f"got k = {dim - 1}")
-    j = np.arange((dim + 1) // 2, dtype=float)
-    mu = lam_u - (j[:, None] + 0.5) * alpha
-    log_mult = np.where(2.0 * j + 1.0 == dim, 0.0, math.log(2.0))
-    share = log_mult + (np.einsum("ij,ij->i", mu, mu) - mu[0] @ mu[0]) * y_min
-    keep = share >= share.max() - SERIES_CUT
-    return mu[keep], log_mult[keep]
+    return dim, alpha_sq
 
 
-def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray, mu: np.ndarray,
-                      log_mult: np.ndarray, c: float,
+def _bare_width(dim: int, alpha_sq: float, y: float) -> int:
+    """How many weights mu_j of ``_bare_weights`` count at every Im s >= y:
+    (|mu_0|^2 - |mu_j|^2) y = alpha.alpha j (k - j) y <= SERIES_CUT, k =
+    dim - 1, so k - 2j >= a, a^2 = k^2 - 4 SERIES_CUT / (alpha.alpha y)."""
+    k = dim - 1
+    a = (math.sqrt(max(k * k - 4.0 * SERIES_CUT / (alpha_sq * y), 0.0))
+         if y > 0 else 0.0)
+    return min(math.floor((k - a) / 2.0) + 1, (dim + 1) // 2)
+
+
+def _bare_weights(lam_u: np.ndarray, roots_u: np.ndarray,
+                  y_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights lambda - (j + 1/2) alpha, j < 2 lambda.alpha/alpha.alpha,
+    of the rank-1 irreducible of shifted weight lambda, largest first, and
+    their log multiplicities: mu and -mu give the same integral, so each
+    pair is one row of multiplicity 2 (mu = 0 has 1).  Only the weights that
+    count at Im s >= y_min are built (``_bare_width``, see
+    ``_p_group_rescaled``)."""
+    dim, alpha_sq = _bare_dim(lam_u, roots_u)
+    j = np.arange(_bare_width(dim, alpha_sq, y_min), dtype=float)
+    mu = lam_u - (j[:, None] + 0.5) * roots_u[0]
+    return mu, np.where(2.0 * j + 1.0 == dim, 0.0, math.log(2.0))
+
+
+def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray,
+                      log_mult: np.ndarray, mu: np.ndarray, c: float,
                       offset: np.ndarray) -> list:
-    """The Gauss-Hermite route of ``p_group_quadrature``, a row per Im s.
+    """The Gauss-Hermite route of ``p_group_quadrature``, a row per Im s,
+    with the weights mu (row, weight, axis) of each row, largest |mu| first,
+    and their log multiplicities (row, weight); a row axis of length 1
+    serves every row.
 
     In orthonormal coordinates the integrand is a sum over the weights mu
-    (rows, largest |mu| first) of mult e^{-|u|^2/y + 2 mu.u} f(u), f the
+    of mult e^{-|u|^2/y + 2 mu.u} f(u), f the
     product of alpha(u) over the rows of roots_u (P = prod_{R+} alpha, or
     P^2: each root twice).  With u = mu y + sqrt(y) w per term and
     top = |mu_0|^2, p = e^{b + offset + top y} y^{rank/2} Q(y), where
@@ -350,43 +404,41 @@ def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray, mu: np.ndarray,
     divides by f, which vanishes on root walls.  A term is at most
     mult e^{Delta y} times the top one (its integral of f grows with |mu|),
     so the caller drops the weights below e^{-SERIES_CUT} of the largest at
-    the smallest Im s: at most 5e5 of them add below 2e-27 of Q, and below
-    1e-23 / y^2 to Q''/Q.  One weight (corrected groups, tori) has
-    Delta = 0, and its nodes are those of f alone.
+    the smallest Im s of a block: at most 5e5 of them add below 2e-27 of Q,
+    and below 1e-23 / y^2 to Q''/Q.  One weight (corrected groups, tori)
+    has Delta = 0, and its nodes are those of f alone.
     """
-    rank, top = mu.shape[1], float(mu[0] @ mu[0])
+    rank = mu.shape[-1]
     w, logs = _hermite_grid(rank, hermite_order_for(len(roots_u)))
     # one column per (weight, Hermite node), weights outermost
-    delta = np.einsum("ij,ij->i", mu, mu)
-    delta = np.repeat(delta - delta[0], len(logs))    # 0 on the top weight
-    mu = np.repeat(mu, len(w), axis=0)
-    w = np.tile(w, (len(log_mult), 1))
-    logs = (log_mult[:, None] + logs).ravel()
-
-    def rows(block: slice) -> list:
-        yb = y[block]
-        p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
-        if len(roots_u):
-            yy = yb[:, None, None]
-            sy = np.sqrt(yy)
-            u = mu * yy + sy * w                 # (Im s, column, axis)
-            u_y = mu + w / (2.0 * sy)
-            u_yy = -w / (4.0 * yy * sy)
-            for alpha in roots_u:
-                a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
-                p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
-                              p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
-        p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
-        return kappa_from_nodes(logs + delta * yb[:, None], p0, p1, p2,
-                                (c - 0.5 * rank) / (yb * yb),
-                                offset[block] + top * yb
-                                + 0.5 * rank * np.log(yb))
-    return _in_blocks(y.size, len(logs), rows)
+    top = np.array([float(v @ v) for v in mu[:, 0]])
+    flat = mu.reshape(-1, rank)
+    delta = np.einsum("ij,ij->i", flat, flat).reshape(mu.shape[:2])
+    delta = np.repeat(delta - delta[:, :1], len(logs), axis=1)  # 0 on top
+    mu = np.repeat(mu, len(w), axis=1)
+    w = np.tile(w, (log_mult.shape[1], 1))
+    logs = (log_mult[..., None] + logs).reshape(delta.shape)
+    p0, p1, p2 = 1.0, 0.0, 0.0                    # P = 1 on a torus
+    if len(roots_u):
+        yy = y[:, None, None]
+        sy = np.sqrt(yy)
+        u = mu * yy + sy * w                     # (Im s, column, axis)
+        u_y = mu + w / (2.0 * sy)
+        u_yy = -w / (4.0 * yy * sy)
+        for alpha in roots_u:
+            a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
+            p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
+                          p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
+    p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
+    return kappa_from_nodes(logs + delta * y[:, None], p0, p1, p2,
+                            (c - 0.5 * rank) / (y * y),
+                            offset + top * y + 0.5 * rank * np.log(y))
 
 
-def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
+def p_group_quadrature(s, rs: RootSystem, lams: Sequence,
                        corrected: bool) -> LogP | list:
-    """The reduced torus integral for a compact group, up to constants.
+    """The reduced torus integral for a compact group, up to constants, with
+    one shifted weight of lams per s.
 
     corrected:  int_t e^{a|tau|^2 + b + 2 lambda(tau)} prod_{R+} alpha(tau) dtau
     bare:       the same with prod alpha(tau)^2 / sinh alpha(tau) instead.
@@ -394,89 +446,113 @@ def p_group_quadrature(s, rs: RootSystem, lam: ShiftedWeight,
     Averaged over the Weyl group, the bare integrand is prod alpha^2 times
     sum_w det(w) e^{2 w lambda} / prod 2 sinh alpha (2^{|R+|}/|W| = 1 in
     rank 1), by Weyl's character formula sum_mu mult(mu) e^{2 mu(tau)}.  So
-    tensor Gauss-Hermite about each peak (``_p_group_rescaled``, one array)
-    is exact: corrected, one term with P = prod alpha; bare (rank 1 when
-    roots are present), P^2 per weight (``_bare_weights``)."""
-    y, one = _im_grid(s)
+    tensor Gauss-Hermite about each peak (``_p_group_rescaled``, one array
+    per block of rows) is exact: corrected, one term with P = prod alpha;
+    bare (rank 1 when roots are present), P^2 per weight (``_bare_weights``,
+    cut at the smallest Im s of a weight's rows in a block)."""
+    y, lams, one = _rows(s, lams)
     if rs.positive_roots and rs.rank > 2:
         raise ValueError("quadrature path with roots needs rank <= 2")
-    if not y.size:
-        return []
     m = rs.manifold_dim
     M, roots_u, log_det_M = _frame(rs)
-    lam_u = M.T @ lam.as_array()          # lambda(M u) = (M^T c) . u
-    mu, log_mult = lam_u[None], np.zeros(1)
+    lam_u = lambda lam: M.T @ lam.as_array()    # lambda(M u) = (M^T c) . u
+    yl, widths, f_roots = y.tolist(), [1] * len(lams), roots_u
+    terms = lambda lam, rows: (np.zeros(1), lam_u(lam)[None])
     if not corrected and rs.positive_roots:     # f = P^2: each root twice
-        mu, log_mult = _bare_weights(lam_u, roots_u, float(y.min()))
-        roots_u = np.concatenate((roots_u, roots_u))
-    out = _p_group_rescaled(y, roots_u, mu, log_mult,
-                            _volume_exponent(m, corrected),
-                            _log_volume(y, m, corrected) + log_det_M)
+        widths, ys = [], iter(yl)
+        for lam, run in itertools.groupby(lams):   # each checked, in order
+            dim = _bare_dim(lam_u(lam), roots_u)
+            widths += [_bare_width(*dim, v) for _, v in zip(run, ys)]
+        terms = lambda lam, rows: _bare_weights(
+            lam_u(lam), roots_u, min(yl[r] for r in rows))[::-1]
+        f_roots = np.concatenate((roots_u, roots_u))
+    c, offset = (_volume_exponent(m, corrected),
+                 _log_volume(y, m, corrected) + log_det_M)
+    out = _in_blocks(lams, widths, hermite_order_for(len(f_roots)) ** rs.rank,
+                     terms, lambda rows, arrays: _p_group_rescaled(
+                         y[rows], f_roots, *arrays, c, offset[rows]))
     return out[0] if one else out
 
 
-def p_group_closed(s, rs: RootSystem, lam: ShiftedWeight) -> LogP | list:
-    """Corrected group manifolds: log p = |lambda*|^2 Im s + const.
+def p_group_closed(s, rs: RootSystem, lams: Sequence) -> LogP | list:
+    """Corrected group manifolds: log p = |lambda*|^2 Im s + const, lams as
+    for ``p_group_quadrature``.
 
     The Im s power vanishes because the manifold dimension is
     m = rank + 2 |R+| (``RootSystem.manifold_dim``); log p is linear in
     Im s, so kappa = 0.
     """
-    y, one = _im_grid(s)
-    norm_sq = liecore.dual_norm_sq(rs, lam)
-    out = [LogP(norm_sq * v, 1, 0.0) for v in y.tolist()]
+    y, lams, one = _rows(s, lams)
+    out, ys = [], iter(y.tolist())
+    for lam, run in itertools.groupby(lams):    # one norm per run of a weight
+        norm_sq = liecore.dual_norm_sq(rs, lam)
+        out += [LogP(norm_sq * v, 1, 0.0) for _, v in zip(run, ys)]
     return out[0] if one else out
 
 
-def p_torus_closed(s, m: int, lam: ShiftedWeight,
+def p_torus_closed(s, m: int, lams: Sequence,
                    corrected: bool) -> LogP | list:
     """Commutative closed form: the Gaussian integral evaluates exactly,
     log p = (m/2) log y + b(s) + |lambda*|^2 y + const, so
-    kappa = (c - m/2) / (4 y^2): m/(8 y^2) bare, 0 corrected."""
-    y, one = _im_grid(s)
-    lv = lam.as_array()
-    if lv.size != m:
-        raise ValueError("weight length != torus rank")
-    c, norm_sq = _volume_exponent(m, corrected), float(lv @ lv)
-    out = [LogP((m / 2.0) * math.log(v) - c * math.log(v) + norm_sq * v,
-                1, 0.25 * (c - m / 2.0) / (v * v)) for v in y.tolist()]
+    kappa = (c - m/2) / (4 y^2): m/(8 y^2) bare, 0 corrected; lams as for
+    ``p_group_quadrature``."""
+    y, lams, one = _rows(s, lams)
+    c, out, ys = _volume_exponent(m, corrected), [], iter(y.tolist())
+    for lam, run in itertools.groupby(lams):    # one norm per run of a weight
+        lv = lam.as_array()
+        if lv.size != m:
+            raise ValueError("weight length != torus rank")
+        norm_sq = float(lv @ lv)
+        out += [LogP((m / 2.0) * math.log(v) - c * math.log(v) + norm_sq * v,
+                     1, 0.25 * (c - m / 2.0) / (v * v))
+                for _, v in zip(run, ys)]
     return out[0] if one else out
 
 
-def p_su2_closed(s, k: int) -> LogP | list:
+def p_su2_closed(s, ks: Sequence) -> LogP | list:
     """Bare SU(2): log of (Im s)^{-3/2} f(y), f = sum_j e^{n_j y} (1 + 2 n_j y),
-    n_j = (k-2j)^2.
+    n_j = (k-2j)^2, with one k of ks per s.
 
     kappa = (3/(2y^2) + f''/f - (f'/f)^2) / 4 with f''/f - (f'/f)^2 written
     as a mean plus a variance over the terms of f, both free of cancellation:
     per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
     derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row of terms per Im s.
-    Only the terms with (n - k^2) y_min >= -SERIES_CUT at the smallest Im s
-    are built, |k - 2j| >= a for a^2 = k^2 - SERIES_CUT / y_min: the others
-    are below e^{-SERIES_CUT} of the n = k^2 term at every Im s.
+    Only the terms of the weights +-(k - 2j) that count at y_min are built,
+    y_min the smallest Im s of a block's rows of that k (``_bare_width``,
+    alpha.alpha = 4): the others are below e^{-SERIES_CUT} of the n = k^2
+    term at every Im s >= y_min.
     """
-    if not (0 <= k <= MAX_BARE_SU2_INDEX and int(k) == k):
-        raise ValueError(f"k must be an integer in [0, {MAX_BARE_SU2_INDEX}]")
-    y, one = _im_grid(s)
-    a = math.sqrt(max(k * k - SERIES_CUT / y.min(initial=math.inf), 0.0))
-    low = math.floor((k - a) / 2.0) + 1           # j < low: k - 2j >= a
-    j = np.concatenate((np.arange(low),
-                        np.arange(max(math.ceil((k + a) / 2.0), low), k + 1)))
-    n = (k - 2.0 * j) ** 2
+    y, ks, one = _rows(s, ks)
+    for k in ks:
+        if not (0 <= k <= MAX_BARE_SU2_INDEX and int(k) == k):
+            raise ValueError(f"k must be an integer in "
+                             f"[0, {MAX_BARE_SU2_INDEX}], got k = {k}")
+    ks, yl = [int(k) for k in ks], y.tolist()
+    kv = np.array(ks, dtype=float)
 
-    def rows(block: slice) -> list:
-        ys = y[block]
-        ny = n * ys[:, None]
+    def terms(k: int, rows: list) -> tuple:
+        low = _bare_width(k + 1, 4.0, min(yl[r] for r in rows))
+        j = np.concatenate((np.arange(low),
+                            np.arange(max(k + 1 - low, low), k + 1)))
+        n = (k - 2.0 * j) ** 2
+        return n - k * k, n         # a padded term has n - k^2 = -inf
+
+    def rows(block: list, arrays: list) -> list:
+        rate, n = arrays
+        ys, k = y[block], kv[block]
+        yc = ys[:, None]
+        ny = n * yc
         g = 1.0 + 2.0 * ny
         # exponents relative to the largest, k^2 y: each n y carries n y eps
         # of rounding, which would pass into the weights as a relative error
-        logs = (n - k * k) * ys[:, None] + np.log1p(2.0 * ny)
+        logs = rate * yc + np.log1p(2.0 * ny)
         # log-derivatives centred on the largest term's, n = k^2
         d1 = n * (3.0 + 2.0 * ny) / g
         d1 -= d1[:, :1]
         return kappa_from_nodes(logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g),
                                 1.5 / (ys * ys), k * k * ys - 1.5 * np.log(ys))
-    out = _in_blocks(y.size, n.size, rows)
+    out = _in_blocks(ks, [min(2 * _bare_width(k + 1, 4.0, v), k + 1)
+                          for k, v in zip(ks, yl)], 1, terms, rows)
     return out[0] if one else out
 
 
@@ -503,7 +579,7 @@ def _sphere_indices(k, m) -> tuple[int, int]:
     if m < 2:
         raise ValueError("sphere needs m >= 2")
     if k < 0 or k > MAX_SPHERE_INDEX:
-        raise ValueError(f"k must be in [0, {MAX_SPHERE_INDEX}]")
+        raise ValueError(f"k must be in [0, {MAX_SPHERE_INDEX}], got k = {k}")
     return k, m
 
 
@@ -527,8 +603,8 @@ def legendre_value(k: int, x: float) -> float:
     return cur
 
 
-def p_sphere(s, k: int, m: int) -> LogP | list:
-    """Half-form corrected sphere engine:
+def p_sphere(s, ks: Sequence, m: int) -> LogP | list:
+    """Half-form corrected sphere engine, with one k of ks per s:
 
     log p = b(s) + log int_0^inf e^{a t^2} (sinh 2t)^q t^q phi_k(t) dt,
     q = (m-1)/2, a = -1/y, phi_k the Gegenbauer integral ``spherical_phi``.
@@ -540,47 +616,48 @@ def p_sphere(s, k: int, m: int) -> LogP | list:
         log p = b(y) + (k+q)^2 y + (1/2) log y + log int e^{-v^2} e^{g(t)} dv,
 
     integrated by SPHERE_HERMITE_ORDER fixed Gauss-Hermite nodes in v
-    (``_p_sphere_hermite``, all such Im s in one array).  The (k+q)^2 y
+    (``_p_sphere_hermite``, all such rows in one array).  The (k+q)^2 y
     term is linear in y, so its k^2 never enters kappa, and the moment
     identity's cancellation of terms of size k^2 / y is gone.  That route
     sums phi_k as its series in e^{-4t} (``_sphere_series``), cut per Im s
     at the smallest t any of its nodes can take (``_series_terms``): its
     nodes sit at t of about (k+q) y, where few terms count, and one term is
-    left past t = 20.  Rows go to the kernel in order of Im s, in blocks
-    sized by the terms their first row keeps.  Below SPHERE_HERMITE_SWITCH
-    (or q/4) the rule would need nodes at t <= 0, or would not resolve t^q,
-    and the panel route (``_p_sphere_panels``) integrates in t instead, per
-    Im s.  Its t starts near 0, where all k + 1 terms count, so it sums
-    them all by Horner's rule (``_series_phi``).
+    left past t = 20.  The rows of every k go to the kernel in blocks
+    sized by the terms their first row keeps (``_in_blocks``).  Below
+    SPHERE_HERMITE_SWITCH (or q/4) the rule would need nodes at t <= 0, or
+    would not resolve t^q, and the panel route (``_p_sphere_panels``)
+    integrates in t instead, per Im s.  Its t starts near 0, where all
+    k + 1 terms count, so it sums them all by Horner's rule
+    (``_series_phi``).
     """
-    k, m = _sphere_indices(k, m)
-    y, one = _im_grid(s)
+    y, ks, one = _rows(s, ks)
+    ks, m = [_sphere_indices(k, m)[0] for k in ks], int(m)  # every k checked
     b = _log_volume(y, m, True)
     q = (m - 1) / 2.0
-    kq = k + q
-    high = kq * np.sqrt(y) >= max(SPHERE_HERMITE_SWITCH, q / 4.0)
-    flags, yl, bl = high.tolist(), y.tolist(), b.tolist()
-    log_a = _sphere_series(k, m)
-    hermite = {}
-    if any(flags):
-        rows = sorted((r for r, h in enumerate(flags) if h),
-                      key=yl.__getitem__)
-        yh = y[rows]
+    kv = np.array(ks, dtype=float)
+    high = ((kv + q) * np.sqrt(y)
+            >= max(SPHERE_HERMITE_SWITCH, q / 4.0)).tolist()
+    rows, hermite = [r for r, h in enumerate(high) if h], {}
+    if rows:
+        kh, yh, kvh, bh = [ks[r] for r in rows], y[rows], kv[rows], b[rows]
         # above the switch every node's t rises with Im s, so a row's
         # outermost node bounds its t from below, and the terms kept fall
-        # as Im s rises: a block keeps the terms of its first row
+        # as Im s rises
         v0 = float(hermite_rule(SPHERE_HERMITE_ORDER)[0][0])
-        terms = _series_terms(log_a, kq * yh + v0 * np.sqrt(yh)).tolist()
-        i = 0
-        while i < len(rows):
-            n = terms[i]
-            block = rows[i:i + max(1, _SPHERE_BLOCK
-                                   // (SPHERE_HERMITE_ORDER * n))]
-            hermite.update(zip(block, _p_sphere_hermite(
-                yh[i:i + len(block)], k, m, b[block], log_a[:n])))
-            i += len(block)
-    out = [hermite[r] if h else _p_sphere_panels(yi, k, m, bi, log_a)
-           for r, (yi, bi, h) in enumerate(zip(yl, bl, flags))]
+        uniq = list(dict.fromkeys(kh))
+        widths = _series_terms(
+            _stack([_sphere_series(k, m) for k in uniq],
+                   [uniq.index(k) for k in kh], -math.inf),
+            (kvh + q) * yh + v0 * np.sqrt(yh)).tolist()
+        hermite = dict(zip(rows, _in_blocks(
+            kh, widths, SPHERE_HERMITE_ORDER,
+            lambda k, at: (_sphere_series(k, m)[:max(widths[i] for i in at)],),
+            lambda at, log_a: _p_sphere_hermite(yh[at], kvh[at], m, bh[at],
+                                                *log_a))))
+    out = [hermite[r] if h else _p_sphere_panels(v, k, m, bv,
+                                                 _sphere_series(k, m))
+           for r, (h, k, v, bv) in enumerate(zip(high, ks, y.tolist(),
+                                                  b.tolist()))]
     return out[0] if one else out
 
 
@@ -607,14 +684,15 @@ def _sphere_series(k: int, m: int) -> np.ndarray:
 
 
 def _series_terms(log_a: np.ndarray, t_min: np.ndarray) -> np.ndarray:
-    """How many leading terms of the series log_a (``_sphere_series``) to
-    keep for t >= t_min, per t_min: up to the last term that reaches
-    e^{-SERIES_CUT} of the largest at t_min.  Past the largest
-    term's index a term's ratio to it only falls as t grows, so at every
-    t >= t_min the terms cut stay below that share."""
-    x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.size)
+    """How many leading terms of the series log_a (``_sphere_series``; 2-D,
+    a row per t_min or one for all, padded with -inf) to keep for
+    t >= t_min, per t_min: up to the last term that reaches e^{-SERIES_CUT}
+    of the largest at t_min.  Past the largest term's index a term's ratio
+    to it only falls as t grows, so at every t >= t_min the terms cut stay
+    below that share."""
+    x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.shape[-1])
     keep = x >= x.max(axis=1, keepdims=True) - SERIES_CUT
-    return log_a.size - keep[:, ::-1].argmax(axis=1)
+    return log_a.shape[-1] - keep[:, ::-1].argmax(axis=1)
 
 
 def _series_phi(t, log_a: np.ndarray):
@@ -628,9 +706,10 @@ def _series_phi(t, log_a: np.ndarray):
 def _series_log_phi(t: np.ndarray, log_a: np.ndarray) -> tuple:
     """log phi_k(t) - 2kt and its first two t-derivatives at each t, from
     the terms a_i e^{-4ti} of the series log_a (``_sphere_series``): under
-    the weights a_i e^{-4ti} they are log sum, -4 E[i] and 16 Var[i]."""
-    i = np.arange(log_a.size, dtype=float)
-    x = log_a - 4.0 * t[..., None] * i
+    the weights a_i e^{-4ti} they are log sum, -4 E[i] and 16 Var[i].  A 2-D
+    log_a holds a series per row of t, or one for all, padded with -inf."""
+    i = np.arange(log_a.shape[-1], dtype=float)
+    x = log_a[..., None, :] - 4.0 * t[..., None] * i
     shift = x.max(axis=-1)
     w = np.exp(x - shift[..., None])
     norm = w.sum(axis=-1)
@@ -642,8 +721,9 @@ def _series_log_phi(t: np.ndarray, log_a: np.ndarray) -> tuple:
 def _p_sphere_hermite(y, k: int, m: int, b,
                       log_a: np.ndarray) -> LogP | list:
     """The rescaled route of ``p_sphere``: one LogP for a number y, a list
-    for an array of them (b alike), with phi_k summed over the terms log_a
-    of its series (``_sphere_series``, cut by ``_series_terms``).
+    for an array of them (k and b a number or one per y), with phi_k summed
+    over the terms log_a of its series (``_sphere_series``, cut by
+    ``_series_terms``; 2-D, a row per y or one for all).
 
     With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
 
@@ -660,14 +740,15 @@ def _p_sphere_hermite(y, k: int, m: int, b,
     t <= 0 get weight zero (each row drops its own); the integrand vanishes
     there and, above the switch, their Hermite weight is below e^{-36}.
     """
-    q, kq = (m - 1) / 2.0, k + (m - 1) / 2.0
-    yv = np.asarray(y, dtype=float)[..., None]
+    q = (m - 1) / 2.0
+    kq = np.asarray(k, dtype=float) + q
+    kqv, yv = kq[..., None], np.asarray(y, dtype=float)[..., None]
     sy = np.sqrt(yv)
     v, hw = hermite_rule(SPHERE_HERMITE_ORDER)
-    t = kq * yv + sy * v
+    t = kqv * yv + sy * v
     keep = t > 0.0
     # a dropped node takes the peak's t, so that every value stays finite
-    t = np.where(keep, t, kq * yv)
+    t = np.where(keep, t, kqv * yv)
     m4t = -4.0 * t
     one_e = -np.expm1(m4t)
     ratio = np.exp(m4t) / one_e
@@ -677,12 +758,12 @@ def _p_sphere_hermite(y, k: int, m: int, b,
     # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
     g2_rest = psi2 - 16.0 * q * ratio / one_e
 
-    t_y = kq + v / (2.0 * sy)
+    t_y = kqv + v / (2.0 * sy)
     t_yy = -v / (4.0 * yv * sy)
     # d1 centred on its value at the node nearest v = 0 (v sorted, symmetric)
     d1 = g1 * t_y
     d1 -= d1[..., (v.size - 1) // 2, None]
-    folded = q * v * (kq * sy + 0.75 * v) / (yv * t * t)
+    folded = q * v * (kqv * sy + 0.75 * v) / (yv * t * t)
     d2 = folded + g2_rest * t_y * t_y + g1 * t_yy
     return kappa_from_nodes(np.where(keep, np.log(hw) + g, -np.inf), 1.0,
                             d1, d2 + d1 * d1, 0.0,
@@ -743,10 +824,11 @@ def _circle_breakpoints(r: float) -> np.ndarray:
     return bp
 
 
-def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
-    """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), with
-    kappa from the moments of zeta^2 about the integrand's peak, k y clipped
-    to [-r, r]; one panel set per Im s.
+def p_truncated_circle(s, ks: Sequence, r: float,
+                       corrected: bool) -> LogP | list:
+    """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), one k
+    of ks per s, with kappa from the moments of zeta^2 about the integrand's
+    peak, k y clipped to [-r, r]; one panel set per Im s.
 
     Where the peak k y lies CIRCLE_INTERIOR_WIDTHS Gaussian widths sqrt(y)
     inside (-r, r), the integral is torus:1's sqrt(pi y) e^{k^2 y} up to
@@ -755,10 +837,10 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
     identity would lose to cancellation."""
     if not 0 < r < math.inf:
         raise ValueError(f"truncated circle needs a finite r > 0, got r = {r}")
-    y, one = _im_grid(s)
+    y, ks, one = _rows(s, ks)
     c = _volume_exponent(1, corrected)
 
-    def at(y: float, b: float) -> LogP:
+    def at(k: int, y: float, b: float) -> LogP:
         if r - abs(k) * y >= CIRCLE_INTERIOR_WIDTHS * math.sqrt(y):
             return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
                         0.25 * (c - 0.5) / (y * y))
@@ -771,8 +853,8 @@ def p_truncated_circle(s, k: int, r: float, corrected: bool) -> LogP | list:
                               lambda z: (z - peak) * (z + peak), peak * peak,
                               y, c, b)
 
-    out = [at(v, b) for v, b in zip(y.tolist(),
-                                    _log_volume(y, 1, corrected).tolist())]
+    out = [at(*row) for row in zip(ks, y.tolist(),
+                                   _log_volume(y, 1, corrected).tolist())]
     return out[0] if one else out
 
 
@@ -787,65 +869,92 @@ def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
 # curvature dispatch and classification
 # ---------------------------------------------------------------------------
 
-def _engines(model: ModelSpec) -> tuple[Callable, Optional[Callable]]:
+def _engines(model: ModelSpec,
+             ks: list) -> tuple[Callable, Optional[Callable]]:
     """The model's quadrature engine and its closed form (None if it has
-    none), each a function of one s or of a 1-D sequence of them, built
-    once: the shifted weight is computed here, not per call."""
+    none), each a function of a 1-D sequence of s that evaluates every
+    (k, s) pair of the weight indices ks and the sequence, k-major, in one
+    call.  Each k's shifted weight is computed here, in order."""
+    def over(weights: list, engine: Callable) -> Callable:
+        return lambda grid: engine(grid * len(weights),
+                                   [w for w in weights for _ in grid])
     if model.variant == "sphere":
-        return lambda s: p_sphere(s, model.weight_index, model.m), None
+        return over(ks, lambda s, ks: p_sphere(s, ks, model.m)), None
     if model.variant == "truncated-circle":
-        return lambda s: p_truncated_circle(
-            s, int(model.weight_index), model.r, model.corrected), None
-    lam, corrected, rs = (model.shifted_weight(), model.corrected,
-                          model.root_system)
+        return over([int(k) for k in ks], lambda s, ks: p_truncated_circle(
+            s, ks, model.r, model.corrected)), None
+    rs, corrected = model.root_system, model.corrected
+    lams = [model.shifted_weight(k) for k in ks]
     closed = None
     if not rs.positive_roots:
-        closed = lambda s: p_torus_closed(s, rs.rank, lam, corrected)
+        closed = over(lams, lambda s, lams: p_torus_closed(s, rs.rank, lams,
+                                                           corrected))
     elif corrected:
-        closed = lambda s: p_group_closed(s, rs, lam)
+        closed = over(lams, lambda s, lams: p_group_closed(s, rs, lams))
     elif rs.name == "su2":
-        closed = lambda s: p_su2_closed(s, int(model.weight_index))
-    return (lambda s: p_group_quadrature(s, rs, lam, corrected)), closed
+        closed = over([int(k) for k in ks], p_su2_closed)
+    return over(lams, lambda s, lams: p_group_quadrature(
+        s, rs, lams, corrected)), closed
 
 
-def model_log_p(model: ModelSpec) -> Callable:
+def _by_k(rows: list, s, ks: Optional[Sequence], n_k: int):
+    """k-major rows as one list per k of ks; for ks None, the rows of the
+    one k, or its one row if s is one number."""
+    if ks is None:
+        return rows[0] if isinstance(s, numbers.Number) else rows
+    return [rows[i * len(rows) // n_k:(i + 1) * len(rows) // n_k]
+            for i in range(n_k)]
+
+
+def model_log_p(model: ModelSpec, ks: Optional[Sequence] = None) -> Callable:
     """The log-p engine of a model, a function of one s or of a 1-D
-    sequence of them."""
-    return _engines(model)[0]
+    sequence of them; given weight indices ks, one list per k, from one
+    engine call."""
+    each = [model.weight_index] if ks is None else list(ks)
+    quad = _engines(model, each)[0]
+    return lambda s: _by_k(quad([s] if isinstance(s, numbers.Number)
+                                else list(s)), s, ks, len(each))
 
 
-def curvature(model: ModelSpec, s):
+def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
     """Curvature density of a model from one quadrature pass: one
-    CurvatureDensity for one s, one per s, in order, for a 1-D sequence.
+    CurvatureDensity for one s, one per s, in order, for a 1-D sequence,
+    and given weight indices ks, one such list per k.
 
     The engine returns log p and kappa together (see the module docstring),
-    in one call for the whole sequence.  A closed form, where one exists,
-    is also evaluated in one call and reported as ``cross_check``; the two
+    in one call for every (k, s) pair, k-major; one k is the
+    ks = [model.weight_index] call.  A closed form, where one exists, is
+    also evaluated in one call and reported as ``cross_check``; the two
     kappas must agree to CLOSED_AGREEMENT_REL relative to
-    max(|kappa_closed|, m/(8 y^2)), or the first s where they do not raises.
+    max(|kappa_closed|, m/(8 y^2)), or the first (k, s) where they do not
+    raises.
     """
     one = isinstance(s, numbers.Number)
     grid = [_as_complex(v) for v in ([s] if one else s)]
-    quad_engine, closed_engine = _engines(model)
+    each = [model.weight_index] if ks is None else list(ks)
+    quad_engine, closed_engine = _engines(model, each)
     quads = quad_engine(grid)
-    closeds = closed_engine(grid) if closed_engine else [None] * len(grid)
+    closeds = closed_engine(grid) if closed_engine else [None] * len(quads)
     m = model.root_system.manifold_dim if model.root_system else model.m
     out = []
-    for sc, quad, closed in zip(grid, quads, closeds):
+    for (k, sc), quad, closed in zip(itertools.product(each, grid), quads,
+                                     closeds):
         if quad.sign <= 0 or (closed is not None and closed.sign <= 0):
-            raise ValueError(f"p is not positive for {model.label()} at s={sc}")
+            raise ValueError(f"p is not positive for {model.label()} at "
+                             f"k={k}, s={sc}")
         if closed is not None:
             scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
             if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
                 raise ArithmeticError(
-                    f"curvature paths disagree for {model.label()} at s={sc}: "
-                    f"{quad.kappa} (quadrature) vs {closed.kappa} (closed form)")
+                    f"curvature paths disagree for {model.label()} at k={k}, "
+                    f"s={sc}: {quad.kappa} (quadrature) vs {closed.kappa} "
+                    "(closed form)")
         out.append(CurvatureDensity(
-            kappa=quad.kappa, s=sc, weight_index=model.weight_index,
+            kappa=quad.kappa, s=sc, weight_index=k,
             method="quadrature+moments",
             cross_check=None if closed is None else closed.kappa,
             log_p=quad.log_magnitude))
-    return out[0] if one else out
+    return _by_k(out, s, ks, len(each))
 
 
 @dataclass(frozen=True)
@@ -869,8 +978,7 @@ def flatness_classify(base_model: ModelSpec, k_values: Sequence,
     s_values = [_as_complex(s) for s in s_values]
     if len(k_values) < 2 or len(s_values) < 2:
         raise ValueError("need at least two weight indices and two s values")
-    by_k = [curvature(replace(base_model, weight_index=k), s_values)
-            for k in k_values]
+    by_k = curvature(base_model, s_values, ks=k_values)
     table = [(k, s, row[j].kappa) for j, s in enumerate(s_values)
              for k, row in zip(k_values, by_k)]
     max_abs = max(abs(row[2]) for row in table)

@@ -404,3 +404,93 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_past_the_label_cap_names_the_k_and_prints_nothing(capsys):
+    # every k is checked before the engine runs: k = 1 would be fine, but
+    # no record is printed and the message names the bad k
+    rc, out, err = run(["sweep", "--model", "group:su2", "--k", "1,2000000",
+                        "--im-s", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert "2000000" in err and "Traceback" not in err
+
+
+def test_k_and_im_s_in_one_call_print_the_one_point_records(capsys):
+    # the bare su2 blocks cut k = 10^6 at each row's own Im s, and the
+    # records equal those of one call per (k, Im s)
+    argv = ["sweep", "--model", "group:su2", "--k", "1,1000000",
+            "--im-s", "1e-12,1"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0, err
+    alone = []
+    for k in ("1", "1000000"):
+        for y in ("1e-12", "1"):
+            rc, one, err = run(["sweep", "--model", "group:su2", "--k", k,
+                                "--im-s", y], capsys)
+            assert rc == 0, err
+            alone.append(one)
+    assert out == "".join(alone)
+
+
+# one-point records as the per-k engine calls printed them, byte for byte
+_ONE_POINT = {
+    ("group:su2", "3", "1"): '{"corrected": false, "k": 3, "kappa": '
+    '0.15153717213865436, "log_p": 13.903151249591641, "method": '
+    '"quadrature+moments", "model": "group:su2", "s": {"im": 1.0, "re": 0.0}, '
+    '"tolerances": {"tol": 1e-05}}',
+    ("torus:2", "2", "2"): '{"corrected": false, "k": 2, "kappa": 0.0625, '
+    '"log_p": 16.451582705289454, "method": "quadrature+moments", "model": '
+    '"torus:2", "s": {"im": 2.0, "re": 0.0}, "tolerances": {"tol": 1e-05}}',
+    ("sphere:2", "5", "0.5"): '{"corrected": true, "k": 5, "kappa": '
+    '-0.008831309870768744, "log_p": 15.941575320956563, "method": '
+    '"quadrature+moments", "model": "sphere:2", "s": {"im": 0.5, "re": 0.0}, '
+    '"tolerances": {"tol": 1e-05}}',
+    ("circle:1", "20", "1"): '{"corrected": false, "k": 20, "kappa": '
+    '-0.22382710272850712, "log_p": 35.36103356212385, "method": '
+    '"quadrature+moments", "model": "circle:1", "s": {"im": 1.0, "re": 0.0}, '
+    '"tolerances": {"tol": 1e-05}}',
+}
+
+
+@pytest.mark.parametrize("model, k, y", sorted(_ONE_POINT))
+def test_one_point_record_is_unchanged(model, k, y, capsys):
+    extra = ["--corrected"] if model.startswith("sphere") else []
+    rc, out, err = run(["curvature", "--model", model, *extra, "--k", k,
+                        "--im-s", y], capsys)
+    assert rc == 0, err
+    assert out == _ONE_POINT[(model, k, y)] + "\n"
+
+
+def test_point_commands_make_one_curvature_call(capsys, monkeypatch):
+    # sweep, curvature and asymptote call quantization.curvature once, over
+    # every (k, Im s) pair; p-value calls the engine once
+    from quantfield import cli
+    calls = []
+    for name in ("curvature", "model_log_p"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=fn, _n=name, **kw: (
+            calls.append(_n), _f(*a, **kw))[1])
+    for command in ("sweep", "curvature", "asymptote", "p-value"):
+        rc, out, err = run([command, "--model", "sphere:3", "--corrected",
+                            "--k", "5,10,20", "--im-s", "0.5,1,2"], capsys)
+        assert rc == 0, err
+        assert len(out.splitlines()) == 9
+    assert calls == ["curvature"] * 3 + ["model_log_p"]
+
+
+def test_disagreement_names_the_first_k_and_s_in_k_order(capsys,
+                                                         monkeypatch):
+    # rows go k-major in --k order, then in --im-s order: the off rows at
+    # (k 50, Im s 5) and (k 1, Im s 1) fail at k 50 first
+    closed = quantization.p_su2_closed
+
+    def off(s, k):
+        return [replace(c, kappa=c.kappa + 1.0)
+                if (kk, v.imag) in ((50, 5), (1, 1)) else c
+                for v, kk, c in zip(s, k, closed(s, k))]
+
+    monkeypatch.setattr(quantization, "p_su2_closed", off)
+    rc, out, err = run(["sweep", "--model", "group:su2", "--k", "50,1",
+                        "--im-s", "1,5"], capsys)
+    assert rc == 1 and out == ""
+    assert "k=50, s=5j" in err

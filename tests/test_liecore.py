@@ -212,3 +212,40 @@ def test_shifted_weight_shift():
     lam = shifted_weight(rs, [2.0])   # highest weight 2t -> shifted by rho = t
     assert lam.as_array() == pytest.approx(su2_weight(2).as_array())
 
+
+
+class _CountedTuple(tuple):
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_root_system_hashes_its_inner_product_once():
+    # a cache keyed on a root system (quantization._frame) looks it up by
+    # its hash; the fields are hashed on the first lookup, not on every one
+    from quantfield import quantization
+    rs = RootSystem(2, (), _CountedTuple(((1.0, 0.0), (0.0, 1.0))), "counted")
+    assert _CountedTuple.hashes == 0
+    cold = quantization._frame(rs)
+    assert _CountedTuple.hashes == 1
+    warm = [quantization._frame(rs) for _ in range(3)]
+    assert _CountedTuple.hashes == 1
+    for frame in warm:
+        assert all(a is b for a, b in zip(frame, cold))
+    assert not any(a.flags.writeable for a in cold[:2])
+    assert hash(rs) == hash(RootSystem(2, (), ((1.0, 0.0), (0.0, 1.0)),
+                                       "counted"))
+
+
+def test_list_fields_build_and_fail_only_when_hashed():
+    # lists where tuples are expected still build a root system and a
+    # shifted weight; only hashing them fails, as for any frozen dataclass
+    rs = RootSystem(1, [[1.0]], [[0.5]], "listed")
+    assert rs.manifold_dim == 3 and len(rs.weyl_elements) == 2
+    lam = liecore.shifted_weight(rs, [1.0], label=[1, 0])
+    assert lam.coefficients == (1.5,)
+    for obj in (rs, lam):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)

@@ -61,8 +61,8 @@ def test_corrected_su2_ratio_constancy():
     rs = liecore.su2()
     for k in (0, 1, 3):
         lam = liecore.su2_weight(k)
-        logs = [p_group_quadrature(complex(0, y), rs, lam, True).log_magnitude
-                - (k + 1) ** 2 * y
+        logs = [p_group_quadrature(complex(0, y), rs, [lam],
+                                   True).log_magnitude - (k + 1) ** 2 * y
                 for y in (0.5, 1.0, 2.0)]
         assert max(logs) - min(logs) < 1e-7
 
@@ -85,10 +85,11 @@ def test_sized_hermite_rule_matches_order_64(rs, lam, corrected, monkeypatch):
     # 64-node rule
     assert [hermite_order_for(n) for n in (0, 1, 3)] == [1, 1, 2]
     ys = (0.05, 0.5, 1.0, 2.0, 10.0)
-    sized = [p_group_quadrature(complex(0, y), rs, lam, corrected) for y in ys]
+    sized = [p_group_quadrature(complex(0, y), rs, [lam], corrected)
+             for y in ys]
     monkeypatch.setattr(quantization, "hermite_order_for", lambda n: 64)
     for y, got in zip(ys, sized):
-        want = p_group_quadrature(complex(0, y), rs, lam, corrected)
+        want = p_group_quadrature(complex(0, y), rs, [lam], corrected)
         assert got.log_magnitude == pytest.approx(want.log_magnitude,
                                                   rel=1e-11)
         scale = max(abs(want.kappa), rs.manifold_dim / (8.0 * y * y))
@@ -140,7 +141,7 @@ def test_rescaled_group_route_on_root_walls(labels):
                     for w in itertools.product(nodes, repeat=rs.rank)})
     assert len(walls) >= 3
     for y in walls:
-        got = p_group_quadrature(complex(0, y), rs, lam, True).kappa
+        got = p_group_quadrature(complex(0, y), rs, [lam], True).kappa
         assert abs(got) <= 1e-12 * 8.0 / (8.0 * y * y), (y, got)
 
 
@@ -151,8 +152,8 @@ def test_bare_su2_quadrature_vs_closed():
     for k in range(7):
         lam = liecore.su2_weight(k)
         for y in (0.5, 1.0, 2.0):
-            q = p_group_quadrature(complex(0, y), rs, lam, False)
-            c = p_su2_closed(complex(0, y), k)
+            q = p_group_quadrature(complex(0, y), rs, [lam], False)
+            c = p_su2_closed(complex(0, y), [k])
             diffs.append(q.log_magnitude - c.log_magnitude)
     assert max(diffs) - min(diffs) < 1e-7
 
@@ -164,7 +165,7 @@ def test_bare_torus_quadrature_vs_closed():
         for y in (0.5, 1.0, 2.0):
             model = ModelSpec.torus(m, [2] * m, corrected=False)
             q = model_log_p(model)(complex(0, y)).log_magnitude
-            c = p_torus_closed(complex(0, y), m, lam, False).log_magnitude
+            c = p_torus_closed(complex(0, y), m, [lam], False).log_magnitude
             diffs.append(q - c)
         assert max(diffs) - min(diffs) < 1e-10
 
@@ -196,7 +197,7 @@ def _su2_bare_kappa_decimal(k: int, y: float) -> float:
 def test_su2_closed_kappa_against_40_digits(k, y):
     # exponents n y up to 4e7: taken relative to the largest, the weights
     # keep full precision (unshifted they were 4e-9 off here)
-    got = p_su2_closed(complex(0, y), k).kappa
+    got = p_su2_closed(complex(0, y), [k]).kappa
     assert got == pytest.approx(_su2_bare_kappa_decimal(k, y), rel=1e-12,
                                 abs=0.0)
 
@@ -281,7 +282,8 @@ def test_su2_closed_builds_only_the_terms_that_count():
     # terms within e^{-SERIES_CUT} of the top one at Im s 1e-9 are 38,232
     tracemalloc.start()
     try:
-        got = p_su2_closed([1e-9j, 1j, 1000j], quantization.MAX_BARE_SU2_INDEX)
+        got = p_su2_closed([1e-9j, 1j, 1000j],
+                           [quantization.MAX_BARE_SU2_INDEX] * 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,19 +294,19 @@ def test_su2_closed_builds_only_the_terms_that_count():
 
 def test_su2_closed_values():
     # k=1, y=1: p = e * 2 * (1 + 2) = 6e (times y^{-3/2} = 1)
-    got = p_su2_closed(1j, 1).log_magnitude
+    got = p_su2_closed(1j, [1]).log_magnitude
     assert got == pytest.approx(math.log(6.0) + 1.0, abs=1e-12)
-    assert p_su2_closed(1j, 0).log_magnitude == 0.0   # single j=0 term, k=0
+    assert p_su2_closed(1j, [0]).log_magnitude == 0.0   # single j=0 term, k=0
     with pytest.raises(ValueError):
-        p_su2_closed(1j, -1)
+        p_su2_closed(1j, [-1])
 
 
 def test_group_closed_exponent():
     rs = liecore.su2()
     for k in (0, 2):
         lam = liecore.su2_weight(k)
-        d = p_group_closed(2j, rs, lam).log_magnitude \
-            - p_group_closed(1j, rs, lam).log_magnitude
+        d = p_group_closed(2j, rs, [lam]).log_magnitude \
+            - p_group_closed(1j, rs, [lam]).log_magnitude
         assert d == pytest.approx((k + 1) ** 2, abs=1e-12)
 
 
@@ -325,19 +327,19 @@ def test_spherical_phi_base_cases():
 
 def test_sphere_guards():
     with pytest.raises(ValueError):
-        p_sphere(1j, 300, 2)
+        p_sphere(1j, [300], 2)
     with pytest.raises(ValueError):
-        p_sphere(1j, 3, 1)
+        p_sphere(1j, [3], 1)
 
 
 def test_sphere_rejects_non_integral_indices():
     for k, m in ((2.5, 2), (5, 2.5)):
         with pytest.raises(ValueError, match="integers"):
-            p_sphere(1j, k, m)
+            p_sphere(1j, [k], m)
         with pytest.raises(ValueError, match="integers"):
             spherical_phi(k, m, 0.5)
     # integral floats are integers
-    assert p_sphere(1j, 5.0, 2.0) == p_sphere(1j, 5, 2)
+    assert p_sphere(1j, [5.0], 2.0) == p_sphere(1j, [5], 2)
 
 
 @pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (10, 4, 0.2),
@@ -350,13 +352,13 @@ def test_sphere_row_blocks(monkeypatch, k, m, y):
     assert (k + (m - 1) / 2) * math.sqrt(y) < quantization.SPHERE_HERMITE_SWITCH
     tracemalloc.start()
     try:
-        blocked = p_sphere(complex(0, y), k, m)
+        blocked = p_sphere(complex(0, y), [k], m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024
     monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 10 ** 9)
-    assert p_sphere(complex(0, y), k, m) == blocked
+    assert p_sphere(complex(0, y), [k], m) == blocked
 
 
 def _sphere_scale(k, m, y):
@@ -372,7 +374,7 @@ def test_sphere_matches_stored_oracle():
     entries = json.loads(path.read_text())["entries"]
     assert len(entries) == 26
     for e in entries:
-        got = p_sphere(complex(0, e["im_s"]), e["k"], e["m"]).kappa
+        got = p_sphere(complex(0, e["im_s"]), [e["k"]], e["m"]).kappa
         assert got == pytest.approx(float(e["kappa"]), rel=1e-11), e
 
 
@@ -381,9 +383,9 @@ def test_sphere_m3_closed_form(k):
     # S^3: (sinh 2t) t phi_k(t) = 2 t sinh(2(k+1)t) / (k+1), so
     # p = y^{-3/2} int_0^inf e^{-t^2/y} t sinh(2(k+1)t) dt ~ e^{(k+1)^2 y}
     # and kappa = 0.  The y grid runs on both sides of the route switch.
-    base = p_sphere(1j, k, 3).log_magnitude
+    base = p_sphere(1j, [k], 3).log_magnitude
     for y in (0.01, 0.1, 0.5, 2.0, 20.0, 100.0):
-        got = p_sphere(complex(0, y), k, 3)
+        got = p_sphere(complex(0, y), [k], 3)
         want = (k + 1) ** 2 * (y - 1.0)
         assert got.log_magnitude - base == pytest.approx(want, rel=1e-12)
         assert abs(got.kappa) <= 1e-9 * _sphere_scale(k, 3, y), (y, got.kappa)
@@ -399,7 +401,8 @@ def test_sphere_routes_agree_at_switch(k, m):
         b = weight_params(complex(0, y), m, True).b
         hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
         panels = quantization._p_sphere_panels(y, k, m, b, log_a)
-        assert p_sphere(complex(0, y), k, m) == (panels if side < 1 else hermite)
+        assert p_sphere(complex(0, y), [k], m) == (panels if side < 1
+                                                   else hermite)
         assert hermite.log_magnitude == pytest.approx(panels.log_magnitude,
                                                       rel=1e-12)
         # the panels are the weaker route here: at k = 0 (Im s = 144 for
@@ -459,8 +462,8 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
     monkeypatch.setattr(quantization, "_p_sphere_hermite", spy)
     for m in (2, 3, 4, 7):
         kept.clear()
-        p_sphere([1j, 2j], 200, m)
-        p_sphere(1e-3j, 200, m)
+        p_sphere([1j, 2j], [200, 200], m)
+        p_sphere(1e-3j, [200], m)
         # one kernel call per grid: blocks are sized by the terms kept
         assert kept[0][0] == 2 and kept[0][1] <= 2
         assert kept[1] == (1, 201)
@@ -468,10 +471,10 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
         # rest of its grid one, whatever their order
         kept.clear()
         grid = [100j, 1e-3j, 2j, 1j]
-        rows = p_sphere(grid, 200, m)
+        rows = p_sphere(grid, [200] * len(grid), m)
         assert kept == [(1, 201), (3, 1)]
         for s, got in zip(grid, rows):
-            want = p_sphere(s, 200, m)
+            want = p_sphere(s, [200], m)
             assert got.log_magnitude == pytest.approx(want.log_magnitude,
                                                       rel=1e-15)
             # kappa is a difference of terms up to m / (8 y^2) in size
@@ -479,7 +482,8 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
                 abs(want.kappa), m / (8.0 * s.imag ** 2))
     # a long grid takes blocks of at most _SPHERE_BLOCK values
     kept.clear()
-    p_sphere([complex(0, y) for y in np.linspace(4.0, 100.0, 400)], 5, 3)
+    p_sphere([complex(0, y) for y in np.linspace(4.0, 100.0, 400)],
+             [5] * 400, 3)
     assert sum(rows for rows, _ in kept) == 400 and len(kept) > 1
     assert all(rows * quantization.SPHERE_HERMITE_ORDER * terms
                <= quantization._SPHERE_BLOCK for rows, terms in kept)
@@ -489,11 +493,11 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
              for y in ys if (k + (m - 1) / 2) * math.sqrt(y)
              >= quantization.SPHERE_HERMITE_SWITCH]
     kept.clear()
-    cut = [p_sphere(complex(0, y), k, m) for k, m, y in cases]
+    cut = [p_sphere(complex(0, y), [k], m) for k, m, y in cases]
     assert sum(terms < k + 1 for (_, terms), (k, _, _) in zip(kept, cases)) \
         >= len(cases) // 2
     monkeypatch.setattr(quantization, "SERIES_CUT", math.inf)
-    assert [p_sphere(complex(0, y), k, m) for k, m, y in cases] == cut
+    assert [p_sphere(complex(0, y), [k], m) for k, m, y in cases] == cut
 
 
 # kappa of the corrected sphere at (k+q) sqrt(Im s) = 6, 10 and 20, per
@@ -524,7 +528,7 @@ def test_large_m_sphere_switch(k, m):
     switch = max(quantization.SPHERE_HERMITE_SWITCH, q / 4)
     for x, want in zip((6.0, 10.0, 20.0), _LARGE_M_SPHERE_KAPPA[m, k]):
         y = (x / (k + q)) ** 2
-        got = p_sphere(complex(0, y), k, m)
+        got = p_sphere(complex(0, y), [k], m)
         assert (x >= switch) == (got == quantization._p_sphere_hermite(
             y, k, m, weight_params(complex(0, y), m, True).b, log_a))
         # the panels' moment identity cancels terms of size m / (8 y^2)
@@ -534,12 +538,12 @@ def test_large_m_sphere_switch(k, m):
         b = weight_params(complex(0, y), m, True).b
         hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
         panels = quantization._p_sphere_panels(y, k, m, b, log_a)
-        assert p_sphere(complex(0, y), k, m) == (panels if side < 1
+        assert p_sphere(complex(0, y), [k], m) == (panels if side < 1
                                                  else hermite)
         scale = max(abs(panels.kappa), _sphere_scale(k, m, y))
         assert abs(hermite.kappa - panels.kappa) <= 5e-11 * scale
     if (k, m) == (0, 200):
-        assert p_sphere(complex(0, (6 / 99.5) ** 2), 0, 200).kappa \
+        assert p_sphere(complex(0, (6 / 99.5) ** 2), [0], 200).kappa \
             == pytest.approx(60121.7041612224, rel=1e-12)
 
 
@@ -571,20 +575,20 @@ def test_half_form_factor_matches_liecore(m):
 
 def test_truncated_circle_erf_value():
     # k=0, r=1, y=1 (a=-1, b=0): integral = sqrt(pi) erf(1)
-    got = p_truncated_circle(1j, 0, 1.0, corrected=False)
+    got = p_truncated_circle(1j, [0], 1.0, corrected=False)
     want = math.log(math.sqrt(math.pi) * math.erf(1.0))
     assert got.log_magnitude == pytest.approx(want, abs=1e-10)
 
 
 def test_truncated_circle_large_r_limit():
-    got = p_truncated_circle(1j, 0, 8.0, corrected=False).log_magnitude
+    got = p_truncated_circle(1j, [0], 8.0, corrected=False).log_magnitude
     assert got == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0])
 def test_truncated_circle_needs_a_finite_positive_radius(r):
     with pytest.raises(ValueError, match="finite r > 0"):
-        p_truncated_circle(1j, 1, r, corrected=False)
+        p_truncated_circle(1j, [1], r, corrected=False)
     with pytest.raises(ValueError, match="finite r > 0"):
         ModelSpec.truncated_circle(r, 1)
 
@@ -607,7 +611,7 @@ def test_truncated_circle_interior_log_p_is_the_erf_form(corrected):
     for k, y in points:
         assert 1.0 - abs(k) * y >= 10.0 * math.sqrt(y)
         grid = [complex(0, y), 0.5j, complex(0, y), 2j]
-        got = p_truncated_circle(grid, k, 1.0, corrected)
+        got = p_truncated_circle(grid, [k] * len(grid), 1.0, corrected)
         want = _circle_erf_log_p(k, 1.0, y, corrected)
         for row in (got[0], got[2]):
             assert row.sign == 1
@@ -622,7 +626,7 @@ def test_truncated_circle_interior_switch_is_seamless(widths, corrected):
     # give the same log p and kappa
     y = 1e-3
     k = round((1.0 - widths * math.sqrt(y)) / y)
-    row = p_truncated_circle(complex(0, y), k, 1.0, corrected)
+    row = p_truncated_circle(complex(0, y), [k], 1.0, corrected)
     want = _circle_erf_log_p(k, 1.0, y, corrected)
     assert abs(row.log_magnitude - want) <= 1e-13 * abs(want)
     c = 0.5 if corrected else 1.0
@@ -849,12 +853,13 @@ def test_closed_form_kappas_match_quadrature():
     for k in (0, 3, 8):
         for y in (0.5, 2.0):
             s = complex(0, y)
-            closed = p_su2_closed(s, k).kappa
-            quad = p_group_quadrature(s, su2, liecore.su2_weight(k), False).kappa
+            closed = p_su2_closed(s, [k]).kappa
+            quad = p_group_quadrature(s, su2, [liecore.su2_weight(k)],
+                                      False).kappa
             assert quad == pytest.approx(closed, rel=1e-9)
-    assert p_torus_closed(2j, 3, liecore.torus_weight(3, 1), False).kappa \
+    assert p_torus_closed(2j, 3, [liecore.torus_weight(3, 1)], False).kappa \
         == pytest.approx(3 / 32, rel=1e-15)
-    assert p_group_closed(2j, su2, liecore.su2_weight(4)).kappa == 0.0
+    assert p_group_closed(2j, su2, [liecore.su2_weight(4)]).kappa == 0.0
 
 
 def test_su3_highest_weights():
@@ -991,3 +996,118 @@ def test_high_rank_torus_uses_one_node(m):
         for c in curvature(model, [0.01j, 1j, 1000j]):
             y = c.s.imag
             assert abs(c.kappa - kappa_y2 / (y * y)) <= 1e-13 * m / (8 * y * y)
+
+
+# families of curvature(model, grid, ks=...) against one call per k: the
+# base model, m, the k mix, the grid, and whether the rows must match bit
+# for bit (no padding) or to 1e-14 of scale (rows of several k padded to
+# one block's width).  The bare su2 and sphere mixes force padding: their
+# k keep different numbers of weights or series terms.
+_KS_GRID = (2.0, 1e-3, 0.5, 0.05, 0.5, 20.0)
+_KS_FAMILIES = {
+    "torus1": (ModelSpec.torus(1, [0]), 1, [[0], [3], [-7]], _KS_GRID, True),
+    "torus2": (ModelSpec.torus(2, [0, 0]), 2, [[0, 0], [2, -1], [2, -1]],
+               _KS_GRID, True),
+    "torus3-corrected": (ModelSpec.torus(3, [0, 0, 0], corrected=True), 3,
+                         [[1, 2, 3], [0, 0, 0]], _KS_GRID, True),
+    "su2-corrected": (ModelSpec.group(liecore.su2(), 0), 3, [0, 3, 50, 200],
+                      _KS_GRID, True),
+    "su3-corrected": (ModelSpec.group(liecore.su3(), (0, 0)), 8,
+                      [(0, 0), (1, 0), (2, 1)], _KS_GRID, True),
+    "circle1": (ModelSpec.truncated_circle(1.0, 0), 1, [0, 3, 40, -40],
+                _KS_GRID, True),
+    "su2-bare": (ModelSpec.group(liecore.su2(), 0, corrected=False), 3,
+                 [0, 1, 8, 1000, 3], _KS_GRID + (1e-5, 100.0), False),
+    **{f"sphere{m}": (ModelSpec.sphere(m, 0), m, [0, 5, 200],
+                      (4.0, 1e-3, 0.3, 0.02, 2.0, 100.0), False)
+       for m in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_KS_FAMILIES))
+def test_curvature_ks_matches_one_call_per_k(family):
+    # one engine call over every (k, Im s) pair gives what one call per k
+    # gives: bit for bit where no row is padded, else to 1e-14 of
+    # max(|kappa|, m/(8 y^2)); the one-k call is the ks = [k] call
+    model, m, ks, ys, exact = _KS_FAMILIES[family]
+    grid = [complex(0, y) for y in ys]
+    batch = curvature(model, grid, ks=ks)
+    assert len(batch) == len(ks)
+    for k, rows in zip(ks, batch):
+        alone = curvature(replace(model, weight_index=k), grid)
+        assert alone == curvature(model, grid, ks=[k])[0]
+        assert [c.s for c in rows] == grid
+        assert all(c.weight_index == k for c in rows)
+        for got, want in zip(rows, alone):
+            if exact:
+                assert got == want, (k, got.s)
+                continue
+            y = got.s.imag
+            scale = max(abs(want.kappa), m / (8.0 * y * y))
+            assert abs(got.kappa - want.kappa) <= 1e-14 * scale, (k, y)
+            assert abs(got.log_p - want.log_p) <= \
+                1e-14 * max(1.0, abs(want.log_p)), (k, y)
+            assert got.cross_check == want.cross_check or abs(
+                got.cross_check - want.cross_check) <= 1e-14 * scale
+    logs = model_log_p(model, ks)(grid)
+    assert [[lp.log_magnitude for lp in row] for row in logs] == \
+        [[c.log_p for c in row] for row in batch]
+
+
+def test_curvature_ks_makes_one_engine_call(monkeypatch):
+    # every (k, Im s) pair goes to the quadrature engine and the closed
+    # form in one call each, k-major; an empty ks or grid gives empty lists
+    calls = []
+    for name in ("p_group_quadrature", "p_su2_closed", "p_sphere"):
+        engine = getattr(quantization, name)
+        monkeypatch.setattr(quantization, name,
+                            lambda s, *a, _e=engine, _n=name: (
+                                calls.append((_n, len(s))), _e(s, *a))[1])
+    su2 = ModelSpec.group(liecore.su2(), 0, corrected=False)
+    curvature(su2, [0.5j, 1j, 2j], ks=[0, 1, 2, 3, 5, 8])
+    curvature(ModelSpec.sphere(3, 5), [0.5j, 1j, 2j], ks=[5, 10, 20])
+    assert calls == [("p_group_quadrature", 18), ("p_su2_closed", 18),
+                     ("p_sphere", 9)]
+    assert curvature(su2, [1j], ks=[]) == []
+    assert curvature(su2, [], ks=[1, 2]) == [[], []]
+
+
+def test_bare_su2_weights_are_cut_per_block(monkeypatch):
+    # k = 10^6 keeps all 500,001 weight pairs at Im s = 1e-12 and one at
+    # Im s = 1: each block cuts a k's weights at the smallest Im s of its
+    # own rows of that k, so the Im s = 1 row is not widened to 500,001
+    cuts = []
+    weights = quantization._bare_weights
+
+    def spy(lam_u, roots_u, y_min):
+        mu, log_mult = weights(lam_u, roots_u, y_min)
+        cuts.append((round(float(lam_u[0])) - 1, y_min, len(mu)))
+        return mu, log_mult
+
+    monkeypatch.setattr(quantization, "_bare_weights", spy)
+    k = quantization.MAX_BARE_SU2_INDEX
+    model = ModelSpec.group(liecore.su2(), 1, corrected=False)
+    batch = curvature(model, [1e-12j, 1j], ks=[1, k])
+    assert sorted(cuts) == [(1, 1e-12, 1), (k, 1e-12, k // 2 + 1),
+                            (k, 1.0, 1)]
+    for kk, rows in zip((1, k), batch):
+        for got in rows:
+            want = curvature(replace(model, weight_index=kk), got.s)
+            assert got == want
+
+
+def test_invalid_k_is_named_before_any_quadrature(monkeypatch):
+    # every k is checked, in order, before an engine integrates anything:
+    # the first bad one is named and no kernel runs
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the last k was checked")
+
+    monkeypatch.setattr(quantization, "kappa_from_nodes", kernel)
+    cases = [(ModelSpec.group(liecore.su2(), 0, corrected=False),
+              [1, 2_000_000, 3_000_000], "2000000"),
+             (ModelSpec.group(liecore.su2(), 0), [1, -2, -3], "-2"),
+             (ModelSpec.group(liecore.su3(), (0, 0)), [(1, 0), 5, 7], "5"),
+             (ModelSpec.sphere(2, 0), [5, 300, 400], "300")]
+    for model, ks, bad in cases:
+        with pytest.raises(ValueError, match=f"k = {bad}"):
+            curvature(model, [1j, 2j], ks=ks)
