@@ -9,8 +9,8 @@ The workhorses are:
 * ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
                              carried out entirely in the log domain,
 * ``integrate_log_panels``-- composite Gauss-Legendre of positive log-domain
-                             integrands on caller-chosen panels, optionally
-                             ending in the curvature kernel,
+                             integrands on caller-chosen panels, ending in
+                             the curvature kernel,
 * ``kappa_from_nodes``    -- the curvature kernel: log p and
                              kappa = (1/4) d^2/dy^2 log p from one set of
                              weighted nodes and the integrand's first two
@@ -33,13 +33,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .logdomain import LogValue, NEG_INF, logsumexp_positive, signed_logsumexp
+from .logdomain import LogValue, NEG_INF, signed_logsumexp
 
 __all__ = [
     "hermite_rule",
@@ -50,6 +50,8 @@ __all__ = [
     "gaussian_weighted",
     "integrate_log_panels",
     "LogP",
+    "node_sums",
+    "kappa_from_sums",
     "kappa_from_nodes",
     "MCResult",
     "mc_integrate",
@@ -144,12 +146,42 @@ class LogP(LogValue):
     kappa: float = math.nan
 
 
+def node_sums(logs: np.ndarray, f0: np.ndarray | float, f1: np.ndarray,
+              f2: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """The sums of ``kappa_from_nodes`` per segment of a flat node axis,
+    widths[r] >= 1 nodes each, a column per segment: its largest log
+    (shift; at least the lowest float, so weights e^{-inf} alone sum to 0)
+    and Q_j = sum e^{logs - shift} f_j.  They run over the segment's own
+    nodes in order, wherever it sits; pieces of a segment merge by the same
+    call, their shifts as logs and their Q_j as values."""
+    widths = np.asarray(widths)
+    starts = widths.cumsum() - widths
+    shift = np.maximum.reduceat(logs, starts)
+    np.maximum(shift, -sys.float_info.max, out=shift)
+    w = np.exp(logs - shift.repeat(widths))
+    return np.array([shift] + [np.add.reduceat(w * f, starts)
+                               for f in (f0, f1, f2)])
+
+
+def kappa_from_sums(sums: np.ndarray, c0: np.ndarray | float = 0.0,
+                    offset: np.ndarray | float = 0.0) -> list:
+    """``kappa_from_nodes`` of each segment of ``node_sums``, c0 and offset
+    scalars or one per segment."""
+    shift, q0, q1, q2 = sums.tolist()
+    c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
+                  else [float(x)] * len(q0) for x in (c0, offset))
+    return [LogP(s + math.log(abs(a)) + o, 1 if a > 0 else -1,
+                 0.25 * (c + d / a - (b / a) * (b / a))) if a != 0.0
+            else LogP(NEG_INF, 0)
+            for s, a, b, d, c, o in zip(shift, q0, q1, q2, c0, offset)]
+
+
 def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
                      f1: np.ndarray, f2: np.ndarray,
-                     c0: np.ndarray | float = 0.0,
-                     offset: np.ndarray | float = 0.0) -> LogP | list:
-    """log p and kappa from one set of nodes: the curvature kernel that
-    every quadrature engine ends in.
+                     c0: float = 0.0, offset: float = 0.0) -> LogP:
+    """log p and kappa from one set of nodes, 1-D arrays: the curvature
+    kernel, which engines with a row per segment of a flat node axis run as
+    ``node_sums`` then ``kappa_from_sums``.
 
     The nodes carry positive weights e^{logs} and the integrand over that
     weight, f0 (signed; a scalar broadcasts), with its first and second
@@ -160,34 +192,19 @@ def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
     positive terms with log-derivatives (d1, d2) go in as f1 = d1 - c and
     f2 = d2 + (d1 - c)^2, c a constant near the mean of d1.  Q0 = 0 (a
     node of weight e^{-inf} counts as absent) gives sign 0 and kappa nan.
-    The sums run over the last axis: a 1-D call returns one LogP, a 2-D
-    call (a row per Im s; c0 and offset scalars or one per row) a list.
     """
-    logs = np.asarray(logs, dtype=float)
-    rows = logs.reshape(-1, logs.shape[-1])
-    # a row of -inf alone shifts by the lowest float: weights 0, not nan
-    shift = rows.max(axis=1, initial=-sys.float_info.max)
-    w = np.exp(rows - shift[:, None])
-    q0, q1, q2 = [(w * f).sum(axis=1).tolist() for f in (f0, f1, f2)]
-    c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
-                  else [float(x)] * len(q0) for x in (c0, offset))
-    out = [LogP(s + math.log(abs(a)) + o, 1 if a > 0 else -1,
-                0.25 * (c + d / a - (b / a) * (b / a))) if a != 0.0
-           else LogP(NEG_INF, 0)
-           for s, a, b, d, c, o in zip(shift.tolist(), q0, q1, q2, c0, offset)]
-    return out if logs.ndim > 1 else out[0]
+    return kappa_from_sums(node_sums(logs, f0, f1, f2, [np.size(logs)]),
+                           c0, offset)[0]
 
 
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
-                         breakpoints: Sequence[float],
-                         nodes_per_panel: int = 24,
-                         derivs_f: Optional[Callable[[np.ndarray], tuple]] = None,
-                         ) -> LogValue | LogP:
+                         breakpoints: Sequence[float], nodes_per_panel: int,
+                         derivs_f: Callable[[np.ndarray], tuple]) -> LogP:
     """Composite Gauss-Legendre quadrature over fixed panels of the
-    positive exp(log_f), log_f a function of an array of abscissae: a
-    LogValue or, given ``derivs_f``, the ``kappa_from_nodes`` result of the
-    same nodes, ``derivs_f`` mapping the abscissae to (f1, f2), the first
-    two y-derivatives of the integrand over its value."""
+    positive exp(log_f), log_f a function of an array of abscissae: the
+    ``kappa_from_nodes`` result of its nodes, ``derivs_f`` mapping the
+    abscissae to (f1, f2), the first two y-derivatives of the integrand
+    over its value."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -197,11 +214,7 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     mid = lo + half
     x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
     logw = np.log(np.outer(half, w)).ravel()
-    logs = log_f(x) + logw
-    if derivs_f is not None:
-        return kappa_from_nodes(logs, 1.0, *derivs_f(x))
-    total = logsumexp_positive(logs)
-    return LogValue.from_log(total, 1) if total != NEG_INF else LogValue.zero()
+    return kappa_from_nodes(log_f(x) + logw, 1.0, *derivs_f(x))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ Every engine integrates e^{a(s) phi} against a weight that does not depend
 on s, phi a quadratic form (|u|^2, t^2 or zeta^2), so log p is a function of
 y = Im s alone.  Each returns kappa with log p from one quadrature pass
 (``LogP``): its nodes, with the integrand's first two y-derivatives at each,
-go to ``quadrature.kappa_from_nodes``, the one place that forms kappa.
+go to ``quadrature.kappa_from_sums``, the one place that forms kappa.
 Closed forms return theirs analytically.
 
 What the nodes hold fixed sets those derivatives.  The panel routes (spheres
@@ -44,8 +44,8 @@ from .logdomain import LogValue
 from . import liecore
 from .liecore import RootSystem, ShiftedWeight
 from .quadrature import (LogP, hermite_rule, integrate_log_panels,
-                         integrate_1d, kappa_from_nodes, mc_integrate,
-                         read_only)
+                         integrate_1d, kappa_from_sums, mc_integrate,
+                         node_sums, read_only)
 
 __all__ = [
     "WeightParams",
@@ -76,11 +76,11 @@ MAX_SPHERE_INDEX = 200
 #: largest k of bare su(2), whose engines build arrays of about k values
 MAX_BARE_SU2_INDEX = 10 ** 6
 
-#: elements per row block of the (Im s x node) arrays of the sphere Hermite
-#: route, the group route and p_su2_closed: 64 KiB of
-#: float64, half of glibc's default 128 KiB mmap threshold.  Blocks this
-#: small come from the heap and are reused, so a call neither maps, faults
-#: in and unmaps its temporaries nor leaves L2.
+#: nodes per chunk of the flat node axis of every Hermite engine
+#: (``_chunked_sums``): 64 KiB of float64, half of glibc's default 128 KiB
+#: mmap threshold.  Chunks this small come from the heap and are reused, so
+#: a call neither maps, faults in and unmaps its temporaries nor leaves L2,
+#: and a row of any width has bounded memory.
 _SPHERE_BLOCK = 8192
 
 #: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
@@ -91,9 +91,9 @@ _SPHERE_BLOCK = 8192
 SPHERE_HERMITE_ORDER = 24
 
 #: the Hermite routes keep the terms of a sum that reach e^{-SERIES_CUT} of
-#: the largest: the sphere those of phi_k's series in e^{-4t}
-#: (``_series_terms``), bare groups their weights at a call's smallest Im s
-#: (``_p_group_rescaled``).  e^{-75} = 2.7e-33, so the sphere's terms cut,
+#: the largest, each row at its own Im s: the sphere those of phi_k's series
+#: in e^{-4t} (``_series_terms``), bare groups their weights
+#: (``_bare_width``).  e^{-75} = 2.7e-33, so the sphere's terms cut,
 #: at most 200 of them and weighted by i^2 <= 4e4, add less than 2.2e-26 of
 #: the largest term to any sum.  Over m in {2, ..., 7}, k <= 200 and Im s in
 #: [1e-5, 1e3] no output bit moves when the cut is lifted; some move at cuts
@@ -150,42 +150,31 @@ def _rows(s, ks: Sequence) -> tuple[np.ndarray, list, bool]:
     return y, ks, one
 
 
-def _stack(parts: list, at: list, fill: float) -> np.ndarray:
-    """parts[at[r]] as row r, each padded with fill to the longest part; one
-    part serves every row under a row axis of length 1."""
-    if len(parts) == 1:
-        return parts[0][None]
-    n = max(map(len, parts))
-    return np.array([p if len(p) == n else np.concatenate(
-        (p, np.full((n - len(p),) + p.shape[1:], fill))) for p in parts])[at]
-
-
-def _in_blocks(keys: list, widths: list, per_term: int, terms: Callable,
-               evaluate: Callable) -> list:
-    """evaluate(rows, arrays) over blocks of rows, the results in row order.
-
-    Row r sums the first widths[r] terms of its key keys[r].  Rows go in
-    order of falling width, a block at most _SPHERE_BLOCK // (per_term * n)
-    of them, n its first row's width, so a wide row never widens a narrow
-    row's block.  terms(key, rows) gives a key's arrays of terms (along the
-    first axis) for each run of its rows in the block, the first a
-    log-weight; arrays has them a row each (``_stack``), padded with -inf
-    and 0."""
-    order = sorted(range(len(keys)), key=widths.__getitem__, reverse=True)
-    out, i = [None] * len(keys), 0
-    while i < len(order):
-        block = order[i:i + max(1, _SPHERE_BLOCK
-                                // (per_term * widths[order[i]]))]
-        i += len(block)
-        runs = [(key, list(rows)) for key, rows
-                in itertools.groupby(block, key=keys.__getitem__)]
-        at = [g for g, (_, rows) in enumerate(runs) for _ in rows]
-        parts = zip(*[terms(key, rows) for key, rows in runs])
-        arrays = [_stack(col, at, 0.0 if j else -math.inf)
-                  for j, col in enumerate(parts)]
-        for r, value in zip(block, evaluate(np.array(block), arrays)):
-            out[r] = value
-    return out
+def _chunked_sums(widths: Sequence[int], nodes: Callable) -> np.ndarray:
+    """``node_sums`` of a flat node axis of segments widths[r] >= 1 long,
+    nodes(r, i) giving (logs, f0, f1, f2) at node i of segment r (int
+    arrays), in chunks of at most _SPHERE_BLOCK nodes of whole segments.  A
+    wider segment is cut at multiples of _SPHERE_BLOCK from its own start
+    and its pieces' sums merged, so its sums depend on its own nodes only."""
+    chunk, widths = _SPHERE_BLOCK, np.asarray(widths, dtype=np.intp)
+    ends = widths.cumsum()
+    sums, a = [], 0
+    while a < widths.size:
+        w = int(widths[a])
+        if w > chunk:                          # its pieces as segments
+            part = np.diff(np.r_[0:w:chunk, w])
+            sums.append(node_sums(*_chunked_sums(part, lambda p, i: nodes(
+                np.full(i.size, a), p * chunk + i)), [part.size]))
+            a += 1
+            continue
+        b = int(ends.searchsorted(ends[a] - w + chunk, "right"))
+        part = widths[a:b]
+        starts = ends[a:b] - part
+        sums.append(node_sums(*nodes(
+            np.arange(a, b).repeat(part),
+            np.arange(starts[0], ends[b - 1]) - starts.repeat(part)), part))
+        a = b
+    return np.concatenate(sums, axis=1) if sums else np.empty((4, 0))
 
 
 def _log_volume(y: Sequence[float], m: int, corrected: bool) -> np.ndarray:
@@ -369,70 +358,14 @@ def _bare_width(dim: int, alpha_sq: float, y: float) -> int:
     return min(math.floor((k - a) / 2.0) + 1, (dim + 1) // 2)
 
 
-def _bare_weights(lam_u: np.ndarray, roots_u: np.ndarray,
-                  y_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weights lambda - (j + 1/2) alpha, j < 2 lambda.alpha/alpha.alpha,
-    of the rank-1 irreducible of shifted weight lambda, largest first, and
-    their log multiplicities: mu and -mu give the same integral, so each
-    pair is one row of multiplicity 2 (mu = 0 has 1).  Only the weights that
-    count at Im s >= y_min are built (``_bare_width``, see
-    ``_p_group_rescaled``)."""
-    dim, alpha_sq = _bare_dim(lam_u, roots_u)
-    j = np.arange(_bare_width(dim, alpha_sq, y_min), dtype=float)
-    mu = lam_u - (j[:, None] + 0.5) * roots_u[0]
-    return mu, np.where(2.0 * j + 1.0 == dim, 0.0, math.log(2.0))
-
-
-def _p_group_rescaled(y: np.ndarray, roots_u: np.ndarray,
-                      log_mult: np.ndarray, mu: np.ndarray, c: float,
-                      offset: np.ndarray) -> list:
-    """The Gauss-Hermite route of ``p_group_quadrature``, a row per Im s,
-    with the weights mu (row, weight, axis) of each row, largest |mu| first,
-    and their log multiplicities (row, weight); a row axis of length 1
-    serves every row.
-
-    In orthonormal coordinates the integrand is a sum over the weights mu
-    of mult e^{-|u|^2/y + 2 mu.u} f(u), f the
-    product of alpha(u) over the rows of roots_u (P = prod_{R+} alpha, or
-    P^2: each root twice).  With u = mu y + sqrt(y) w per term and
-    top = |mu_0|^2, p = e^{b + offset + top y} y^{rank/2} Q(y), where
-    Q = sum_mu mult e^{Delta y} int e^{-|w|^2} f dw, Delta = |mu|^2 - top,
-    and 4 kappa = (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2.  A node is a (weight,
-    Hermite node) pair of log-weight log mult + Delta y and values f,
-    Delta f + f', Delta^2 f + 2 Delta f' + f'', with f, f' and f'' from the
-    product rule (u_y = mu + w/(2 sqrt y), u_yy = -w/(4 y^{3/2})): no node
-    divides by f, which vanishes on root walls.  A term is at most
-    mult e^{Delta y} times the top one (its integral of f grows with |mu|),
-    so the caller drops the weights below e^{-SERIES_CUT} of the largest at
-    the smallest Im s of a block: at most 5e5 of them add below 2e-27 of Q,
-    and below 1e-23 / y^2 to Q''/Q.  One weight (corrected groups, tori)
-    has Delta = 0, and its nodes are those of f alone.
-    """
-    rank = mu.shape[-1]
-    w, logs = _hermite_grid(rank, hermite_order_for(len(roots_u)))
-    # one column per (weight, Hermite node), weights outermost
-    top = np.array([float(v @ v) for v in mu[:, 0]])
-    flat = mu.reshape(-1, rank)
-    delta = np.einsum("ij,ij->i", flat, flat).reshape(mu.shape[:2])
-    delta = np.repeat(delta - delta[:, :1], len(logs), axis=1)  # 0 on top
-    mu = np.repeat(mu, len(w), axis=1)
-    w = np.tile(w, (log_mult.shape[1], 1))
-    logs = (log_mult[..., None] + logs).reshape(delta.shape)
-    p0, p1, p2 = 1.0, 0.0, 0.0                    # P = 1 on a torus
-    if len(roots_u):
-        yy = y[:, None, None]
-        sy = np.sqrt(yy)
-        u = mu * yy + sy * w                     # (Im s, column, axis)
-        u_y = mu + w / (2.0 * sy)
-        u_yy = -w / (4.0 * yy * sy)
-        for alpha in roots_u:
-            a0, a1, a2 = u @ alpha, u_y @ alpha, u_yy @ alpha
-            p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
-                          p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
-    p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
-    return kappa_from_nodes(logs + delta * y[:, None], p0, p1, p2,
-                            (c - 0.5 * rank) / (y * y),
-                            offset + top * y + 0.5 * rank * np.log(y))
+def _bare_weights(lam_u: np.ndarray, alpha: np.ndarray, dim: np.ndarray,
+                  j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights lambda - (j + 1/2) alpha, j < (dim + 1) / 2, of rank-1
+    irreducibles of dim weights (``_bare_dim``), a lambda, dim and j each,
+    and their log multiplicities: mu and -mu give the same integral, so
+    each pair is one weight of multiplicity 2 (mu = 0 has 1)."""
+    return (lam_u - (j[:, None] + 0.5) * alpha,
+            np.where(2.0 * j + 1.0 == dim, 0.0, math.log(2.0)))
 
 
 def p_group_quadrature(s, rs: RootSystem, lams: Sequence,
@@ -445,32 +378,70 @@ def p_group_quadrature(s, rs: RootSystem, lams: Sequence,
 
     Averaged over the Weyl group, the bare integrand is prod alpha^2 times
     sum_w det(w) e^{2 w lambda} / prod 2 sinh alpha (2^{|R+|}/|W| = 1 in
-    rank 1), by Weyl's character formula sum_mu mult(mu) e^{2 mu(tau)}.  So
-    tensor Gauss-Hermite about each peak (``_p_group_rescaled``, one array
-    per block of rows) is exact: corrected, one term with P = prod alpha;
-    bare (rank 1 when roots are present), P^2 per weight (``_bare_weights``,
-    cut at the smallest Im s of a weight's rows in a block)."""
+    rank 1), by Weyl's character formula sum_mu mult(mu) e^{2 mu(tau)}.  In
+    orthonormal coordinates the integrand is then a sum over weights mu of
+    mult e^{-|u|^2/y + 2 mu.u} f(u): corrected, mu = lambda alone (Delta =
+    0 below) and f = P = prod_{R+} alpha; bare (rank 1 when roots are
+    present), the weights of the irreducible (``_bare_weights``) and f = P^2.
+    With u = mu y + sqrt(y) w per term and top = |mu_0|^2 the largest,
+    p = e^{b + top y} y^{rank/2} Q(y), Q = sum_mu mult e^{Delta y}
+    int e^{-|w|^2} f dw, Delta = |mu|^2 - top, and 4 kappa =
+    (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2, exact by tensor Gauss-Hermite in w.
+    A node, a (weight, Hermite node) pair, has log-weight log mult + Delta y
+    and values f, Delta f + f', Delta^2 f + 2 Delta f' + f'', f' and f''
+    by the product rule (u_y = mu + w/(2 sqrt y), u_yy = -w/(4 y^{3/2})):
+    no node divides by f, which vanishes on root walls.  A row's nodes are
+    a segment of the flat node axis (``_chunked_sums``), weights outermost.
+    A term is at most mult e^{Delta y} times the top one (its integral of f
+    grows with |mu|), so each row keeps the weights that reach
+    e^{-SERIES_CUT} of the largest at its own Im s (``_bare_width``): at
+    most 5e5 of them add below 2e-27 of Q, and below 1e-23 / y^2 to
+    Q''/Q."""
     y, lams, one = _rows(s, lams)
     if rs.positive_roots and rs.rank > 2:
         raise ValueError("quadrature path with roots needs rank <= 2")
-    m = rs.manifold_dim
+    m, rank = rs.manifold_dim, rs.rank
     M, roots_u, log_det_M = _frame(rs)
-    lam_u = lambda lam: M.T @ lam.as_array()    # lambda(M u) = (M^T c) . u
-    yl, widths, f_roots = y.tolist(), [1] * len(lams), roots_u
-    terms = lambda lam, rows: (np.zeros(1), lam_u(lam)[None])
-    if not corrected and rs.positive_roots:     # f = P^2: each root twice
-        widths, ys = [], iter(yl)
-        for lam, run in itertools.groupby(lams):   # each checked, in order
-            dim = _bare_dim(lam_u(lam), roots_u)
-            widths += [_bare_width(*dim, v) for _, v in zip(run, ys)]
-        terms = lambda lam, rows: _bare_weights(
-            lam_u(lam), roots_u, min(yl[r] for r in rows))[::-1]
-        f_roots = np.concatenate((roots_u, roots_u))
-    c, offset = (_volume_exponent(m, corrected),
-                 _log_volume(y, m, corrected) + log_det_M)
-    out = _in_blocks(lams, widths, hermite_order_for(len(f_roots)) ** rs.rank,
-                     terms, lambda rows, arrays: _p_group_rescaled(
-                         y[rows], f_roots, *arrays, c, offset[rows]))
+    # lambda(M u) = (M^T c) . u, once per weight
+    lam_u = {lam: M.T @ lam.as_array() for lam in dict.fromkeys(lams)}
+    lam = np.array([lam_u[v] for v in lams]).reshape(len(lams), rank)
+    bare = not corrected and bool(rs.positive_roots)
+    widths, mu0 = np.ones(len(lams), dtype=int), lam
+    if bare:
+        dims = {v: _bare_dim(u, roots_u) for v, u in lam_u.items()}  # in order
+        dim = np.array([dims[v][0] for v in lams])
+        widths = np.array([_bare_width(*dims[v], yv)
+                           for v, yv in zip(lams, y.tolist())], dtype=int)
+        mu0 = _bare_weights(lam, roots_u[0], dim, np.zeros(len(lams)))[0]
+        roots_u = np.concatenate((roots_u, roots_u))
+    w, logs = _hermite_grid(rank, hermite_order_for(len(roots_u)))
+
+    def nodes(r: np.ndarray, at: np.ndarray) -> tuple:
+        j, node = np.divmod(at, len(logs))
+        mu, log_mult = (_bare_weights(lam[r], roots_u[0], dim[r], j) if bare
+                        else (lam[r], 0.0))
+        # |mu|^2 - |mu_0|^2, 0 for a lone weight in any summation order
+        delta = ((mu - mu0[r]) * (mu + mu0[r])).sum(axis=1)
+        yy = y[r]
+        p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
+        if len(roots_u):
+            yc = yy[:, None]
+            sy = np.sqrt(yc)
+            u = mu * yc + sy * w[node]            # (node, axis)
+            u_y = mu + w[node] / (2.0 * sy)
+            u_yy = -w[node] / (4.0 * yc * sy)
+            for alpha in roots_u:
+                a0, a1, a2 = [(x * alpha).sum(axis=1) for x in (u, u_y, u_yy)]
+                p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
+                              p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
+        p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
+        return log_mult + logs[node] + delta * yy, p0, p1, p2
+
+    out = kappa_from_sums(
+        _chunked_sums(widths * len(logs), nodes),
+        (_volume_exponent(m, corrected) - 0.5 * rank) / (y * y),
+        _log_volume(y, m, corrected) + log_det_M
+        + (mu0 * mu0).sum(axis=1) * y + 0.5 * rank * np.log(y))
     return out[0] if one else out
 
 
@@ -516,43 +487,39 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
     kappa = (3/(2y^2) + f''/f - (f'/f)^2) / 4 with f''/f - (f'/f)^2 written
     as a mean plus a variance over the terms of f, both free of cancellation:
     per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
-    derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row of terms per Im s.
-    Only the terms of the weights +-(k - 2j) that count at y_min are built,
-    y_min the smallest Im s of a block's rows of that k (``_bare_width``,
-    alpha.alpha = 4): the others are below e^{-SERIES_CUT} of the n = k^2
-    term at every Im s >= y_min.
+    derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row's terms, a segment of
+    the flat node axis (``_chunked_sums``), are those of the weights
+    +-(k - 2j) that count at its own Im s (``_bare_width``, alpha.alpha =
+    4): the others are below e^{-SERIES_CUT} of the n = k^2 term.
     """
     y, ks, one = _rows(s, ks)
     for k in ks:
         if not (0 <= k <= MAX_BARE_SU2_INDEX and int(k) == k):
             raise ValueError(f"k must be an integer in "
                              f"[0, {MAX_BARE_SU2_INDEX}], got k = {k}")
-    ks, yl = [int(k) for k in ks], y.tolist()
+    low = np.array([_bare_width(int(k) + 1, 4.0, v)
+                    for k, v in zip(ks, y.tolist())], dtype=int)
     kv = np.array(ks, dtype=float)
+    # j < low, then j >= max(k + 1 - low, low): a row's terms skip gap[r]
+    gap = np.maximum(kv + 1.0 - 2.0 * low, 0.0)
+    ny2 = 2.0 * (kv * kv * y)
+    top = kv * kv * (3.0 + ny2) / (1.0 + ny2)         # A at n = k^2
 
-    def terms(k: int, rows: list) -> tuple:
-        low = _bare_width(k + 1, 4.0, min(yl[r] for r in rows))
-        j = np.concatenate((np.arange(low),
-                            np.arange(max(k + 1 - low, low), k + 1)))
-        n = (k - 2.0 * j) ** 2
-        return n - k * k, n         # a padded term has n - k^2 = -inf
-
-    def rows(block: list, arrays: list) -> list:
-        rate, n = arrays
-        ys, k = y[block], kv[block]
-        yc = ys[:, None]
-        ny = n * yc
-        g = 1.0 + 2.0 * ny
+    def terms(r: np.ndarray, i: np.ndarray) -> tuple:
+        k, yc = kv[r], y[r]
+        n = (k - 2.0 * np.where(i < low[r], i, i + gap[r])) ** 2
+        ny2 = 2.0 * (n * yc)
+        g = 1.0 + ny2
         # exponents relative to the largest, k^2 y: each n y carries n y eps
         # of rounding, which would pass into the weights as a relative error
-        logs = rate * yc + np.log1p(2.0 * ny)
+        logs = (n - k * k) * yc + np.log1p(ny2)
         # log-derivatives centred on the largest term's, n = k^2
-        d1 = n * (3.0 + 2.0 * ny) / g
-        d1 -= d1[:, :1]
-        return kappa_from_nodes(logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g),
-                                1.5 / (ys * ys), k * k * ys - 1.5 * np.log(ys))
-    out = _in_blocks(ks, [min(2 * _bare_width(k + 1, 4.0, v), k + 1)
-                          for k, v in zip(ks, yl)], 1, terms, rows)
+        d1 = n * (3.0 + ny2) / g - top[r]
+        return logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g)
+
+    out = kappa_from_sums(
+        _chunked_sums(np.minimum(2 * low, kv.astype(int) + 1), terms),
+        1.5 / (y * y), kv * kv * y - 1.5 * np.log(y))
     return out[0] if one else out
 
 
@@ -616,48 +583,28 @@ def p_sphere(s, ks: Sequence, m: int) -> LogP | list:
         log p = b(y) + (k+q)^2 y + (1/2) log y + log int e^{-v^2} e^{g(t)} dv,
 
     integrated by SPHERE_HERMITE_ORDER fixed Gauss-Hermite nodes in v
-    (``_p_sphere_hermite``, all such rows in one array).  The (k+q)^2 y
+    (``_p_sphere_hermite``, all such rows in one call).  The (k+q)^2 y
     term is linear in y, so its k^2 never enters kappa, and the moment
-    identity's cancellation of terms of size k^2 / y is gone.  That route
-    sums phi_k as its series in e^{-4t} (``_sphere_series``), cut per Im s
-    at the smallest t any of its nodes can take (``_series_terms``): its
-    nodes sit at t of about (k+q) y, where few terms count, and one term is
-    left past t = 20.  The rows of every k go to the kernel in blocks
-    sized by the terms their first row keeps (``_in_blocks``).  Below
-    SPHERE_HERMITE_SWITCH (or q/4) the rule would need nodes at t <= 0, or
-    would not resolve t^q, and the panel route (``_p_sphere_panels``)
-    integrates in t instead, per Im s.  Its t starts near 0, where all
-    k + 1 terms count, so it sums them all by Horner's rule
-    (``_series_phi``).
+    identity's cancellation of terms of size k^2 / y is gone.  Its nodes
+    sit at t of about (k+q) y, where few terms of phi_k's series count (one
+    past t = 20).  Below SPHERE_HERMITE_SWITCH (or q/4) the rule would
+    need nodes at t <= 0, or would not resolve t^q, and the panel route
+    (``_p_sphere_panels``) integrates in t instead, per Im s.  Its t starts
+    near 0, where all k + 1 terms count, so it sums them all by Horner's
+    rule (``_series_phi``).
     """
     y, ks, one = _rows(s, ks)
     ks, m = [_sphere_indices(k, m)[0] for k in ks], int(m)  # every k checked
     b = _log_volume(y, m, True)
     q = (m - 1) / 2.0
-    kv = np.array(ks, dtype=float)
-    high = ((kv + q) * np.sqrt(y)
-            >= max(SPHERE_HERMITE_SWITCH, q / 4.0)).tolist()
-    rows, hermite = [r for r, h in enumerate(high) if h], {}
-    if rows:
-        kh, yh, kvh, bh = [ks[r] for r in rows], y[rows], kv[rows], b[rows]
-        # above the switch every node's t rises with Im s, so a row's
-        # outermost node bounds its t from below, and the terms kept fall
-        # as Im s rises
-        v0 = float(hermite_rule(SPHERE_HERMITE_ORDER)[0][0])
-        uniq = list(dict.fromkeys(kh))
-        widths = _series_terms(
-            _stack([_sphere_series(k, m) for k in uniq],
-                   [uniq.index(k) for k in kh], -math.inf),
-            (kvh + q) * yh + v0 * np.sqrt(yh)).tolist()
-        hermite = dict(zip(rows, _in_blocks(
-            kh, widths, SPHERE_HERMITE_ORDER,
-            lambda k, at: (_sphere_series(k, m)[:max(widths[i] for i in at)],),
-            lambda at, log_a: _p_sphere_hermite(yh[at], kvh[at], m, bh[at],
-                                                *log_a))))
-    out = [hermite[r] if h else _p_sphere_panels(v, k, m, bv,
-                                                 _sphere_series(k, m))
-           for r, (h, k, v, bv) in enumerate(zip(high, ks, y.tolist(),
-                                                  b.tolist()))]
+    high = ((np.array(ks) + q) * np.sqrt(y)
+            >= max(SPHERE_HERMITE_SWITCH, q / 4.0))
+    rows = np.flatnonzero(high)
+    hermite = iter(_p_sphere_hermite(y[rows], [ks[r] for r in rows], m,
+                                     b[rows]) if rows.size else ())
+    out = [next(hermite) if h else _p_sphere_panels(v, k, m, bv,
+                                                    _sphere_series(k, m))
+           for h, k, v, bv in zip(high.tolist(), ks, y.tolist(), b.tolist())]
     return out[0] if one else out
 
 
@@ -684,15 +631,14 @@ def _sphere_series(k: int, m: int) -> np.ndarray:
 
 
 def _series_terms(log_a: np.ndarray, t_min: np.ndarray) -> np.ndarray:
-    """How many leading terms of the series log_a (``_sphere_series``; 2-D,
-    a row per t_min or one for all, padded with -inf) to keep for
-    t >= t_min, per t_min: up to the last term that reaches e^{-SERIES_CUT}
-    of the largest at t_min.  Past the largest term's index a term's ratio
-    to it only falls as t grows, so at every t >= t_min the terms cut stay
-    below that share."""
-    x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.shape[-1])
+    """How many leading terms of the series log_a (``_sphere_series``) to
+    keep for t >= t_min, per t_min: up to the last term that reaches
+    e^{-SERIES_CUT} of the largest at t_min.  Past the largest term's index
+    a term's ratio to it only falls as t grows, so at every t >= t_min the
+    terms cut stay below that share."""
+    x = log_a - 4.0 * t_min[:, None] * np.arange(log_a.size)
     keep = x >= x.max(axis=1, keepdims=True) - SERIES_CUT
-    return log_a.shape[-1] - keep[:, ::-1].argmax(axis=1)
+    return log_a.size - keep[:, ::-1].argmax(axis=1)
 
 
 def _series_phi(t, log_a: np.ndarray):
@@ -703,27 +649,24 @@ def _series_phi(t, log_a: np.ndarray):
     return np.log(np.polyval(np.exp(log_a[::-1]), np.exp(-4.0 * t)))
 
 
-def _series_log_phi(t: np.ndarray, log_a: np.ndarray) -> tuple:
+def _series_log_phi(t: np.ndarray, log_a: np.ndarray, first: np.ndarray,
+                    width: np.ndarray) -> tuple:
     """log phi_k(t) - 2kt and its first two t-derivatives at each t, from
-    the terms a_i e^{-4ti} of the series log_a (``_sphere_series``): under
-    the weights a_i e^{-4ti} they are log sum, -4 E[i] and 16 Var[i].  A 2-D
-    log_a holds a series per row of t, or one for all, padded with -inf."""
-    i = np.arange(log_a.shape[-1], dtype=float)
-    x = log_a[..., None, :] - 4.0 * t[..., None] * i
-    shift = x.max(axis=-1)
-    w = np.exp(x - shift[..., None])
-    norm = w.sum(axis=-1)
-    mean = (w @ i) / norm
-    var = np.sum(w * (i - mean[..., None]) ** 2, axis=-1) / norm
-    return shift + np.log(norm), -4.0 * mean, 16.0 * var
+    the terms a_i e^{-4ti}, i < width, of the series at log_a[first:] (a
+    table of ``_sphere_series``): log sum, -4 E[i] and 16 Var[i] under those
+    weights, from one pass (``_chunked_sums``, a segment per t) of sums of
+    the positive terms times 1, i and i^2."""
+    shift, s0, s1, s2 = _chunked_sums(width, lambda r, i: (
+        log_a[first[r] + i] - 4.0 * t[r] * i, 1.0, i, i * i))
+    mean = s1 / s0
+    return shift + np.log(s0), -4.0 * mean, 16.0 * (s2 / s0 - mean * mean)
 
 
-def _p_sphere_hermite(y, k: int, m: int, b,
-                      log_a: np.ndarray) -> LogP | list:
-    """The rescaled route of ``p_sphere``: one LogP for a number y, a list
-    for an array of them (k and b a number or one per y), with phi_k summed
-    over the terms log_a of its series (``_sphere_series``, cut by
-    ``_series_terms``; 2-D, a row per y or one for all).
+def _p_sphere_hermite(y: np.ndarray, k: Sequence, m: int,
+                      b: np.ndarray) -> list:
+    """The rescaled route of ``p_sphere``, a LogP per Im s y, index k and
+    log volume b, with phi_k summed (``_series_log_phi``) over the terms of
+    its series that each row keeps at its smallest node t (``_series_terms``).
 
     With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
 
@@ -736,38 +679,61 @@ def _p_sphere_hermite(y, k: int, m: int, b,
     the series' positive terms (``_series_log_phi``): no subtraction of
     large terms.  The q/y^2 cancels against the -q T_y^2 / t^2 that log t
     puts into g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken
-    together per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  Nodes with
-    t <= 0 get weight zero (each row drops its own); the integrand vanishes
-    there and, above the switch, their Hermite weight is below e^{-36}.
+    together per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  A row's
+    nodes are one segment of the flat node axis (``_chunked_sums``).
+    Nodes with t <= 0 get weight zero (each row drops its own); the
+    integrand vanishes there and, above the switch, their Hermite weight
+    is below e^{-36}.
     """
-    q = (m - 1) / 2.0
-    kq = np.asarray(k, dtype=float) + q
-    kqv, yv = kq[..., None], np.asarray(y, dtype=float)[..., None]
-    sy = np.sqrt(yv)
+    k, q = np.asarray(k), (m - 1) / 2.0
+    kq, sy = k + q, np.sqrt(y)
     v, hw = hermite_rule(SPHERE_HERMITE_ORDER)
-    t = kqv * yv + sy * v
+    n, log_hw = v.size, np.log(hw)
+    t = (kq[:, None] * y[:, None] + sy[:, None] * v).ravel()  # row-major
     keep = t > 0.0
+    # each k's series once, in one table.  Above the switch every node's t
+    # rises with Im s, so a row's outermost node bounds its t from below: a
+    # row keeps the terms that count there, fewer as Im s rises
+    table, first, width = [], np.empty_like(k), np.empty_like(k)
+    for kk in dict.fromkeys(k.tolist()):
+        rows = k == kk
+        first[rows] = sum(map(len, table))
+        table.append(_sphere_series(kk, m))
+        width[rows] = _series_terms(table[-1], t[::n][rows])
+    table = np.concatenate(table)
     # a dropped node takes the peak's t, so that every value stays finite
-    t = np.where(keep, t, kqv * yv)
-    m4t = -4.0 * t
-    one_e = -np.expm1(m4t)
-    ratio = np.exp(m4t) / one_e
-    psi, psi1, psi2 = _series_log_phi(t, log_a)
-    g = _log_half_form(t, q) + psi
-    g1 = q * (4.0 * ratio + 1.0 / t) + psi1
-    # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
-    g2_rest = psi2 - 16.0 * q * ratio / one_e
+    t = np.where(keep, t, (kq * y).repeat(n))
+    psi, psi1, psi2 = _series_log_phi(t, table, first.repeat(n),
+                                      width.repeat(n))
 
-    t_y = kqv + v / (2.0 * sy)
-    t_yy = -v / (4.0 * yv * sy)
+    def slope(tt, psi1_, kqv, syv, vv) -> tuple:
+        # 1 - e^{-4t}, its ratio e^{-4t} / (1 - e^{-4t}), g' and T_y
+        m4t = -4.0 * tt
+        one_e = -np.expm1(m4t)
+        ratio = np.exp(m4t) / one_e
+        return (one_e, ratio, q * (4.0 * ratio + 1.0 / tt) + psi1_,
+                kqv + vv / (2.0 * syv))
+
     # d1 centred on its value at the node nearest v = 0 (v sorted, symmetric)
-    d1 = g1 * t_y
-    d1 -= d1[..., (v.size - 1) // 2, None]
-    folded = q * v * (kqv * sy + 0.75 * v) / (yv * t * t)
-    d2 = folded + g2_rest * t_y * t_y + g1 * t_yy
-    return kappa_from_nodes(np.where(keep, np.log(hw) + g, -np.inf), 1.0,
-                            d1, d2 + d1 * d1, 0.0,
-                            b + kq * kq * y + 0.5 * np.log(y))
+    mid = np.arange((n - 1) // 2, t.size, n)
+    centre = np.multiply(*slope(t[mid], psi1[mid], kq, sy,
+                                v[(n - 1) // 2])[2:])
+
+    def nodes(r: np.ndarray, j: np.ndarray) -> tuple:
+        i = r * n + j
+        tt, kqv, yv, syv, vv = t[i], kq[r], y[r], sy[r], v[j]
+        one_e, ratio, g1, t_y = slope(tt, psi1[i], kqv, syv, vv)
+        # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
+        g2_rest = psi2[i] - 16.0 * q * ratio / one_e
+        t_yy = -vv / (4.0 * yv * syv)
+        folded = q * vv * (kqv * syv + 0.75 * vv) / (yv * tt * tt)
+        d1 = g1 * t_y - centre[r]
+        return (np.where(keep[i], log_hw[j] + _log_half_form(tt, q) + psi[i],
+                         -np.inf), 1.0, d1,
+                folded + g2_rest * t_y * t_y + g1 * t_yy + d1 * d1)
+
+    return kappa_from_sums(_chunked_sums(np.full(y.size, n), nodes), 0.0,
+                           b + kq * kq * y + 0.5 * np.log(y))
 
 
 def _p_sphere_panels(y: float, k: int, m: int, b: float,

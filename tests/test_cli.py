@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -416,33 +417,42 @@ def test_past_the_label_cap_names_the_k_and_prints_nothing(capsys):
 
 
 def test_k_and_im_s_in_one_call_print_the_one_point_records(capsys):
-    # the bare su2 blocks cut k = 10^6 at each row's own Im s, and the
-    # records equal those of one call per (k, Im s)
+    # bare su2 cuts k = 10^6 at each row's own Im s, and the records equal
+    # those of one call per (k, Im s).  The row at Im s 1e-12 keeps all
+    # 500,001 weights: the group route (1,000,002 nodes) and the closed
+    # form (1,000,001 terms) take it in chunks, where evaluated whole it
+    # peaked at 137 MB
     argv = ["sweep", "--model", "group:su2", "--k", "1,1000000",
             "--im-s", "1e-12,1"]
-    rc, out, err = run(argv, capsys)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert rc == 0, err
+    assert peak < 32 * 2 ** 20
     alone = []
     for k in ("1", "1000000"):
         for y in ("1e-12", "1"):
-            rc, one, err = run(["sweep", "--model", "group:su2", "--k", k,
+            rc, one, err = run(["curvature", "--model", "group:su2", "--k", k,
                                 "--im-s", y], capsys)
             assert rc == 0, err
             alone.append(one)
     assert out == "".join(alone)
 
 
-# one-point records as the per-k engine calls printed them, byte for byte
+# one-point records, byte for byte; a sweep prints the same lines
 _ONE_POINT = {
     ("group:su2", "3", "1"): '{"corrected": false, "k": 3, "kappa": '
-    '0.15153717213865436, "log_p": 13.903151249591641, "method": '
+    '0.15153717213865414, "log_p": 13.903151249591641, "method": '
     '"quadrature+moments", "model": "group:su2", "s": {"im": 1.0, "re": 0.0}, '
     '"tolerances": {"tol": 1e-05}}',
     ("torus:2", "2", "2"): '{"corrected": false, "k": 2, "kappa": 0.0625, '
     '"log_p": 16.451582705289454, "method": "quadrature+moments", "model": '
     '"torus:2", "s": {"im": 2.0, "re": 0.0}, "tolerances": {"tol": 1e-05}}',
     ("sphere:2", "5", "0.5"): '{"corrected": true, "k": 5, "kappa": '
-    '-0.008831309870768744, "log_p": 15.941575320956563, "method": '
+    '-0.008831309870767967, "log_p": 15.941575320956563, "method": '
     '"quadrature+moments", "model": "sphere:2", "s": {"im": 0.5, "re": 0.0}, '
     '"tolerances": {"tol": 1e-05}}',
     ("circle:1", "20", "1"): '{"corrected": false, "k": 20, "kappa": '

@@ -10,7 +10,8 @@ from quantfield.quadrature import (fd_derivative, fd_laplacian,
                                    gaussian_weighted, hermite_rule,
                                    integrate_1d, integrate_log_panels,
                                    kappa_from_log, kappa_from_nodes,
-                                   legendre_rule, mc_integrate)
+                                   kappa_from_sums, legendre_rule,
+                                   mc_integrate, node_sums)
 
 
 @pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
@@ -62,13 +63,6 @@ def test_gaussian_weighted_rejects_nonnegative_a():
         gaussian_weighted(lambda t: LogValue.from_value(1.0), 0.0, 0.0)
 
 
-def test_log_panels_gaussian():
-    bp = np.linspace(-10, 10, 41)
-    out = integrate_log_panels(lambda x: -x * x, bp)
-    assert out.log_magnitude == pytest.approx(0.5 * math.log(math.pi),
-                                              abs=1e-13)
-
-
 @pytest.mark.parametrize("a, b", [
     ([1.0, -2.0], [0.0, 0.5]),
     ([3.0, 0.5, -1.0, 2.0], [-1.0, 2.0, 0.0, 0.3]),
@@ -118,33 +112,43 @@ def test_kernel_zero_sum_has_sign_zero():
 
 
 def test_kernel_rows_match_one_row_calls():
-    # a 2-D call reduces each row on its own: row i equals the 1-row call
-    # on row i, with its own c0 and offset.  Row 1 has a dropped node
-    # (weight e^{-inf}), row 2 none left, which gives sign 0
+    # the sums of a flat axis of rows reduce each row on its own:
+    # row i, of its own width, equals the one-row call on its nodes bit for
+    # bit, with its own c0 and offset.  Row 1 has a dropped node (weight
+    # e^{-inf}), row 2 none left, which gives sign 0
     rng = np.random.default_rng(3)
-    logs = rng.normal(size=(4, 9)) * 30.0
-    logs[1, 4] = -math.inf
-    logs[2] = -math.inf
-    f0 = np.sign(rng.normal(size=(4, 9)))
-    f1, f2 = rng.normal(size=(2, 4, 9))
-    c0, offset = rng.normal(size=4), rng.normal(size=4)
-    rows = kappa_from_nodes(logs, f0, f1, f2, c0, offset)
-    assert len(rows) == 4
-    for i, got in enumerate(rows):
-        want = kappa_from_nodes(logs[i], f0[i], f1[i], f2[i], c0[i], offset[i])
+    widths = [9, 4, 6, 1, 13]
+    starts = np.cumsum([0] + widths[:-1])
+    n = sum(widths)
+    logs = rng.normal(size=n) * 30.0
+    logs[starts[1] + 2] = -math.inf
+    logs[starts[2]:starts[3]] = -math.inf
+    f0 = np.sign(rng.normal(size=n))
+    f1, f2 = rng.normal(size=(2, n))
+    c0, offset = rng.normal(size=5), rng.normal(size=5)
+    rows = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), c0,
+                           offset)
+    assert len(rows) == 5
+    for i, (a, w) in enumerate(zip(starts, widths)):
+        at = slice(a, a + w)
+        want = kappa_from_nodes(logs[at], f0[at], f1[at], f2[at], c0[i],
+                                offset[i])
+        got = rows[i]
         assert (got.sign, got.log_magnitude) == (want.sign, want.log_magnitude)
         assert got.kappa == want.kappa or math.isnan(got.kappa + want.kappa)
     assert rows[2].sign == 0 and math.isnan(rows[2].kappa)
     # the dropped node counts as absent
-    live = np.delete(np.arange(9), 4)
-    alone = kappa_from_nodes(logs[1, live], f0[1, live], f1[1, live],
-                             f2[1, live], c0[1], offset[1])
+    live = np.delete(np.arange(starts[1], starts[2]), 2)
+    alone = kappa_from_nodes(logs[live], f0[live], f1[live], f2[live],
+                             c0[1], offset[1])
     assert rows[1].log_magnitude == pytest.approx(alone.log_magnitude,
                                                   rel=1e-15)
     assert rows[1].kappa == pytest.approx(alone.kappa, rel=1e-13, abs=1e-15)
     # scalar c0 and offset broadcast over the rows
-    shared = kappa_from_nodes(logs, f0, f1, f2, 0.5, -1.0)
-    assert shared[3] == kappa_from_nodes(logs[3], f0[3], f1[3], f2[3],
+    shared = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), 0.5,
+                             -1.0)
+    at = slice(starts[4], n)
+    assert shared[4] == kappa_from_nodes(logs[at], f0[at], f1[at], f2[at],
                                          0.5, -1.0)
 
 
@@ -154,7 +158,7 @@ def test_log_panels_kernel_matches_moments():
     y = 1.3
     bp = np.linspace(-10, 10, 41)
     out = integrate_log_panels(
-        lambda x: -x * x / y, bp,
+        lambda x: -x * x / y, bp, 24,
         derivs_f=lambda x: (x * x / y ** 2,
                             x ** 4 / y ** 4 - 2 * x * x / y ** 3))
     assert out.log_magnitude == pytest.approx(0.5 * math.log(math.pi * y),

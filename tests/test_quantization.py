@@ -232,12 +232,13 @@ def test_bare_su2_k0_is_the_anchor():
 def test_bare_su2_weights_are_the_character():
     # folded weights k - 2j >= 0, multiplicity 2 (1 at weight 0), sum k + 1
     for k in (0, 1, 2, 7, 10):
-        mu, log_mult = quantization._bare_weights(np.array([k + 1.0]),
-                                                  np.array([[2.0]]), 0.0)
+        j = np.arange((k + 2) // 2)
+        mu, log_mult = quantization._bare_weights(
+            np.full((j.size, 1), k + 1.0), np.array([2.0]), k + 1, j)
         assert mu[:, 0].tolist() == list(range(k, -1, -2))
         assert round(float(np.exp(log_mult).sum())) == k + 1
     with pytest.raises(ValueError, match="dominant integral"):
-        quantization._bare_weights(np.array([1.5]), np.array([[2.0]]), 0.0)
+        quantization._bare_dim(np.array([1.5]), np.array([[2.0]]))
 
 
 def test_bare_su2_weight_cut_moves_no_bit(monkeypatch):
@@ -345,20 +346,29 @@ def test_sphere_rejects_non_integral_indices():
 @pytest.mark.parametrize("k, m, y", [(5, 2, 0.5), (10, 4, 0.2),
                                      (150, 3, 1e-3)])
 def test_sphere_row_blocks(monkeypatch, k, m, y):
-    # inputs on the panel route, (k+q) sqrt(y) below the switch.  The block
-    # size changes no digit, and every temporary stays small: at k = 150,
-    # y = 1e-3 the integrand is 2,856 t nodes, each with phi_k's 151 series
-    # terms summed by Horner's rule, one value per node
+    # a panel-route row, (k+q) sqrt(y) below the switch, keeps every
+    # temporary small: at k = 150, y = 1e-3 the integrand is 2,856 t nodes,
+    # each with phi_k's 151 series terms summed by Horner's rule, one value
+    # per node
     assert (k + (m - 1) / 2) * math.sqrt(y) < quantization.SPHERE_HERMITE_SWITCH
     tracemalloc.start()
     try:
-        blocked = p_sphere(complex(0, y), [k], m)
+        panels = p_sphere(complex(0, y), [k], m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024
-    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 10 ** 9)
-    assert p_sphere(complex(0, y), [k], m) == blocked
+    # in one call with Hermite-route rows, k 150 and 200 at Im s 1 and 2
+    # and a 400-row grid (9,600 nodes), the chunk size moves no bit: 64
+    # values put a few rows in each chunk, 10^9 the whole call in one
+    grid = [complex(0, y)] + [1j, 2j] * 2 + [
+        complex(0, v) for v in np.linspace(4.0, 100.0, 400)]
+    ks = [k, 150, 150, 200, 200] + [5] * 400
+    chunked = p_sphere(grid, ks, m)
+    assert chunked[0] == panels
+    for block in (64, 10 ** 9):
+        monkeypatch.setattr(quantization, "_SPHERE_BLOCK", block)
+        assert p_sphere(grid, ks, m) == chunked
 
 
 def _sphere_scale(k, m, y):
@@ -399,7 +409,8 @@ def test_sphere_routes_agree_at_switch(k, m):
     for side in (1 - 1e-9, 1 + 1e-9):
         y = (quantization.SPHERE_HERMITE_SWITCH * side / (k + q)) ** 2
         b = weight_params(complex(0, y), m, True).b
-        hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
+        hermite = quantization._p_sphere_hermite(np.array([y]), [k], m,
+                                                  np.array([b]))[0]
         panels = quantization._p_sphere_panels(y, k, m, b, log_a)
         assert p_sphere(complex(0, y), [k], m) == (panels if side < 1
                                                    else hermite)
@@ -440,7 +451,9 @@ def test_sphere_series_matches_jacobi_sums(k, m):
     # rule), and scipy's k // 2 + 1 node Gauss-Jacobi rule
     ts = (0.0, 1e-3, 0.1, 1.0, 10.0, 150.0)
     log_a = quantization._sphere_series(k, m)
-    series = quantization._series_log_phi(np.array(ts), log_a)
+    series = quantization._series_log_phi(np.array(ts), log_a,
+                                          np.zeros(len(ts), dtype=int),
+                                          np.full(len(ts), k + 1))
     horner = quantization._series_phi(np.array(ts), log_a)
     for j, t in enumerate(ts):
         psi, psi1, psi2 = _jacobi_log_phi(k, m, t)
@@ -452,41 +465,36 @@ def test_sphere_series_matches_jacobi_sums(k, m):
 
 def test_sphere_series_is_cut_at_rounding(monkeypatch):
     # past t of about 20 one term is left; near the switch all k + 1 count
-    kept = []
-    hermite = quantization._p_sphere_hermite
+    kept, sizes = [], []
+    terms, chunked = quantization._series_terms, quantization._chunked_sums
 
-    def spy(y, k, m, b, log_a):
-        kept.append((np.size(y), log_a.size))
-        return hermite(y, k, m, b, log_a)
+    def spy_terms(*args):
+        out = terms(*args)
+        kept.extend(out.tolist())
+        return out
 
-    monkeypatch.setattr(quantization, "_p_sphere_hermite", spy)
+    def spy_chunked(widths, nodes):
+        return chunked(widths, lambda r, i: (sizes.append(i.size),
+                                             nodes(r, i))[1])
+
+    monkeypatch.setattr(quantization, "_series_terms", spy_terms)
+    monkeypatch.setattr(quantization, "_chunked_sums", spy_chunked)
     for m in (2, 3, 4, 7):
-        kept.clear()
-        p_sphere([1j, 2j], [200, 200], m)
-        p_sphere(1e-3j, [200], m)
-        # one kernel call per grid: blocks are sized by the terms kept
-        assert kept[0][0] == 2 and kept[0][1] <= 2
-        assert kept[1] == (1, 201)
         # the cut is per Im s: the row near the switch keeps all terms, the
-        # rest of its grid one, whatever their order
+        # rest of its grid one, whatever their order, and each row equals
+        # its one-point call bit for bit
         kept.clear()
         grid = [100j, 1e-3j, 2j, 1j]
         rows = p_sphere(grid, [200] * len(grid), m)
-        assert kept == [(1, 201), (3, 1)]
-        for s, got in zip(grid, rows):
-            want = p_sphere(s, [200], m)
-            assert got.log_magnitude == pytest.approx(want.log_magnitude,
-                                                      rel=1e-15)
-            # kappa is a difference of terms up to m / (8 y^2) in size
-            assert abs(got.kappa - want.kappa) <= 1e-13 * max(
-                abs(want.kappa), m / (8.0 * s.imag ** 2))
-    # a long grid takes blocks of at most _SPHERE_BLOCK values
-    kept.clear()
+        assert kept == [1, 201, 1, 1]
+        assert rows == [p_sphere(s, [200], m) for s in grid]
+    # a long grid is evaluated in chunks of at most _SPHERE_BLOCK values:
+    # 400 rows of 24 nodes, each node's series one term
+    sizes.clear()
     p_sphere([complex(0, y) for y in np.linspace(4.0, 100.0, 400)],
              [5] * 400, 3)
-    assert sum(rows for rows, _ in kept) == 400 and len(kept) > 1
-    assert all(rows * quantization.SPHERE_HERMITE_ORDER * terms
-               <= quantization._SPHERE_BLOCK for rows, terms in kept)
+    assert max(sizes) <= quantization._SPHERE_BLOCK < 400 * 24
+    assert len(sizes) >= 4
     # lifting the cut changes no bit of any Hermite row
     ys = np.logspace(-4, 3, 30)
     cases = [(k, m, y) for m in (2, 3, 4, 7) for k in (0, 5, 50, 200)
@@ -494,7 +502,7 @@ def test_sphere_series_is_cut_at_rounding(monkeypatch):
              >= quantization.SPHERE_HERMITE_SWITCH]
     kept.clear()
     cut = [p_sphere(complex(0, y), [k], m) for k, m, y in cases]
-    assert sum(terms < k + 1 for (_, terms), (k, _, _) in zip(kept, cases)) \
+    assert sum(n < k + 1 for n, (k, _, _) in zip(kept, cases)) \
         >= len(cases) // 2
     monkeypatch.setattr(quantization, "SERIES_CUT", math.inf)
     assert [p_sphere(complex(0, y), [k], m) for k, m, y in cases] == cut
@@ -529,14 +537,16 @@ def test_large_m_sphere_switch(k, m):
     for x, want in zip((6.0, 10.0, 20.0), _LARGE_M_SPHERE_KAPPA[m, k]):
         y = (x / (k + q)) ** 2
         got = p_sphere(complex(0, y), [k], m)
+        b = weight_params(complex(0, y), m, True).b
         assert (x >= switch) == (got == quantization._p_sphere_hermite(
-            y, k, m, weight_params(complex(0, y), m, True).b, log_a))
+            np.array([y]), [k], m, np.array([b]))[0])
         # the panels' moment identity cancels terms of size m / (8 y^2)
         assert abs(got.kappa - want) <= 2e-13 * m / (8 * y * y), x
     for side in (1 - 1e-9, 1 + 1e-9):
         y = (switch * side / (k + q)) ** 2
         b = weight_params(complex(0, y), m, True).b
-        hermite = quantization._p_sphere_hermite(y, k, m, b, log_a)
+        hermite = quantization._p_sphere_hermite(np.array([y]), [k], m,
+                                                  np.array([b]))[0]
         panels = quantization._p_sphere_panels(y, k, m, b, log_a)
         assert p_sphere(complex(0, y), [k], m) == (panels if side < 1
                                                  else hermite)
@@ -928,18 +938,17 @@ def test_curvature_grid_matches_pointwise(family):
 def test_sphere_grid_drops_the_masked_node_in_its_row_only():
     # the row at (k+q) sqrt(Im s) = 6.005 loses the node v = -6.016, its
     # neighbours in the grid keep all 24; each row equals its own 1-row call
+    # bit for bit
     v, _ = hermite_rule(quantization.SPHERE_HERMITE_ORDER)
     assert v[0] < -6.005 < v[1]
     k, m = 5, 3
-    log_a = quantization._sphere_series(k, m)
     ys = np.array([_switch_y(k, m, 6.005), 4.0, _switch_y(k, m, 6.5)])
     bs = np.array([weight_params(complex(0, y), m, True).b for y in ys])
-    rows = quantization._p_sphere_hermite(ys, k, m, bs, log_a)
+    rows = quantization._p_sphere_hermite(ys, [k] * len(ys), m, bs)
     for y, b, got in zip(ys, bs, rows):
-        want = quantization._p_sphere_hermite(float(y), k, m, float(b), log_a)
-        assert got.log_magnitude == pytest.approx(want.log_magnitude,
-                                                  rel=1e-15)
-        assert abs(got.kappa - want.kappa) <= 1e-13 * 3 / (8 * y * y)
+        want = quantization._p_sphere_hermite(np.array([y]), [k], m,
+                                              np.array([b]))[0]
+        assert got == want
         assert abs(got.kappa) <= 1e-9 * _sphere_scale(k, m, y)
 
 
@@ -998,28 +1007,29 @@ def test_high_rank_torus_uses_one_node(m):
             assert abs(c.kappa - kappa_y2 / (y * y)) <= 1e-13 * m / (8 * y * y)
 
 
-# families of curvature(model, grid, ks=...) against one call per k: the
-# base model, m, the k mix, the grid, and whether the rows must match bit
-# for bit (no padding) or to 1e-14 of scale (rows of several k padded to
-# one block's width).  The bare su2 and sphere mixes force padding: their
-# k keep different numbers of weights or series terms.
+# families of curvature(model, grid, ks=...) against one call per k and one
+# per point: the base model, the k mix and the grid.  In the bare su2 and
+# sphere mixes the rows keep different numbers of weights or series terms.
 _KS_GRID = (2.0, 1e-3, 0.5, 0.05, 0.5, 20.0)
 _KS_FAMILIES = {
-    "torus1": (ModelSpec.torus(1, [0]), 1, [[0], [3], [-7]], _KS_GRID, True),
-    "torus2": (ModelSpec.torus(2, [0, 0]), 2, [[0, 0], [2, -1], [2, -1]],
-               _KS_GRID, True),
-    "torus3-corrected": (ModelSpec.torus(3, [0, 0, 0], corrected=True), 3,
-                         [[1, 2, 3], [0, 0, 0]], _KS_GRID, True),
-    "su2-corrected": (ModelSpec.group(liecore.su2(), 0), 3, [0, 3, 50, 200],
-                      _KS_GRID, True),
-    "su3-corrected": (ModelSpec.group(liecore.su3(), (0, 0)), 8,
-                      [(0, 0), (1, 0), (2, 1)], _KS_GRID, True),
-    "circle1": (ModelSpec.truncated_circle(1.0, 0), 1, [0, 3, 40, -40],
-                _KS_GRID, True),
-    "su2-bare": (ModelSpec.group(liecore.su2(), 0, corrected=False), 3,
-                 [0, 1, 8, 1000, 3], _KS_GRID + (1e-5, 100.0), False),
-    **{f"sphere{m}": (ModelSpec.sphere(m, 0), m, [0, 5, 200],
-                      (4.0, 1e-3, 0.3, 0.02, 2.0, 100.0), False)
+    "torus1": (ModelSpec.torus(1, [0]), [[0], [3], [-7]], _KS_GRID),
+    "torus2": (ModelSpec.torus(2, [0, 0]), [[0, 0], [2, -1], [2, -1]],
+               _KS_GRID),
+    "torus3-corrected": (ModelSpec.torus(3, [0, 0, 0], corrected=True),
+                         [[1, 2, 3], [0, 0, 0]], _KS_GRID),
+    "su2-corrected": (ModelSpec.group(liecore.su2(), 0), [0, 3, 50, 200],
+                      _KS_GRID),
+    "su3-corrected": (ModelSpec.group(liecore.su3(), (0, 0)),
+                      [(0, 0), (1, 0), (2, 1)], _KS_GRID),
+    "circle1": (ModelSpec.truncated_circle(1.0, 0), [0, 3, 40, -40],
+                _KS_GRID),
+    "su2-bare": (ModelSpec.group(liecore.su2(), 0, corrected=False),
+                 [0, 1, 8, 1000, 3], _KS_GRID + (1e-5, 100.0)),
+    # the sweep whose records once differed from their one-point calls
+    "su2-bare-sweep": (ModelSpec.group(liecore.su2(), 0, corrected=False),
+                       [2, 3, 5, 8, 11], (0.05, 0.3, 1.0)),
+    **{f"sphere{m}": (ModelSpec.sphere(m, 0), [0, 5, 200],
+                      (4.0, 1e-3, 0.3, 0.02, 2.0, 100.0))
        for m in (2, 3, 4)},
 }
 
@@ -1027,28 +1037,20 @@ _KS_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(_KS_FAMILIES))
 def test_curvature_ks_matches_one_call_per_k(family):
     # one engine call over every (k, Im s) pair gives what one call per k
-    # gives: bit for bit where no row is padded, else to 1e-14 of
-    # max(|kappa|, m/(8 y^2)); the one-k call is the ks = [k] call
-    model, m, ks, ys, exact = _KS_FAMILIES[family]
+    # and one call per point give, bit for bit: each row's terms depend on
+    # its own (k, Im s) only; the one-k call is the ks = [k] call
+    model, ks, ys = _KS_FAMILIES[family]
     grid = [complex(0, y) for y in ys]
     batch = curvature(model, grid, ks=ks)
     assert len(batch) == len(ks)
     for k, rows in zip(ks, batch):
-        alone = curvature(replace(model, weight_index=k), grid)
+        one_k = replace(model, weight_index=k)
+        alone = curvature(one_k, grid)
         assert alone == curvature(model, grid, ks=[k])[0]
         assert [c.s for c in rows] == grid
         assert all(c.weight_index == k for c in rows)
-        for got, want in zip(rows, alone):
-            if exact:
-                assert got == want, (k, got.s)
-                continue
-            y = got.s.imag
-            scale = max(abs(want.kappa), m / (8.0 * y * y))
-            assert abs(got.kappa - want.kappa) <= 1e-14 * scale, (k, y)
-            assert abs(got.log_p - want.log_p) <= \
-                1e-14 * max(1.0, abs(want.log_p)), (k, y)
-            assert got.cross_check == want.cross_check or abs(
-                got.cross_check - want.cross_check) <= 1e-14 * scale
+        assert rows == alone, k
+        assert rows == [curvature(one_k, s) for s in grid], k
     logs = model_log_p(model, ks)(grid)
     assert [[lp.log_magnitude for lp in row] for row in logs] == \
         [[c.log_p for c in row] for row in batch]
@@ -1072,28 +1074,50 @@ def test_curvature_ks_makes_one_engine_call(monkeypatch):
     assert curvature(su2, [], ks=[1, 2]) == [[], []]
 
 
-def test_bare_su2_weights_are_cut_per_block(monkeypatch):
+def test_bare_su2_weights_are_cut_per_row(monkeypatch):
     # k = 10^6 keeps all 500,001 weight pairs at Im s = 1e-12 and one at
-    # Im s = 1: each block cuts a k's weights at the smallest Im s of its
-    # own rows of that k, so the Im s = 1 row is not widened to 500,001
+    # Im s = 1: each row cuts its weights at its own Im s, so the Im s = 1
+    # row is not widened to 500,001, and every row is its one-point call
     cuts = []
-    weights = quantization._bare_weights
+    width = quantization._bare_width
 
-    def spy(lam_u, roots_u, y_min):
-        mu, log_mult = weights(lam_u, roots_u, y_min)
-        cuts.append((round(float(lam_u[0])) - 1, y_min, len(mu)))
-        return mu, log_mult
+    def spy(dim, alpha_sq, y):
+        out = width(dim, alpha_sq, y)
+        cuts.append((dim - 1, y, out))
+        return out
 
-    monkeypatch.setattr(quantization, "_bare_weights", spy)
+    monkeypatch.setattr(quantization, "_bare_width", spy)
     k = quantization.MAX_BARE_SU2_INDEX
     model = ModelSpec.group(liecore.su2(), 1, corrected=False)
     batch = curvature(model, [1e-12j, 1j], ks=[1, k])
-    assert sorted(cuts) == [(1, 1e-12, 1), (k, 1e-12, k // 2 + 1),
-                            (k, 1.0, 1)]
+    # the group route and the closed form each cut every row
+    assert sorted(set(cuts)) == [(1, 1e-12, 1), (1, 1.0, 1),
+                                 (k, 1e-12, k // 2 + 1), (k, 1.0, 1)]
+    assert len(cuts) == 8
     for kk, rows in zip((1, k), batch):
         for got in rows:
-            want = curvature(replace(model, weight_index=kk), got.s)
-            assert got == want
+            assert got == curvature(replace(model, weight_index=kk), got.s)
+
+
+def test_rows_wider_than_a_chunk_merge_their_pieces(monkeypatch):
+    # a row wider than a chunk is cut into pieces whose sums merge in the
+    # log domain: at chunks of 16 values, bare su2 at k = 1000 (up to 1,002
+    # nodes a row) and the sphere near its switch (201 series terms a node)
+    # read what whole rows read, to rounding
+    su2 = ModelSpec.group(liecore.su2(), 0, corrected=False)
+    cases = [(su2, [1000, 3], [1e-6, 1e-3, 0.05, 1.0], 3),
+             (ModelSpec.sphere(3, 0), [200, 5],
+              [_switch_y(200, 3, x) for x in (6.2, 8.0, 12.0)], 3)]
+    whole = [curvature(model, [complex(0, y) for y in ys], ks=ks)
+             for model, ks, ys, _ in cases]
+    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 16)
+    for (model, ks, ys, m), rows in zip(cases, whole):
+        cut = curvature(model, [complex(0, y) for y in ys], ks=ks)
+        for got, want in zip(itertools.chain(*cut), itertools.chain(*rows)):
+            y = got.s.imag
+            scale = max(abs(want.kappa), m / (8.0 * y * y))
+            assert abs(got.kappa - want.kappa) <= 1e-13 * scale
+            assert got.log_p == pytest.approx(want.log_p, rel=1e-14)
 
 
 def test_invalid_k_is_named_before_any_quadrature(monkeypatch):
@@ -1102,7 +1126,7 @@ def test_invalid_k_is_named_before_any_quadrature(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran before the last k was checked")
 
-    monkeypatch.setattr(quantization, "kappa_from_nodes", kernel)
+    monkeypatch.setattr(quantization, "node_sums", kernel)
     cases = [(ModelSpec.group(liecore.su2(), 0, corrected=False),
               [1, 2_000_000, 3_000_000], "2000000"),
              (ModelSpec.group(liecore.su2(), 0), [1, -2, -3], "-2"),
