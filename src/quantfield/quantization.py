@@ -16,11 +16,12 @@ on s, phi a quadratic form (|u|^2, t^2 or zeta^2), so log p is a function of
 y = Im s alone.  Each returns kappa with log p from one quadrature pass
 (``LogP``): its nodes, with the integrand's first two y-derivatives at each,
 go to ``quadrature.kappa_from_sums``, the one place that forms kappa.
-Closed forms return theirs analytically.
+Closed forms, and the truncated circle outside its narrow rows, return
+theirs analytically.
 
 What the nodes hold fixed sets those derivatives.  The panel routes (spheres
-below the switch, the circle) hold phi's variable fixed, which gives the
-moment identity
+below the switch, the circle's narrow rows) hold phi's variable fixed, which
+gives the moment identity
 
     4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y.
 
@@ -120,8 +121,9 @@ TRUNCATION_RADIUS_SIGMA = 8.0
 PANEL_NODES = 24
 
 #: a circle row whose peak k y lies this many widths sqrt(Im s) inside
-#: (-r, r) is torus:1 to within e^{-100}: it skips the panels
-CIRCLE_INTERIOR_WIDTHS = 10.0
+#: (-r, r) is torus:1 to within e^{-100}, one at least -CIRCLE_TAIL_SWITCH
+#: outside takes erfcx, one with 4|k|r + r^2/Im s <= CIRCLE_NARROW a panel
+CIRCLE_INTERIOR_WIDTHS, CIRCLE_TAIL_SWITCH, CIRCLE_NARROW = 10.0, -3.0, 1.0
 
 #: panels of sigma / 2 past this count (Im s below about 5e-5) become
 #: MAX_PANELS uniform panels plus edges at sigma * {-8, ..., 8} about the
@@ -777,50 +779,78 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float,
 # truncated circle
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _circle_breakpoints(r: float) -> np.ndarray:
-    """Fixed panels on [-r, r], geometrically refined toward both endpoints
-    (the integrand mass concentrates at an endpoint for large k), built once
-    per r and shared read-only."""
-    edges = [r - r * 2.0 ** (-j) for j in range(1, 46)]
-    pts = sorted(set([-r, 0.0, r] + edges + [-e for e in edges]
-                     + list(np.linspace(-r, r, 17))))
-    bp = np.array(pts)
-    bp.flags.writeable = False
-    return bp
+def _erfcx_terms(x: float, x1: float, x2: float) -> tuple:
+    """x + T1 = pi^{-1/2}/erfcx(x), y F'/F and y^2 F''/F of F = erfcx(x(y))
+    for x >= 3, y x' = x1 and y^2 x'' = x2: (log erfcx)' = -2 T1 and
+    erfcx''/erfcx = 2 T2/(x + T2), T_n = (n/2)/(x + T_{n+1}) (DLMF 7.9.2),
+    to 2.3e-16 at 6 + 90/x terms (against 50-digit values on [3, 1e6])."""
+    t = t2 = 0.0
+    for n in range(6 + int(90.0 / x), 0, -1):
+        t2, t = t, 0.5 * n / (x + t)
+    return x + t, -2.0 * t * x1, 2.0 * t2 / (x + t2) * x1 * x1 - 2.0 * t * x2
+
+
+def _circle_row(k: int, y: float, r: float, c: float, b: float) -> LogP:
+    """A row of ``p_truncated_circle`` at k >= 0, in widths sqrt(y):
+    u = r/sqrt(y), w = k sqrt(y), B = u - w and A = -u - w."""
+    sy = math.sqrt(y)
+    u, w = r / sy, k * sy
+    hi, lo = (r - k * y) / sy, -u - w
+    if hi >= CIRCLE_INTERIOR_WIDTHS:                    # G = sqrt(pi)
+        return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
+                    0.25 * (c - 0.5) / y / y)
+    if 4.0 * k * r + u * u <= CIRCLE_NARROW:
+        # the tails below would cancel; the caller reports non-finite moments
+        peak = min(k * y, r)
+        with np.errstate(all="ignore"):
+            return _moment_panels(
+                lambda z: -z * z / y + 2.0 * k * z, np.array([-r, r]), 16,
+                lambda z: (z - peak) * (z + peak), peak * peak, y, c, b)
+    b1, b2 = -0.5 * (u + w), 0.25 * (3.0 * u + w)     # y B', y^2 B''
+    a1, a2 = 0.5 * (u - w), 0.25 * (w - 3.0 * u)      # y A', y^2 A''
+    if hi > CIRCLE_TAIL_SWITCH:
+        # G = (sqrt(pi)/2) (erf B - erf A), G' = e^{-B^2} B' - e^{-A^2} A'
+        g = 0.5 * math.sqrt(math.pi) * (math.erf(hi) + math.erf(-lo) if hi >= 0
+                                        else math.erfc(-hi) - math.erfc(-lo))
+        eb, ea = math.exp(-hi * hi) / g, math.exp(-lo * lo) / g
+        d1 = eb * b1 - ea * a1
+        h = (c - 0.5 + eb * (b2 - 2.0 * hi * b1 * b1)
+             - ea * (a2 - 2.0 * lo * a1 * a1) - d1 * d1)
+        return LogP(b + w * w + 0.5 * math.log(y) + math.log(g), 1,
+                    0.25 * h / y / y)
+    # x = -B >= 3 and z = -A: G = (sqrt(pi)/2) e^{-x^2} E, where
+    # E = erfcx(x) - e^{-4rk} erfcx(z) as x^2 - z^2 = -4rk
+    fx, e1, e2 = _erfcx_terms(-hi, -b1, -b2)
+    log_e = -math.log(2.0 * fx)             # log of (sqrt(pi)/2) erfcx(x)
+    if 4.0 * k * r < 40.0:                  # else its share is < e^{-40}
+        fz, f1, f2 = _erfcx_terms(-lo, -a1, -a2)
+        rho = math.exp(-4.0 * k * r) * fx / fz
+        e1, e2 = (e1 - rho * f1) / (1.0 - rho), (e2 - rho * f2) / (1.0 - rho)
+        log_e += math.log1p(-rho)
+    # log p = b + k^2 y - B^2 + ..., and y^2 (-B^2)'' = -2 u^2
+    return LogP(b + 2.0 * k * r - u * u + 0.5 * math.log(y) + log_e, 1,
+                0.25 * (c - 0.5 + e2 - e1 * e1 - 2.0 * u * u) / y / y)
 
 
 def p_truncated_circle(s, ks: Sequence, r: float,
                        corrected: bool) -> LogP | list:
     """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), one k
-    of ks per s, with kappa from the moments of zeta^2 about the integrand's
-    peak, k y clipped to [-r, r]; one panel set per Im s.
-
-    Where the peak k y lies CIRCLE_INTERIOR_WIDTHS Gaussian widths sqrt(y)
-    inside (-r, r), the integral is torus:1's sqrt(pi y) e^{k^2 y} up to
-    e^{-CIRCLE_INTERIOR_WIDTHS^2}, and so are its y-derivatives: those rows
-    take torus:1's log p and kappa = (c - 1/2) / (4 y^2), which the moment
-    identity would lose to cancellation."""
+    of ks per s.  With zeta = k y + sqrt(y) v, k >= 0 (a symmetry), log p =
+    b + k^2 y + (1/2) log y + log G for G = int_A^B e^{-v^2} dv, B, A =
+    (+-r - k y)/sqrt(y), and 4 kappa = (c - 1/2)/y^2 + (log G)''.  G is
+    sqrt(pi) (torus:1) for B >= CIRCLE_INTERIOR_WIDTHS, one Gauss-Legendre
+    panel where 4|k|r + r^2/y <= CIRCLE_NARROW, else erf or erfc, or erfcx
+    by Laplace's continued fraction for B <= CIRCLE_TAIL_SWITCH.  A kappa or
+    log p that is not a finite float raises ArithmeticError."""
     if not 0 < r < math.inf:
         raise ValueError(f"truncated circle needs a finite r > 0, got r = {r}")
     y, ks, one = _rows(s, ks)
-    c = _volume_exponent(1, corrected)
-
-    def at(k: int, y: float, b: float) -> LogP:
-        if r - abs(k) * y >= CIRCLE_INTERIOR_WIDTHS * math.sqrt(y):
-            return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
-                        0.25 * (c - 0.5) / (y * y))
-        a, peak = -1.0 / y, min(max(k * y, -r), r)
-        # panels of one Gaussian width around the peak, which the fixed
-        # panels miss once sqrt(y/2) is far below their 0.125 spacing
-        near = np.clip(peak + math.sqrt(0.5 * y) * np.arange(-8.0, 9.0), -r, r)
-        return _moment_panels(lambda z: a * z * z + 2.0 * k * z,
-                              np.union1d(_circle_breakpoints(r), near), 16,
-                              lambda z: (z - peak) * (z + peak), peak * peak,
-                              y, c, b)
-
-    out = [at(*row) for row in zip(ks, y.tolist(),
-                                   _log_volume(y, 1, corrected).tolist())]
+    c, out = _volume_exponent(1, corrected), []
+    for k, v, b in zip(ks, y.tolist(), _log_volume(y, 1, corrected).tolist()):
+        out.append(row := _circle_row(abs(k), v, r, c, b))
+        if not math.isfinite(row.kappa + row.log_magnitude):
+            raise ArithmeticError(f"kappa or log p of circle:{r:g} at "
+                                  f"k={k}, Im s={v} is not a finite float")
     return out[0] if one else out
 
 

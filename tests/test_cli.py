@@ -106,6 +106,63 @@ def test_circle_interior_reads_torus_1(k, y, corrected, capsys):
     assert abs(got - (c - 0.5) / (4 * y * y)) <= 1e-15 / (8 * y * y)
 
 
+@pytest.mark.parametrize("corrected, want", [
+    (False, "1.249999999999989833276467968814316288867e+11"),
+    (True, "-0.001027985325246647004467609849166751506254")])
+def test_circle_peak_inside_reads_40_digits(corrected, want, capsys):
+    # the peak k y lies 7 widths inside (-1, 1); the panel rows before the
+    # closed form printed 3.0e-5 of 1/(8y^2) off.  want is the erfc form at
+    # 60 digits (mpmath, mp.diff)
+    argv = ["curvature", "--model", "circle:1", "--k", "993000",
+            "--im-s", "1e-6"] + (["--corrected"] if corrected else [])
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    assert abs(json.loads(out)["kappa"] - float(want)) <= 1e-12 / 8e-12
+
+
+# (model, k, Im s, bare kappa, corrected kappa); None where kappa is not a
+# float.  From the erfc form at 700 digits (mpmath) for 10^12 and 1e-300,
+# else exact limits: torus:1's (c - 1/2)/(4y^2) where [-r, r] holds the
+# whole Gaussian, about c/(4y^2) < 1e-600 at Im s = 1e300 (0 as a float),
+# and -r^2/(2y^3) for circle:1e300 there
+_CIRCLE_EDGES = [
+    ("circle:1", 10 ** 12, "1", "-0.2499999999994999999999995",
+     "-0.3749999999994999999999995"),
+    ("circle:1e-300", 3, "1", "0.25", "0.125"),
+    ("circle:1e300", 3, "1", "0.125", "0.0"),
+    ("circle:1", 3, "1e-300", None, "0.0"),
+    ("circle:1", 3, "1e300", "0.0", "0.0"),
+    ("circle:1", 0, "1e300", "0.0", "0.0"),
+    ("circle:1e300", 3, "1e300", "-5e-301", "-5e-301"),
+]
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("model, k, y, bare, corr", _CIRCLE_EDGES)
+def test_circle_edge_inputs(model, k, y, bare, corr, corrected, capsys):
+    # each exits 0 within the accuracy grid's bound of its oracle, or exits
+    # 1 or 2 with a one-line message; k and -k print the same record
+    want = corr if corrected else bare
+    records = []
+    for kk in (k, -k):
+        argv = ["curvature", "--model", model, "--k", str(kk), "--im-s", y]
+        rc, out, err = run(argv + (["--corrected"] if corrected else []),
+                           capsys)
+        assert rc in (0, 1, 2) and "Traceback" not in err
+        if want is None:
+            assert rc == 1 and not out
+        if rc:
+            records.append(rc)
+            continue
+        rec = json.loads(out)
+        got, v = rec.pop("kappa"), float(y)
+        assert rec.pop("k") == kk and math.isfinite(got)
+        assert (abs(got - float(want))
+                <= 1e-11 * max(abs(float(want)), 0.125 / v / v))
+        records.append((got, rec))
+    assert records[0] == records[1]
+
+
 def test_asymptote(capsys):
     rc, out, _ = run(["asymptote", "--model", "sphere:2", "--k", "10",
                       "--im-s", "1"], capsys)
@@ -456,7 +513,7 @@ _ONE_POINT = {
     '"quadrature+moments", "model": "sphere:2", "s": {"im": 0.5, "re": 0.0}, '
     '"tolerances": {"tol": 1e-05}}',
     ("circle:1", "20", "1"): '{"corrected": false, "k": 20, "kappa": '
-    '-0.22382710272850712, "log_p": 35.36103356212385, "method": '
+    '-0.2238271027285071, "log_p": 35.36103356212385, "method": '
     '"quadrature+moments", "model": "circle:1", "s": {"im": 1.0, "re": 0.0}, '
     '"tolerances": {"tol": 1e-05}}',
 }

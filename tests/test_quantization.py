@@ -640,7 +640,230 @@ def test_truncated_circle_interior_switch_is_seamless(widths, corrected):
     want = _circle_erf_log_p(k, 1.0, y, corrected)
     assert abs(row.log_magnitude - want) <= 1e-13 * abs(want)
     c = 0.5 if corrected else 1.0
-    assert abs(row.kappa - (c - 0.5) / (4 * y * y)) <= 1e-9 / (8 * y * y)
+    assert abs(row.kappa - (c - 0.5) / (4 * y * y)) <= 1e-12 / (8 * y * y)
+
+
+# kappa of circle:1, bare and corrected, from the erfc form at 60 digits
+# (mpmath, differentiated twice by mp.diff), with the peak k y = 1 - w sqrt(y)
+# w = 6, 7, 8, 9 widths inside (-1, 1); the panel rows before the closed form
+# read 1.5e-5 to 6.3e-5 of 1/(8y^2) off here
+_CIRCLE_PEAK_INSIDE = [
+    (1e-06, 994000, "1.249999996097895303755343301247462185392e+11",
+     "-390.2104809374377134036898779573820390829"),
+    (1e-06, 993000, "1.249999999999989833276467968814316288867e+11",
+     "-0.001027985325246647004467609849166751506254"),
+    (1e-06, 992000, "1.250000000000000113126130144849706669113e+11",
+     "-3.590290434654295851979367995620342540544e-10"),
+    (1e-06, 991000, "1.250000000000000113129720435117312388144e+11",
+     "-1.670485768218069671646079291183836141245e-17"),
+    (1e-04, 9400, "1.249999999963092824677021670458845984704e+7",
+     "-0.000369070555186382698929226693208081286643"),
+    (1e-04, 9300, "1.249999999999999783859194763011435266158e+7",
+     "-9.633646517734033338786657101756262369567e-10"),
+    (1e-04, 9200, "1.249999999999999880195626606004997263577e+7",
+     "-3.333434677139044729231994323683681627012e-16"),
+    (1e-04, 9100, "1.249999999999999880195659940350232153852e+7",
+     "-1.536500172667219684735253889300110125668e-23"),
+    (1e-03, 810, "1.249999999997095364502655324267655974784e+5",
+     "-2.904583455640396428132817861196387470217e-7"),
+    (1e-03, 779, "1.249999999999999938396760529464454163582e+5",
+     "-9.561535191231334629063804255247311051701e-13"),
+    (1e-03, 747, "1.249999999999999947958292990266715718892e+5",
+     "-2.730429073073753223575461440675540913071e-19"),
+    (1e-03, 715, "1.24999999999999994795829572069568989739e+5",
+     "-9.88952561189455806591285850100313318637e-27"),
+]
+
+
+@pytest.mark.parametrize("y, k, bare, corr", _CIRCLE_PEAK_INSIDE)
+def test_truncated_circle_peak_inside_matches_40_digits(y, k, bare, corr):
+    w = (1.0 - k * y) / math.sqrt(y)
+    assert 5.9 < w < 9.1
+    for corrected, want in ((False, bare), (True, corr)):
+        got = p_truncated_circle(complex(0, y), [k], 1.0, corrected).kappa
+        assert abs(got - float(want)) <= 1e-12 / (8 * y * y)
+
+
+# (r, k, Im s, bare kappa, corrected kappa, bare log p) at 40 digits, from
+# the erfc form at 60 (mpmath, mp.diff); corrected log p is bare + log(y)/2.
+# The rows cover every route of p_truncated_circle and both sides of each
+# switch: B = (r - k y)/sqrt(y) = 10 (interior) and -3 (erf | erfcx), and
+# 4 k r + r^2/y = 1 (narrow)
+_CIRCLE_40_DIGITS = [
+    # interior, and B = 9 or B = 10 -+ 0.1
+    (10.0, 0, 0.1, "12.49999999999999861222121921855444002626",
+     "2.790496560747741655800252803479836326787e-104",
+     "1.723657489421722901325133787389798719405"),
+    (10.0, 0, 1.0, "0.125",
+     "-5.168364234855125795919766446279722821929e-42",
+     "0.5723649429247000870717136756765293558236"),
+    (10.0, 1, 1.0, "0.1249999999999999999999999999999994973287",
+     "-5.026713015763783527816529086335528791176e-34",
+     "1.572364942924700087071713675676529355617"),
+    (1.0, 8990, 1e-4, "1.249999999999999880195659940351768654023e+7",
+     "-1.279657555264733147298685490093648484552e-32",
+     "8087.187535128913178735096590764184338965"),
+    (1.0, 9010, 1e-4, "1.249999999999999880195659940351768653956e+7",
+     "-6.862707624570127243681329339292848461751e-31",
+     "8123.187535128913180460279087623118994358"),
+    (1.0, 1000000, 1e-9, "1.249999999999999844296021355550373498995e+17",
+     "0.0", "1010.933997861397967915603337272722659947"),
+    (1e-3, 0, 1e-9, "1.249999999999999844296021355550373498995e+17",
+     "0.0", "10.93399786139790563401187949286624105033"),
+    # erf, B >= 0
+    (1.0, 1000000, 1e-6, "-3.18027666392009860596402349492916669204e+17",
+     "-3.180277913920098605964136624649601976401e+17",
+     "1.000006786973041301691025448173668450159e+6"),
+    (10.0, 3, 1.0, "0.1249999999999999999568689325593088724472",
+     "-4.313106744069112755283622960100232453799e-20",
+     "9.572364942924700087071692756548490458752"),
+    (1.0, 1, 0.1, "12.43584478790060392775897227570028068924",
+     "-0.06415521209939468446224694285415933701904",
+     "1.823628557783686171285749042175935137881"),
+    (1e-3, 900, 1e-6, "9.815008697186624487204768932606642584097e+10",
+     "-2.684991302813376644092435420236967065557e+10",
+     "7.697047621760525956460166984180279928448"),
+    (10.0, 10, 0.5, "0.499999999999999999828218085658779188093",
+     "-1.717819143412208119070215657814549858423e-19",
+     "50.91893853320467274178032211655259347934"),
+    # B = -2.9, -3, -3.1 (erf, erfcx, erfcx) and -2, -3
+    (1.0, 129, 0.01, "-4.609299411826051787811650328591800495492e+5",
+     "-4.621799411826051787291233285798758383419e+5",
+     "158.4922487898135658075970585888708059654"),
+    (1.0, 130, 0.01, "-4.62413546790358067914837758433921396794e+5",
+     "-4.636635467903580678627960541546171855866e+5",
+     "160.4614398133776898924852564271230059879"),
+    (1.0, 131, 0.01, "-4.638033213744462808113654415931873842695e+5",
+     "-4.650533213744462807593237373138831730622e+5",
+     "162.431483223314061751650063274507571538"),
+    (10.0, 100290, 1e-4, "-4.773999862904954558684017429423864387933e+13",
+     "-4.774001112904954558683897625083804739701e+13",
+     "1.005802794833882855516209514978904722198e+6"),
+    (10.0, 100300, 1e-4, "-4.785570324212510331835059624682213249026e+13",
+     "-4.785571574212510331834939820342153600794e+13",
+     "1.006002764024906419640711783856431401809e+6"),
+    (10.0, 100310, 1e-4, "-4.796326829135206412298696612901486202422e+13",
+     "-4.796328079135206412298576808561426554191e+13",
+     "1.006202734068316356012967103766986844761e+6"),
+    (1e-3, 3990, 1e-6, "-1.086187026623158047517641495136336904679e+11",
+     "-2.336187026623158160647361930420697869645e+11",
+     "12.04965173190135652661302429916024684248"),
+    (1e-3, 4000, 1e-6, "-1.089646823907477510443845599233286728716e+11",
+     "-2.339646823907477623573566034517647693682e+11",
+     "12.06660992976753324376159124065765223501"),
+    (1e-3, 4010, 1e-6, "-1.093092004788632235934012486822234315478e+11",
+     "-2.343092004788632349063732922106595280443e+11",
+     "12.08357664871208673656612209208581238716"),
+    (1.0, 3, 1.0, "-0.06569070229035829207510096141681917415488",
+     "-0.1906907022903582920751009614168191741549",
+     "3.514273201861674400060084839640176636871"),
+    (1.0, 4, 1.0, "-0.1089646823907477102907325706917414010501",
+     "-0.2339646823907477102907325706917414010501",
+     "5.158854650785396048746731531034725815154"),
+    # 4 k r + r^2/y either side of 1 (narrow first), then narrow rows
+    (0.1, 2, 1.0, "0.2483050663504830930962573949591450582025",
+     "0.1233050663504830930962573949591450582025",
+     "-1.586310911944913866941686046780755820517"),
+    (0.1, 3, 1.0, "0.2482628450542797896948910659655310303777",
+     "0.1232628450542797896948910659655310303777",
+     "-1.553625346556284463855797369387313406601"),
+    (1e-3, 249, 1.0, "0.2499998279492234453234524006693682431128",
+     "0.1249998279492234453234524006693682431128",
+     "-6.17361086004502887460516366512862981991"),
+    (1e-3, 251, 1.0, "0.2499998278644138924992813929778641929401",
+     "0.1249998278644138924992813929778641929401",
+     "-6.172955046724071642371542151024650360723"),
+    (1.0, 0, 1.01, "0.1384553284671054495928026393878624657435",
+     "0.01591832229124034048434409110955646735848",
+     "0.3937866477023940946034542787619142352941"),
+    (1.0, 0, 0.99, "0.142842567316847730130482188281909416501",
+     "0.01530456099096261407816630498169668750885",
+     "0.4087128581179207677343549274548145379372"),
+    (1e-9, 0, 1.01e-18, "1.384553284671054399951177114583942712276e+35",
+     "1.591832229124033317968461286039702793508e+34",
+     "21.11705248464880527467243278449497360859"),
+    (1e-9, 0, 9.9e-19, "1.428425673168477355393140488249064536117e+35",
+     "1.530456099096260429627551590740289808178e+34",
+     "21.13197869506433199867964976400206923475"),
+    (1e-9, 3, 10.0, "0.002499999999999999999833333333333333311779",
+     "0.001249999999999999999833333333333333311779",
+     "-22.332703749380511462514424300938943626"),
+    (1e-9, 1000000, 1e-3, "2.499999999999998229249035886175209377769e+5",
+     "1.249999999999998281290740165479420585123e+5",
+     "-13.12236271073775130875888220261983393757"),
+    (1e-3, 3, 1.0, "0.2499998333326000029629437407436030120822",
+     "0.1249998333326000029629437407436030120822",
+     "-6.214602431764280588616363080673828249954"),
+    # erfcx, far outside
+    (1.0, 20, 1.0, "-0.2238271027285070902226317093985662519933",
+     "-0.3488271027285070902226317093985662519933",
+     "35.36103356212385134538981979943852823169"),
+    (1.0, 1000000, 1.0, "-0.249999499999500000500002312500999990375",
+     "-0.374999499999500000500002312500999990375",
+     "1.999984491343261475780585808151858769672e+6"),
+    (10.0, 1000000, 1000.0, "2.000000049999998249999860000005000000651e-7",
+     "7.500000499999982499998600000050000006515e-8",
+     "1.999997848358699249364308442083511971636e+7"),
+    (1e-3, 1000, 1000.0, "2.499999997686573604382855828656498406748e-7",
+     "1.249999997686573604382855828656498406748e-7",
+     "-12.52714318581279121008997900374188782846"),
+]
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("r, k, y, bare, corr, log_p", _CIRCLE_40_DIGITS)
+def test_truncated_circle_matches_40_digits(r, k, y, bare, corr, log_p,
+                                            corrected):
+    want = float(corr if corrected else bare)
+    want_log_p = float(log_p) + (0.5 * math.log(y) if corrected else 0.0)
+    for kk in (k, -k):
+        got = p_truncated_circle(complex(0, y), [kk], r, corrected)
+        assert got.sign == 1
+        assert (abs(got.kappa - want)
+                <= 1e-11 * max(abs(want), 1.0 / (8 * y * y)))
+        assert abs(got.log_magnitude - want_log_p) <= 1e-13 * abs(want_log_p)
+
+
+def _both_routes(monkeypatch, name, values, r, k, y, corrected):
+    rows = []
+    for value in values:
+        monkeypatch.setattr(quantization, name, value)
+        rows.append(p_truncated_circle(complex(0, y), [k], r, corrected))
+    return rows
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("r, y", [(1.0, 1.0), (1.0, 0.01), (10.0, 1e-4),
+                                  (1e-3, 1e-6), (0.3, 1.0)])
+@pytest.mark.parametrize("hi", [-3.2, -3.0, -2.8])
+def test_truncated_circle_tail_switch_is_seamless(hi, r, y, corrected,
+                                                  monkeypatch):
+    # near B = -3 the erf and the erfcx forms give the same log p and kappa
+    k = round((r - hi * math.sqrt(y)) / y)
+    assert 4 * k * r + r * r / y > quantization.CIRCLE_NARROW
+    erfcx, erf = _both_routes(monkeypatch, "CIRCLE_TAIL_SWITCH",
+                              (math.inf, -math.inf), r, k, y, corrected)
+    scale = max(abs(erf.kappa), 1.0 / (8 * y * y))
+    assert abs(erfcx.kappa - erf.kappa) <= 1e-12 * scale
+    assert (abs(erfcx.log_magnitude - erf.log_magnitude)
+            <= 1e-14 * max(abs(erf.log_magnitude), 1.0))
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("r, y, k", [(0.1, 1.0, 2), (0.1, 1.0, 3),
+                                     (1e-3, 1.0, 249), (1e-3, 1.0, 251),
+                                     (1.0, 0.99, 0), (1.0, 1.01, 0),
+                                     (1e-9, 1e-6, 250000000), (0.1, 0.01, 2)])
+def test_truncated_circle_narrow_switch_is_seamless(r, y, k, corrected,
+                                                    monkeypatch):
+    # either side of 4 k r + r^2/y = 1 the one panel and the closed form
+    # give the same log p and kappa
+    panel, closed = _both_routes(monkeypatch, "CIRCLE_NARROW",
+                                 (math.inf, -math.inf), r, k, y, corrected)
+    scale = max(abs(panel.kappa), 1.0 / (8 * y * y))
+    assert abs(panel.kappa - closed.kappa) <= 1e-12 * scale
+    assert (abs(panel.log_magnitude - closed.log_magnitude)
+            <= 1e-14 * max(abs(panel.log_magnitude), 1.0))
 
 
 @pytest.mark.parametrize("corrected", [False, True])
