@@ -326,15 +326,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("p-value", "curvature", "flatness", "sweep", "asymptote"):
         add_common(sub.add_parser(name))
+    # transport and verify take only the options they read
     tp = sub.add_parser("transport")
-    add_common(tp)
     tp.add_argument("--example", default="abelian-area")
     tp.add_argument("--loop", default="unit-square")
     tp.add_argument("--scale", type=float, default=1.0)
     vp = sub.add_parser("verify")
-    add_common(vp)
     vp.add_argument("--checks", type=lambda t: _parse_list(t, str),
                     help="comma-separated subset of check names")
+    for p in (tp, vp):
+        p.add_argument("--output", help="write here instead of stdout")
     return parser
 
 

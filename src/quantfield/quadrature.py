@@ -1,31 +1,31 @@
-"""Numerical integration, finite differences and the curvature-density stencil.
+"""Numerical integration, finite differences and the curvature kernel.
 
-The workhorses are:
-
+* ``node_sums`` -> ``kappa_from_sums`` -- the curvature kernel, the one
+                             entry to kappa of every engine of
+                             ``quantization``: per segment of a flat axis
+                             of weighted nodes, with the integrand's first
+                             two y-derivatives at each, log p and
+                             kappa = (1/4) d^2/dy^2 log p (``LogP``),
+* ``integrate_log_panels``-- composite Gauss-Legendre of a positive
+                             log-domain integrand on caller-chosen panels
+                             at one Im s, kappa by the moment identity,
+                             through that kernel,
 * ``hermite_rule`` / ``legendre_rule`` -- Gauss rules by order, built once
                              per process and shared read-only,
 * ``integrate_1d``        -- fixed composite Gauss-Legendre of a 1-D integrand
                              on a finite interval, one array-valued call,
-* ``gaussian_weighted``   -- Gauss-Hermite after centering the Gaussian factor,
-                             carried out entirely in the log domain,
-* ``integrate_log_panels``-- composite Gauss-Legendre of positive log-domain
-                             integrands on caller-chosen panels, ending in
-                             the curvature kernel,
-* ``kappa_from_nodes``    -- the curvature kernel: log p and
-                             kappa = (1/4) d^2/dy^2 log p from one set of
-                             weighted nodes and the integrand's first two
-                             y-derivatives there (``LogP``); every engine of
-                             ``quantization`` ends in it,
 * ``mc_integrate``        -- seeded Monte Carlo over a ball in n <= 4
                              dimensions, one array-valued call of the
                              integrand; a stacked integrand gets per-row
                              estimates and their covariance from one draw,
 * ``fd_laplacian`` / ``fd_derivative`` -- central stencils, always
                              Richardson-extrapolated,
-* ``kappa_from_log``      -- the scalar curvature density
-                             kappa(s) = (1/4) d^2/dy^2 log p(s) by finite
-                             differences of a log p that depends on Im s
-                             alone (an oracle for ``kappa_from_nodes``).
+* ``kappa_from_log``      -- kappa(s) by finite differences of a log p that
+                             depends on Im s alone (an oracle for the kernel).
+
+No engine uses ``gaussian_weighted`` (log-domain Gauss-Hermite after
+centering the Gaussian factor) or its ``QuadratureSpec``; they stay while
+the benchmark's tracer binds them.
 """
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ __all__ = [
     "LogP",
     "node_sums",
     "kappa_from_sums",
-    "kappa_from_nodes",
     "MCResult",
     "mc_integrate",
     "fd_laplacian",
@@ -148,12 +147,19 @@ class LogP(LogValue):
 
 def node_sums(logs: np.ndarray, f0: np.ndarray | float, f1: np.ndarray,
               f2: np.ndarray, widths: Sequence[int]) -> np.ndarray:
-    """The sums of ``kappa_from_nodes`` per segment of a flat node axis,
+    """The sums of the curvature kernel per segment of a flat node axis,
     widths[r] >= 1 nodes each, a column per segment: its largest log
     (shift; at least the lowest float, so weights e^{-inf} alone sum to 0)
     and Q_j = sum e^{logs - shift} f_j.  They run over the segment's own
     nodes in order, wherever it sits; pieces of a segment merge by the same
-    call, their shifts as logs and their Q_j as values."""
+    call, their shifts as logs and their Q_j as values.
+
+    The nodes carry positive weights e^{logs} and the integrand over that
+    weight, f0 (signed; a scalar broadcasts), with its first and second
+    y-derivatives f1 and f2 at fixed node coordinate.  The variance that
+    ``kappa_from_sums`` forms is one-pass, so positive terms with
+    log-derivatives (d1, d2) go in as f1 = d1 - c and f2 = d2 + (d1 - c)^2,
+    c a constant near the mean of d1."""
     widths = np.asarray(widths)
     starts = widths.cumsum() - widths
     shift = np.maximum.reduceat(logs, starts)
@@ -165,8 +171,11 @@ def node_sums(logs: np.ndarray, f0: np.ndarray | float, f1: np.ndarray,
 
 def kappa_from_sums(sums: np.ndarray, c0: np.ndarray | float = 0.0,
                     offset: np.ndarray | float = 0.0) -> list:
-    """``kappa_from_nodes`` of each segment of ``node_sums``, c0 and offset
-    scalars or one per segment."""
+    """log p and kappa of each segment of ``node_sums``, a ``LogP`` each,
+    c0 and offset scalars or one per segment: log p = log |Q0| + offset and
+    kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4, where c0 is what the prefactor
+    left out of the nodes adds to d^2/dy^2 log p.  Q0 = 0 (a node of weight
+    e^{-inf} counts as absent) gives sign 0 and kappa nan."""
     shift, q0, q1, q2 = sums.tolist()
     c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
                   else [float(x)] * len(q0) for x in (c0, offset))
@@ -176,35 +185,19 @@ def kappa_from_sums(sums: np.ndarray, c0: np.ndarray | float = 0.0,
             for s, a, b, d, c, o in zip(shift, q0, q1, q2, c0, offset)]
 
 
-def kappa_from_nodes(logs: np.ndarray, f0: np.ndarray | float,
-                     f1: np.ndarray, f2: np.ndarray,
-                     c0: float = 0.0, offset: float = 0.0) -> LogP:
-    """log p and kappa from one set of nodes, 1-D arrays: the curvature
-    kernel, which engines with a row per segment of a flat node axis run as
-    ``node_sums`` then ``kappa_from_sums``.
-
-    The nodes carry positive weights e^{logs} and the integrand over that
-    weight, f0 (signed; a scalar broadcasts), with its first and second
-    y-derivatives f1 and f2 at fixed node coordinate.  With Q_j the
-    weighted sum of f_j, log p = log |Q0| + offset and
-    kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4; c0 is what the prefactor left
-    out of the nodes adds to d^2/dy^2 log p.  The variance is one-pass, so
-    positive terms with log-derivatives (d1, d2) go in as f1 = d1 - c and
-    f2 = d2 + (d1 - c)^2, c a constant near the mean of d1.  Q0 = 0 (a
-    node of weight e^{-inf} counts as absent) gives sign 0 and kappa nan.
-    """
-    return kappa_from_sums(node_sums(logs, f0, f1, f2, [np.size(logs)]),
-                           c0, offset)[0]
-
-
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
                          breakpoints: Sequence[float], nodes_per_panel: int,
-                         derivs_f: Callable[[np.ndarray], tuple]) -> LogP:
+                         psi_f: Callable[[np.ndarray], np.ndarray],
+                         centre_sq: float, y: float, c: float,
+                         offset: float) -> LogP:
     """Composite Gauss-Legendre quadrature over fixed panels of the
-    positive exp(log_f), log_f a function of an array of abscissae: the
-    ``kappa_from_nodes`` result of its nodes, ``derivs_f`` mapping the
-    abscissae to (f1, f2), the first two y-derivatives of the integrand
-    over its value."""
+    positive exp(log_f) at one Im s y, log_f and psi_f functions of an
+    array of abscissae: log p, offset added, and kappa by the moment
+    identity.  The integrand is e^{b - phi/y} times a weight free of y,
+    b = -c log y, so per node its log has y-derivatives phi/y^2 - c/y and
+    c/y^2 - 2 phi/y^3.  psi_f gives psi = phi - centre_sq, centred at the
+    integrand's peak, and the kernel gets f1 = psi/y^2 and
+    f2 = (c y^2 - 2 y phi + psi^2)/y^4."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -214,7 +207,11 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     mid = lo + half
     x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
     logw = np.log(np.outer(half, w)).ravel()
-    return kappa_from_nodes(log_f(x) + logw, 1.0, *derivs_f(x))
+    psi = psi_f(x)
+    f1 = psi / (y * y)
+    f2 = (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4
+    return kappa_from_sums(node_sums(log_f(x) + logw, 1.0, f1, f2,
+                                     [x.size]), 0.0, offset)[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -203,22 +203,6 @@ def weight_params(s, m: int, corrected: bool) -> WeightParams:
 def _volume_exponent(m: int, corrected: bool) -> float:
     """c in b(s) = -c log Im s."""
     return m / 2.0 if corrected else float(m)
-
-
-def _moment_panels(log_f: Callable, breakpoints: np.ndarray, nodes: int,
-                   psi_f: Callable, centre_sq: float, y: float, c: float,
-                   offset: float) -> LogP:
-    """``integrate_log_panels`` at one Im s y, kappa from the moment
-    identity and offset added to log p.  Per node, log of e^{b - phi/y}
-    has y-derivatives phi/y^2 and c/y^2 - 2 phi/y^3.  psi_f gives
-    psi = phi - centre_sq, centred at the integrand's peak, and
-    f1 = psi/y^2, f2 = (c y^2 - 2 y phi + psi^2)/y^4."""
-    def derivs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        psi = psi_f(x)
-        return (psi / (y * y),
-                (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4)
-    out = integrate_log_panels(log_f, breakpoints, nodes, derivs_f=derivs)
-    return replace(out, log_magnitude=out.log_magnitude + offset)
 
 
 @dataclass(frozen=True)
@@ -770,9 +754,9 @@ def _p_sphere_panels(y: float, k: int, m: int, b: float,
         t = t0 + d
         return -d * d / y + _log_half_form(t, q) + _series_phi(t, log_a)
 
-    return _moment_panels(log_f, breakpoints, PANEL_NODES,
-                          lambda d: d * (d + 2.0 * t0), t0 * t0, y,
-                          _volume_exponent(m, True), b + t0 * t0 / y)
+    return integrate_log_panels(log_f, breakpoints, PANEL_NODES,
+                                lambda d: d * (d + 2.0 * t0), t0 * t0, y,
+                                _volume_exponent(m, True), b + t0 * t0 / y)
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +784,10 @@ def _circle_row(k: int, y: float, r: float, c: float, b: float) -> LogP:
         return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
                     0.25 * (c - 0.5) / y / y)
     if 4.0 * k * r + u * u <= CIRCLE_NARROW:
-        # the tails below would cancel; the caller reports non-finite moments
+        # the tails below would cancel; curvature reports non-finite moments
         peak = min(k * y, r)
         with np.errstate(all="ignore"):
-            return _moment_panels(
+            return integrate_log_panels(
                 lambda z: -z * z / y + 2.0 * k * z, np.array([-r, r]), 16,
                 lambda z: (z - peak) * (z + peak), peak * peak, y, c, b)
     b1, b2 = -0.5 * (u + w), 0.25 * (3.0 * u + w)     # y B', y^2 B''
@@ -840,17 +824,13 @@ def p_truncated_circle(s, ks: Sequence, r: float,
     (+-r - k y)/sqrt(y), and 4 kappa = (c - 1/2)/y^2 + (log G)''.  G is
     sqrt(pi) (torus:1) for B >= CIRCLE_INTERIOR_WIDTHS, one Gauss-Legendre
     panel where 4|k|r + r^2/y <= CIRCLE_NARROW, else erf or erfc, or erfcx
-    by Laplace's continued fraction for B <= CIRCLE_TAIL_SWITCH.  A kappa or
-    log p that is not a finite float raises ArithmeticError."""
+    by Laplace's continued fraction for B <= CIRCLE_TAIL_SWITCH."""
     if not 0 < r < math.inf:
         raise ValueError(f"truncated circle needs a finite r > 0, got r = {r}")
     y, ks, one = _rows(s, ks)
-    c, out = _volume_exponent(1, corrected), []
-    for k, v, b in zip(ks, y.tolist(), _log_volume(y, 1, corrected).tolist()):
-        out.append(row := _circle_row(abs(k), v, r, c, b))
-        if not math.isfinite(row.kappa + row.log_magnitude):
-            raise ArithmeticError(f"kappa or log p of circle:{r:g} at "
-                                  f"k={k}, Im s={v} is not a finite float")
+    c = _volume_exponent(1, corrected)
+    out = [_circle_row(abs(k), v, r, c, b) for k, v, b in
+           zip(ks, y.tolist(), _log_volume(y, 1, corrected).tolist())]
     return out[0] if one else out
 
 
@@ -902,14 +882,32 @@ def _by_k(rows: list, s, ks: Optional[Sequence], n_k: int):
             for i in range(n_k)]
 
 
+def _checked(model: ModelSpec, engine: Callable, each: list, grid: list,
+             kappa: bool = True) -> list:
+    """The engine's rows (``_engines``) of every (k, s) pair of the weight
+    indices each and grid, k-major, once each has p > 0 and a finite log p
+    (and kappa, if asked): else ArithmeticError naming the first (k, s)
+    that has not."""
+    rows = engine(grid)
+    for (k, sc), row in zip(itertools.product(each, grid), rows):
+        if not (row.sign > 0 and math.isfinite(row.log_magnitude)
+                and (not kappa or math.isfinite(row.kappa))):
+            raise ArithmeticError(
+                f"{model.label()} at k={k}, s={complex(sc)}: p has sign "
+                f"{row.sign}, log p {row.log_magnitude}"
+                + (f", kappa {row.kappa}" if kappa else ""))
+    return rows
+
+
 def model_log_p(model: ModelSpec, ks: Optional[Sequence] = None) -> Callable:
     """The log-p engine of a model, a function of one s or of a 1-D
     sequence of them; given weight indices ks, one list per k, from one
-    engine call."""
+    engine call.  Every row is checked (``_checked``) for p > 0 and a finite
+    log p."""
     each = [model.weight_index] if ks is None else list(ks)
     quad = _engines(model, each)[0]
-    return lambda s: _by_k(quad([s] if isinstance(s, numbers.Number)
-                                else list(s)), s, ks, len(each))
+    return lambda s: _by_k(_checked(model, quad, each, [s] if isinstance(
+        s, numbers.Number) else list(s), kappa=False), s, ks, len(each))
 
 
 def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
@@ -919,25 +917,24 @@ def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
 
     The engine returns log p and kappa together (see the module docstring),
     in one call for every (k, s) pair, k-major; one k is the
-    ks = [model.weight_index] call.  A closed form, where one exists, is
-    also evaluated in one call and reported as ``cross_check``; the two
-    kappas must agree to CLOSED_AGREEMENT_REL relative to
-    max(|kappa_closed|, m/(8 y^2)), or the first (k, s) where they do not
-    raises.
+    ks = [model.weight_index] call.  Every row of it has p > 0 and a finite
+    log p and kappa (``_checked``).  A closed form, where one exists, is
+    also evaluated in one call, checked alike and reported as
+    ``cross_check``; the two kappas must agree to CLOSED_AGREEMENT_REL
+    relative to max(|kappa_closed|, m/(8 y^2)).  Either check raises
+    ArithmeticError at the first (k, s) that fails it.
     """
     one = isinstance(s, numbers.Number)
     grid = [_as_complex(v) for v in ([s] if one else s)]
     each = [model.weight_index] if ks is None else list(ks)
     quad_engine, closed_engine = _engines(model, each)
-    quads = quad_engine(grid)
-    closeds = closed_engine(grid) if closed_engine else [None] * len(quads)
+    quads = _checked(model, quad_engine, each, grid)
+    closeds = (_checked(model, closed_engine, each, grid) if closed_engine
+               else [None] * len(quads))
     m = model.root_system.manifold_dim if model.root_system else model.m
     out = []
     for (k, sc), quad, closed in zip(itertools.product(each, grid), quads,
                                      closeds):
-        if quad.sign <= 0 or (closed is not None and closed.sign <= 0):
-            raise ValueError(f"p is not positive for {model.label()} at "
-                             f"k={k}, s={sc}")
         if closed is not None:
             scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
             if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantfield import quantization
 from quantfield.cli import CSV_HEADER, _build_parser, main
@@ -322,10 +325,13 @@ def test_removed_fd_flags_are_rejected(capsys):
     ["curvature", "--model", "torus:1", "--k", "0", "--seed", "3"],
     ["curvature", "--model", "torus:0", "--k", "0"],
     ["curvature", "--model", "torus:-1", "--k", "0"],
+    ["verify", "--k", "5"],
+    ["transport", "--model", "torus:1"],
 ], ids=["empty-k", "empty-im-s", "inf-torus", "inf-su2", "nan-sphere",
         "inf-circle-p-value", "inf-flatness", "nan-re-s", "inf-re-asymptote",
         "nan-tol", "negative-tol", "nan-transport-scale", "removed-seed",
-        "torus-rank-0", "torus-rank-negative"])
+        "torus-rank-0", "torus-rank-negative", "record-option-on-verify",
+        "record-option-on-transport"])
 def test_invalid_input_exit_code(argv, capsys):
     rc, out, _ = run(argv, capsys)
     assert rc == 2
@@ -353,6 +359,84 @@ def test_one_invalid_im_s_in_a_grid_exits_2(command, model, bad, capsys):
                         "--im-s", f"0.5,2,{bad},1"], capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+# rows whose kappa is not a float: the sphere panels' y^4 underflows to 0,
+# torus:1's and bare su2's 1/(8y^2) overflows, and the circle's narrow
+# panel divides by y^4 = 0.  A torus names its k as a weight vector
+_NON_FINITE_ROWS = [
+    ("sphere:2", ["--corrected"], "3", "1e-160", "k=3, s=1e-160j"),
+    ("torus:1", [], "3", "1e-160", "k=[3], s=1e-160j"),
+    ("group:su2", [], "3", "1e-160", "k=3, s=1e-160j"),
+    ("circle:1e-300", [], "0", "1e-100", "k=0, s=1e-100j"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, flag, k, y, where", _NON_FINITE_ROWS)
+def test_non_finite_row_exits_1_naming_model_k_and_s(model, flag, k, y,
+                                                     where, capsys):
+    rc, out, err = run(["curvature", "--model", model, *flag, "--k", k,
+                        "--im-s", y], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"numerical failure: {model} at {where}:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_p_value_needs_only_a_finite_log_p(capsys):
+    # the sphere row above whose kappa is nan has a finite log p
+    rc, out, err = run(["p-value", "--model", "sphere:2", "--corrected",
+                        "--k", "3", "--im-s", "1e-160"], capsys)
+    assert rc == 0, err
+    assert math.isfinite(json.loads(out)["log_p"])
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a record")
+
+
+@st.composite
+def _point_argv(draw):
+    """A point command over one family: su2 (bare k <= 1000, its engines
+    build about k values), corrected su3, torus:1..3, sphere:2, 3, 4, 7 or
+    circle:<r>; one or two k and Im s = 10^x, x in [-300, 300]."""
+    family = draw(st.sampled_from(["group:su2", "group:su3", "torus:1",
+                                   "torus:2", "torus:3", "sphere:2",
+                                   "sphere:3", "sphere:4", "sphere:7",
+                                   "circle"]))
+    corrected = family == "group:su3" or draw(st.booleans())
+    command = draw(st.sampled_from(
+        ["curvature", "sweep", "p-value"]
+        + (["asymptote"] if family.startswith("sphere") else [])))
+    if family == "circle":
+        family = f"circle:{10.0 ** draw(st.floats(-300, 300)):g}"
+    top = (1000 if family == "group:su2" and not corrected
+           else 200 if family.startswith("sphere") else 10 ** 6)
+    index = st.integers(0, top)
+    if family == "group:su3":
+        index = st.tuples(st.integers(0, 50), st.integers(0, 50)).map(
+            lambda ab: "/".join(map(str, ab)))
+    ks = draw(st.lists(index, min_size=1, max_size=2))
+    ys = draw(st.lists(st.floats(-300, 300), min_size=1, max_size=2))
+    return [command, "--model", family, *(["--corrected"] * corrected),
+            "--k", ",".join(map(str, ks)),
+            "--im-s", ",".join(repr(10.0 ** x) for x in ys)]
+
+
+# numpy warns of the overflow on rows that then exit 1
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(_point_argv())
+def test_any_point_command_exits_cleanly(argv):
+    # exit 0 prints records whose every number is a float (no NaN or
+    # Infinity); anything else exits 1 or 2 with a message
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if rc == 0:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_no_constant)
 
 
 def test_grid_disagreement_exits_1_naming_first_failing_s(capsys,

@@ -9,9 +9,14 @@ from quantfield.logdomain import LogValue
 from quantfield.quadrature import (fd_derivative, fd_laplacian,
                                    gaussian_weighted, hermite_rule,
                                    integrate_1d, integrate_log_panels,
-                                   kappa_from_log, kappa_from_nodes,
-                                   kappa_from_sums, legendre_rule,
-                                   mc_integrate, node_sums)
+                                   kappa_from_log, kappa_from_sums,
+                                   legendre_rule, mc_integrate, node_sums)
+
+
+def one_segment(logs, f0, f1, f2, c0=0.0, offset=0.0):
+    """The kernel's LogP of one segment holding every node."""
+    return kappa_from_sums(node_sums(logs, f0, f1, f2, [np.size(logs)]),
+                           c0, offset)[0]
 
 
 @pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
@@ -75,8 +80,8 @@ def test_kernel_sum_of_exponentials(a, b, y):
     # are a_i and 0, passed centred on a_0
     a, b = np.array(a), np.array(b)
     logs = a * y + b
-    out = kappa_from_nodes(logs, 1.0, a - a[0], (a - a[0]) ** 2,
-                           c0=0.8, offset=-2.0)
+    out = one_segment(logs, 1.0, a - a[0], (a - a[0]) ** 2,
+                      c0=0.8, offset=-2.0)
     w = np.exp(logs - logs.max())
     w /= w.sum()
     mean = float(w @ a)
@@ -94,7 +99,7 @@ def test_kernel_signed_terms(sign):
     y = 0.7
     f0 = sign * np.array([3.0, -1.0])
     rates = np.array([2.0, 1.0])
-    out = kappa_from_nodes(rates * y, f0, f0 * rates, f0 * rates ** 2)
+    out = one_segment(rates * y, f0, f0 * rates, f0 * rates ** 2)
     p0 = 3.0 * math.exp(2 * y) - math.exp(y)
     p1 = 6.0 * math.exp(2 * y) - math.exp(y)
     p2 = 12.0 * math.exp(2 * y) - math.exp(y)
@@ -105,8 +110,8 @@ def test_kernel_signed_terms(sign):
 
 
 def test_kernel_zero_sum_has_sign_zero():
-    out = kappa_from_nodes(np.zeros(2), np.array([1.0, -1.0]),
-                           np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+    out = one_segment(np.zeros(2), np.array([1.0, -1.0]),
+                      np.array([1.0, 2.0]), np.array([0.0, 1.0]))
     assert (out.sign, out.log_magnitude) == (0, -math.inf)
     assert math.isnan(out.kappa)
 
@@ -131,16 +136,16 @@ def test_kernel_rows_match_one_row_calls():
     assert len(rows) == 5
     for i, (a, w) in enumerate(zip(starts, widths)):
         at = slice(a, a + w)
-        want = kappa_from_nodes(logs[at], f0[at], f1[at], f2[at], c0[i],
-                                offset[i])
+        want = one_segment(logs[at], f0[at], f1[at], f2[at], c0[i],
+                           offset[i])
         got = rows[i]
         assert (got.sign, got.log_magnitude) == (want.sign, want.log_magnitude)
         assert got.kappa == want.kappa or math.isnan(got.kappa + want.kappa)
     assert rows[2].sign == 0 and math.isnan(rows[2].kappa)
     # the dropped node counts as absent
     live = np.delete(np.arange(starts[1], starts[2]), 2)
-    alone = kappa_from_nodes(logs[live], f0[live], f1[live], f2[live],
-                             c0[1], offset[1])
+    alone = one_segment(logs[live], f0[live], f1[live], f2[live],
+                        c0[1], offset[1])
     assert rows[1].log_magnitude == pytest.approx(alone.log_magnitude,
                                                   rel=1e-15)
     assert rows[1].kappa == pytest.approx(alone.kappa, rel=1e-13, abs=1e-15)
@@ -148,19 +153,17 @@ def test_kernel_rows_match_one_row_calls():
     shared = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), 0.5,
                              -1.0)
     at = slice(starts[4], n)
-    assert shared[4] == kappa_from_nodes(logs[at], f0[at], f1[at], f2[at],
-                                         0.5, -1.0)
+    assert shared[4] == one_segment(logs[at], f0[at], f1[at], f2[at],
+                                    0.5, -1.0)
 
 
 def test_log_panels_kernel_matches_moments():
-    # e^{-x^2/y} on [-10, 10]: with f1 = x^2/y^2 and f2 = x^4/y^4 - 2x^2/y^3
-    # the kernel gives d^2/dy^2 log sqrt(pi y) = -1/(2 y^2)
+    # e^{-x^2/y} on [-10, 10], phi = x^2 about centre 0 and c = 0: the
+    # moment identity gives d^2/dy^2 log sqrt(pi y) = -1/(2 y^2)
     y = 1.3
     bp = np.linspace(-10, 10, 41)
-    out = integrate_log_panels(
-        lambda x: -x * x / y, bp, 24,
-        derivs_f=lambda x: (x * x / y ** 2,
-                            x ** 4 / y ** 4 - 2 * x * x / y ** 3))
+    out = integrate_log_panels(lambda x: -x * x / y, bp, 24,
+                               lambda x: x * x, 0.0, y, 0.0, 0.0)
     assert out.log_magnitude == pytest.approx(0.5 * math.log(math.pi * y),
                                               abs=1e-13)
     assert out.kappa == pytest.approx(-0.125 / (y * y), rel=1e-12)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer, roots_jacobi
 
-from quantfield import liecore, quantization
+from quantfield import liecore, quadrature, quantization
 from quantfield.cli import main as cli_main
 from quantfield.quadrature import hermite_rule, kappa_from_log
 from quantfield.quantization import (ModelSpec, curvature, flatness_classify,
@@ -1219,6 +1219,31 @@ def test_curvature_grid_error_names_first_failing_s(monkeypatch):
     assert curvature(model, []) == []
 
 
+def test_row_with_non_positive_p_is_named(monkeypatch, capsys):
+    # an engine row with sign -1, the last in k-major order at (k 3, Im s
+    # 2), fails the row check before any cross-check; model_log_p checks
+    # its rows alike, and the command exits 1 with the same message
+    engine = quantization.p_group_quadrature
+
+    def negative_last_row(*args):
+        rows = engine(*args)
+        return rows[:-1] + [replace(rows[-1], sign=-1)]
+
+    monkeypatch.setattr(quantization, "p_group_quadrature", negative_last_row)
+    model = ModelSpec.group(liecore.su2(), 0)
+    where = "group:su2 at k=3, s=2j: p has sign -1"
+    for run in (lambda: curvature(model, [1j, 2j], ks=[1, 3]),
+                lambda: quantization.model_log_p(model, [1, 3])([1j, 2j])):
+        with pytest.raises(ArithmeticError, match="^" + where):
+            run()
+    for command in ("sweep", "p-value"):
+        rc = cli_main([command, "--model", "group:su2", "--corrected",
+                       "--k", "1,3", "--im-s", "1,2"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert out.err.startswith("numerical failure: " + where)
+
+
 @pytest.mark.parametrize("m", (5, 8, 16))
 def test_high_rank_torus_uses_one_node(m):
     # the rescaled route needs one Hermite node per axis, so tori of any
@@ -1349,7 +1374,10 @@ def test_invalid_k_is_named_before_any_quadrature(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran before the last k was checked")
 
+    # the kernel as both modules bind it: engines reduce their nodes by
+    # quantization's name, the sphere's panels through quadrature's
     monkeypatch.setattr(quantization, "node_sums", kernel)
+    monkeypatch.setattr(quadrature, "node_sums", kernel)
     cases = [(ModelSpec.group(liecore.su2(), 0, corrected=False),
               [1, 2_000_000, 3_000_000], "2000000"),
              (ModelSpec.group(liecore.su2(), 0), [1, -2, -3], "-2"),
