@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .logdomain import LogValue, signed_logsumexp
+from .logdomain import LogValue
 
 logger = logging.getLogger(__name__)
 
@@ -381,36 +381,39 @@ def root_product(rs: RootSystem, tau) -> float:
     return float(np.prod(rs.roots_array() @ _check_point(rs, tau)))
 
 
-def _log_sinh(x: float) -> LogValue:
-    """sinh in log-magnitude + sign form, safe for large |x|."""
-    if x == 0.0:
-        return LogValue.zero()
-    ax = abs(x)
-    return LogValue.from_log(ax + math.log1p(-math.exp(-2 * ax)) - math.log(2.0),
-                             1 if x > 0 else -1)
+def _weyl_parts(rs: RootSystem, lam: np.ndarray, ts: np.ndarray) -> list:
+    """(sum_w det(w) e^{2 lam(w t)} over the Weyl group, its largest
+    exponent, prod_{alpha in R+} sinh alpha(t)) for each row t of ts.  Each
+    sum is shifted by its largest term and added by math.fsum; each linear
+    form is summed along its own axis, the same for one row or a stack."""
+    weyl = np.array([w.matrix for w in rs.weyl_elements], dtype=float)
+    logs = 2.0 * np.sum((lam @ weyl)[:, None, :] * ts, axis=2)   # (|W|, n)
+    tops = logs.max(axis=0)
+    terms = np.exp(logs - tops) * [[w.det] for w in rs.weyl_elements]
+    alpha = np.sum(rs.roots_array()[:, None, :] * ts, axis=2)    # (|R+|, n)
+    mag, signs = np.abs(alpha), np.prod(np.sign(alpha), axis=0)
+    with np.errstate(divide="ignore"):                  # log|sinh 0| = -inf
+        log_prod = (mag + np.log1p(-np.exp(-2.0 * mag)) - math.log(2.0)).sum(0)
+    out = []
+    for col, top, lp, sign in zip(terms.T, tops.tolist(), log_prod.tolist(),
+                                  signs):
+        alt = LogValue.from_value(math.fsum(col)) * LogValue.from_log(top)
+        out.append((alt, top, LogValue.from_log(lp, int(sign))))
+    return out
 
 
-def _weyl_parts(rs: RootSystem, lam: np.ndarray,
-                t: np.ndarray) -> tuple[LogValue, float, LogValue]:
-    """sum_w det(w) e^{2 lam(w t)} over the Weyl group, its largest
-    exponent, and prod_{alpha in R+} sinh alpha(t)."""
-    logs = [2.0 * float(lam @ (w.as_array() @ t)) for w in rs.weyl_elements]
-    prod = LogValue.from_value(1.0)
-    for a in rs.roots_array() @ t:
-        prod = prod * _log_sinh(float(a))
-    return (signed_logsumexp(logs, [w.det for w in rs.weyl_elements]),
-            max(logs), prod)
-
-
-def weyl_denominator(rs: RootSystem, tau) -> tuple[LogValue, LogValue]:
-    """Both closed forms of the denominator, which must agree:
+def weyl_denominator(rs: RootSystem, tau) -> list:
+    """Both closed forms of the denominator, which must agree, as a
+    (product, sum) pair for each point of tau (one point or rows of them):
 
     product side  prod_{alpha in R+} sinh alpha(tau)
     sum side      2^{-|R+|} sum_{w in W} det(w) exp(2 rho(w tau))
     """
-    alt, _, prod = _weyl_parts(rs, rs.rho(), _check_point(rs, tau))
-    return prod, alt * LogValue.from_log(-len(rs.positive_roots)
-                                         * math.log(2.0))
+    ts = np.atleast_2d(np.asarray(tau, dtype=float))
+    if ts.ndim != 2 or ts.shape[1] != rs.rank:
+        raise ValueError(f"points have shape {ts.shape}, rank is {rs.rank}")
+    half = LogValue.from_log(-len(rs.positive_roots) * math.log(2.0))
+    return [(prod, alt * half) for alt, _, prod in _weyl_parts(rs, rs.rho(), ts)]
 
 
 def character_at(rs: RootSystem, lam: ShiftedWeight, tau,
@@ -426,7 +429,7 @@ def character_at(rs: RootSystem, lam: ShiftedWeight, tau,
     nroots = len(rs.positive_roots)
 
     def raw(tt: np.ndarray) -> Optional[float]:
-        num, top, denom = _weyl_parts(rs, lv, tt)
+        (num, top, denom), = _weyl_parts(rs, lv, tt[None])
         denom = denom * LogValue.from_log(nroots * math.log(2.0))
         if denom.sign == 0:
             return None

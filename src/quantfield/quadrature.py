@@ -238,8 +238,8 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
     """Monte Carlo integral over the ball of the given center and radius,
     deterministic per seed.
 
-    A point is center + d/|d| R u^(1/n), d drawn normal (all samples)
-    before u uniform; the ball is built in place in the array of d.
+    A point is center + d/|d| R u^(1/n), d drawn standard normal (all
+    samples) before u uniform; the ball is built in place in the array of d.
     ``f`` is called once, on all sample points at once, coordinates first:
     ``p`` has shape (n, samples), so ``p[0]`` is every sample's first
     coordinate.  Its result is broadcast to (samples,), so a constant
@@ -260,7 +260,7 @@ def mc_integrate(f: Callable[[np.ndarray], np.ndarray],
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a stderr, got {samples}")
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(samples, n))
+    pts = rng.standard_normal(size=(samples, n))
     # one scale per point, R u^(1/n) / |d|, built in place in the array of u
     scale = rng.uniform(size=samples)
     scale **= 1.0 / n

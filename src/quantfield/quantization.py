@@ -936,7 +936,7 @@ def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
     for (k, sc), quad, closed in zip(itertools.product(each, grid), quads,
                                      closeds):
         if closed is not None:
-            scale = max(abs(closed.kappa), m / (8.0 * sc.imag ** 2))
+            scale = max(abs(closed.kappa), m / 8.0 / sc.imag / sc.imag)
             if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
                 raise ArithmeticError(
                     f"curvature paths disagree for {model.label()} at k={k}, "
@@ -997,7 +997,7 @@ def sphere_asymptote(k: int, m: int, s) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     y = _as_complex(s).imag
-    return (m - 1) * (m - 3) / (8.0 * (2 * k + m - 1) ** 2 * y ** 3)
+    return (m - 1) * (m - 3) / (8.0 * (2 * k + m - 1) ** 2) / y / y / y
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 checks.
 
 Each check returns a CheckResult with a measured residual and the tolerance it
-was judged against.  The CLI ``verify`` subcommand prints the table, and
+was judged against.  A check evaluates its (k, Im s) grid in one
+``curvature`` call per model, and its Weyl denominators in one call per root
+system.  The CLI ``verify`` subcommand prints the table, and
 ``tests/test_acceptance.py`` runs every entry of ALL_CHECKS as its own test
 and asserts ``passed``, so the test gate and the command line judge the same
 grids at the same tolerances.
@@ -57,9 +59,8 @@ def check_denominator_duality(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rs in (liecore.su2(), liecore.su3()):
-        for _ in range(100):
-            tau = rng.uniform(-2.0, 2.0, size=rs.rank)
-            prod, alt = liecore.weyl_denominator(rs, tau)
+        taus = rng.uniform(-2.0, 2.0, size=(100, rs.rank))
+        for prod, alt in liecore.weyl_denominator(rs, taus):
             if prod.sign == 0 and alt.sign == 0:
                 continue
             rel = abs(prod.log_magnitude - alt.log_magnitude)
@@ -140,13 +141,12 @@ def check_weyl_reduction(seed: int = 7) -> CheckResult:
 def check_group_flatness() -> CheckResult:
     """Half-form corrected su(2) curvature vanishes for all k, both paths,
     and the quadrature and closed-form paths agree, out to k Im s = 2e4."""
-    su2 = liecore.su2()
-    worst = gap = 0.0
-    points = [(k, y) for k in range(9) for y in (0.5, 1.0, 2.0)]
-    for k, y in points + [(200, 20.0), (200, 100.0)]:
-        c = curvature(ModelSpec.group(su2, k, corrected=True), complex(0, y))
-        worst = max(worst, abs(c.kappa), abs(c.cross_check))
-        gap = max(gap, abs(c.kappa - c.cross_check))
+    model = ModelSpec.group(liecore.su2(), 0, corrected=True)
+    rows = [c for row in (curvature(model, [0.5j, 1j, 2j], ks=range(9))
+                          + curvature(model, [20j, 100j], ks=[200]))
+            for c in row]
+    worst = max(max(abs(c.kappa), abs(c.cross_check)) for c in rows)
+    gap = max(abs(c.kappa - c.cross_check) for c in rows)
     return _all_within("corrected-su2-flat",
                        [("max|kappa|", worst, 1e-6), ("path gap", gap, 1e-7)])
 
@@ -180,12 +180,13 @@ def check_torus_bare() -> CheckResult:
     paths, independent of the weight, out to k Im s = 2e4."""
     worst = spread = 0.0
     for m in (1, 2, 3):
-        for y in (0.5, 1.0, 1.5, 20.0, 100.0):
-            by_k = [curvature(ModelSpec.torus(m, [kval] * m, corrected=False),
-                              complex(0, y)) for kval in (0, 2, 200)]
-            want = m / (8 * y * y)
-            for path in ([c.kappa for c in by_k],
-                         [c.cross_check for c in by_k]):
+        by_k = curvature(ModelSpec.torus(m, [0] * m, corrected=False),
+                         [0.5j, 1j, 1.5j, 20j, 100j],
+                         ks=[[kval] * m for kval in (0, 2, 200)])
+        for at_s in zip(*by_k):
+            want = m / (8 * at_s[0].s.imag ** 2)
+            for path in ([c.kappa for c in at_s],
+                         [c.cross_check for c in at_s]):
                 worst = max(worst, *(abs(kap - want) for kap in path))
                 spread = max(spread, max(path) - min(path))
     return _all_within("bare-torus-curvature",
@@ -212,19 +213,17 @@ def _log_legendre(k: int, x: float) -> float:
 
 #: k = 200 far out in Im s, where the moment identity's leading terms of
 #: size k^2 / y once cancelled to noise
-FAR_SPHERE = (200, (20.0, 100.0))
+FAR_SPHERE = (200, [20j, 100j])
 
 
 def check_sphere_flat_m3() -> CheckResult:
     """The 3-sphere is a group manifold: corrected curvature vanishes, also
     at k = 200 far out in Im s, against the scale 1/(8 (2k+2)^2 y^3)."""
-    worst = 0.0
-    for k in (2, 5, 10):
-        c = curvature(ModelSpec.sphere(3, k), 1j)
-        worst = max(worst, abs(c.kappa))
-    k, ys = FAR_SPHERE
-    far = max(abs(curvature(ModelSpec.sphere(3, k), complex(0, y)).kappa)
-              * 8.0 * (2 * k + 2) ** 2 * y ** 3 for y in ys)
+    worst = max(abs(c.kappa) for c, in curvature(ModelSpec.sphere(3, 2), 1j,
+                                                  ks=(2, 5, 10)))
+    k, grid = FAR_SPHERE
+    far = max(abs(c.kappa) * 8.0 * (2 * k + 2) ** 2 * c.s.imag ** 3
+              for c in curvature(ModelSpec.sphere(3, k), grid))
     return _all_within("sphere-m3-flat",
                        [("max|kappa| k<=10", worst, 1e-5),
                         ("max|kappa|/scale k=200", far, 1e-6)])
@@ -233,13 +232,13 @@ def check_sphere_flat_m3() -> CheckResult:
 def check_sphere_asymptote() -> CheckResult:
     """m = 2 curvature approaches -1/(8(2k+1)^2 y^3), error shrinking in k,
     and lies within 1e-4 of it at k = 200 far out in Im s."""
-    errs = {}
-    for k in (10, 20):
-        c = curvature(ModelSpec.sphere(2, k), 1j)
-        errs[k] = abs(c.kappa / sphere_asymptote(k, 2, 1j) - 1.0)
-    k, ys = FAR_SPHERE
-    far = max(abs(curvature(ModelSpec.sphere(2, k), complex(0, y)).kappa
-                  / sphere_asymptote(k, 2, complex(0, y)) - 1.0) for y in ys)
+    def rel(c) -> float:                 # of one CurvatureDensity row
+        return abs(c.kappa / sphere_asymptote(c.weight_index, 2, c.s) - 1.0)
+
+    errs = {c.weight_index: rel(c) for c, in curvature(
+        ModelSpec.sphere(2, 10), 1j, ks=(10, 20))}
+    k, grid = FAR_SPHERE
+    far = max(map(rel, curvature(ModelSpec.sphere(2, k), grid)))
     ok = (errs[10] <= 0.25 and errs[20] <= 0.08 and errs[10] / errs[20] >= 3.0
           and far <= 1e-4)
     return CheckResult("sphere-m2-asymptote", errs[20], 0.08, ok,
@@ -251,11 +250,9 @@ def check_circle_slope() -> CheckResult:
     """k (kappa_k - kappa_inf) approaches r/(2y^3) monotonically."""
     r, y = 1.0, 1.0
     kinf = truncated_circle_kappa_limit(r, complex(0, y), corrected=False)
-    seq = []
-    for k in (20, 40, 80):
-        c = curvature(ModelSpec.truncated_circle(r, k, corrected=False),
-                      complex(0, y))
-        seq.append(k * (c.kappa - kinf))
+    by_k = curvature(ModelSpec.truncated_circle(r, 20, corrected=False),
+                     complex(0, y), ks=(20, 40, 80))
+    seq = [c.weight_index * (c.kappa - kinf) for c, in by_k]
     target = r / (2 * y ** 3)
     mono = abs(seq[0] - target) >= abs(seq[1] - target) >= abs(seq[2] - target)
     rel = abs(seq[2] / target - 1.0)
@@ -296,12 +293,12 @@ def check_circle_cross_module() -> CheckResult:
     curvature and the closed targets."""
     worst = 0.0
     model = WeightedModel(3, -0.5)
-    for y in (0.5, 1.0, 2.0):
-        s = complex(0, y)
-        for corrected, want in ((True, 0.0), (False, 1.0 / (8 * y * y))):
-            kt = curvature_via_ratio(model, s, corrected)
-            kq = curvature(ModelSpec.torus(1, 3, corrected=corrected), s).kappa
-            worst = max(worst, abs(kt - want), abs(kt - kq))
+    for corrected in (True, False):
+        for c in curvature(ModelSpec.torus(1, 3, corrected=corrected),
+                           [0.5j, 1j, 2j]):
+            want = 0.0 if corrected else 1.0 / (8 * c.s.imag ** 2)
+            kt = curvature_via_ratio(model, c.s, corrected)
+            worst = max(worst, abs(kt - want), abs(kt - c.kappa))
     return _result("circle-cross-module", worst, 1e-6,
                    "ratio path vs torus:1 and closed targets 0 and 1/(8y^2)")
 

@@ -382,6 +382,26 @@ def test_non_finite_row_exits_1_naming_model_k_and_s(model, flag, k, y,
     assert err.startswith(f"numerical failure: {model} at {where}:")
 
 
+# far out in Im s kappa underflows to 0; the closed-form agreement scale
+# m/(8 y^2) and the sphere asymptote's y^3 must not overflow on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", [["torus:1"], ["group:su2", "--corrected"]])
+def test_far_im_s_cross_check_scale_does_not_overflow(model, capsys):
+    rc, out, err = run(["curvature", "--model", *model, "--k", "3",
+                        "--im-s", "1e200"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["kappa"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_far_im_s_sphere_asymptote_does_not_overflow(capsys):
+    rc, out, err = run(["asymptote", "--model", "sphere:2", "--corrected",
+                        "--k", "6", "--im-s", "1e120"], capsys)
+    assert rc == 0, err
+    rec = json.loads(out)
+    assert rec["asymptote"] == 0.0 and rec["ratio"] is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_p_value_needs_only_a_finite_log_p(capsys):
     # the sphere row above whose kappa is nan has a finite log p

@@ -99,12 +99,45 @@ def test_weyl_closure(systems):
 def test_denominator_duality(systems):
     rng = np.random.default_rng(0)
     for rs in systems.values():
-        for _ in range(100):
-            tau = rng.uniform(-2, 2, size=rs.rank)
-            prod, alt = weyl_denominator(rs, tau)
+        taus = rng.uniform(-2, 2, size=(100, rs.rank))
+        for prod, alt in weyl_denominator(rs, taus):
             assert prod.sign == alt.sign
             assert prod.log_magnitude == pytest.approx(alt.log_magnitude,
                                                        abs=1e-10)
+
+
+# points on root walls (alpha(tau) = 0 for some positive root) among
+# generic ones: dyadic coordinates keep the walls exact in floating point
+_WALL_POINTS = {"su2": [[0.0], [0.3], [-1.7]],
+                "su3": [[0.0, 0.0], [0.5, 0.5], [0.5, -0.25], [-0.25, 0.5],
+                        [0.3, -1.1], [1.2, 0.4]]}
+
+
+@pytest.mark.parametrize("name", ["su2", "su3"])
+def test_stacked_denominator_equals_its_one_row_calls(systems, name):
+    rs = systems[name]
+    rng = np.random.default_rng(2)
+    points = np.vstack([_WALL_POINTS[name],
+                        rng.uniform(-2, 2, size=(40, rs.rank))])
+    stacked = weyl_denominator(rs, points)
+    assert stacked == [pair for p in points for pair in weyl_denominator(rs, p)]
+    for (prod, alt), p in zip(stacked, points):
+        on_wall = bool(np.any(rs.roots_array() @ p == 0.0))
+        assert (prod.sign == 0) == on_wall and (alt.sign == 0) == on_wall
+        if not on_wall:
+            # the product side against the scalar loop it replaced; numpy's
+            # exp and log1p may round a few ulps away from math's
+            alphas = rs.roots_array() @ p
+            assert prod.sign == alt.sign == np.prod(np.sign(alphas))
+            assert prod.log_magnitude == pytest.approx(
+                sum(math.log(abs(math.sinh(a))) for a in alphas), abs=1e-12)
+            assert prod.log_magnitude == pytest.approx(alt.log_magnitude,
+                                                       abs=1e-10)
+
+
+def test_denominator_rejects_points_of_another_rank(systems):
+    with pytest.raises(ValueError):
+        weyl_denominator(systems["su2"], np.zeros((4, 2)))
 
 
 def test_su2_character_weight_sum():
