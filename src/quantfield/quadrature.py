@@ -3,9 +3,9 @@
 * ``node_sums`` -> ``kappa_from_sums`` -- the curvature kernel, the one
                              entry to kappa of every engine of
                              ``quantization``: per segment of a flat axis
-                             of weighted nodes, with the integrand's first
-                             two y-derivatives at each, log p and
-                             kappa = (1/4) d^2/dy^2 log p (``LogP``),
+                             of weighted nodes, with y and y^2 times the
+                             integrand's first two y-derivatives at each,
+                             log p and kappa, 1/y^2 applied last (``LogP``),
 * ``integrate_log_panels``-- composite Gauss-Legendre of a positive
                              log-domain integrand on caller-chosen panels
                              at one Im s, kappa by the moment identity,
@@ -156,10 +156,10 @@ def node_sums(logs: np.ndarray, f0: np.ndarray | float, f1: np.ndarray,
 
     The nodes carry positive weights e^{logs} and the integrand over that
     weight, f0 (signed; a scalar broadcasts), with its first and second
-    y-derivatives f1 and f2 at fixed node coordinate.  The variance that
-    ``kappa_from_sums`` forms is one-pass, so positive terms with
-    log-derivatives (d1, d2) go in as f1 = d1 - c and f2 = d2 + (d1 - c)^2,
-    c a constant near the mean of d1."""
+    y-derivatives at fixed node coordinate in the units of
+    ``kappa_from_sums``, f1 and f2.  Its variance is one-pass, so positive
+    terms with log-derivatives (d1, d2) go in as f1 = y d1 - c and
+    f2 = y^2 d2 + (y d1 - c)^2, c a constant near the mean of y d1."""
     widths = np.asarray(widths)
     starts = widths.cumsum() - widths
     shift = np.maximum.reduceat(logs, starts)
@@ -169,20 +169,22 @@ def node_sums(logs: np.ndarray, f0: np.ndarray | float, f1: np.ndarray,
                                for f in (f0, f1, f2)])
 
 
-def kappa_from_sums(sums: np.ndarray, c0: np.ndarray | float = 0.0,
+def kappa_from_sums(sums: np.ndarray, y: np.ndarray | float,
+                    c0: np.ndarray | float = 0.0,
                     offset: np.ndarray | float = 0.0) -> list:
-    """log p and kappa of each segment of ``node_sums``, a ``LogP`` each,
-    c0 and offset scalars or one per segment: log p = log |Q0| + offset and
-    kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4, where c0 is what the prefactor
-    left out of the nodes adds to d^2/dy^2 log p.  Q0 = 0 (a node of weight
+    """log p and kappa of each segment of ``node_sums`` at its Im s y, a
+    ``LogP`` each, y, c0 and offset scalars or one per segment: log p =
+    log |Q0| + offset and kappa = (c0 + Q2/Q0 - (Q1/Q0)^2) / 4 / y / y, the
+    one 1/y^2: f1, f2 and c0, what the prefactor left out of the nodes adds
+    to d^2/dy^2 log p, come times y, y^2 and y^2.  Q0 = 0 (a node of weight
     e^{-inf} counts as absent) gives sign 0 and kappa nan."""
     shift, q0, q1, q2 = sums.tolist()
-    c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
-                  else [float(x)] * len(q0) for x in (c0, offset))
+    y, c0, offset = (x.tolist() if isinstance(x, np.ndarray) and x.ndim
+                     else [float(x)] * len(q0) for x in (y, c0, offset))
     return [LogP(s + math.log(abs(a)) + o, 1 if a > 0 else -1,
-                 0.25 * (c + d / a - (b / a) * (b / a))) if a != 0.0
-            else LogP(NEG_INF, 0)
-            for s, a, b, d, c, o in zip(shift, q0, q1, q2, c0, offset)]
+                 0.25 * (c + d / a - (b / a) * (b / a)) / v / v)
+            if a != 0.0 else LogP(NEG_INF, 0)
+            for s, a, b, d, c, o, v in zip(shift, q0, q1, q2, c0, offset, y)]
 
 
 def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
@@ -196,8 +198,8 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     identity.  The integrand is e^{b - phi/y} times a weight free of y,
     b = -c log y, so per node its log has y-derivatives phi/y^2 - c/y and
     c/y^2 - 2 phi/y^3.  psi_f gives psi = phi - centre_sq, centred at the
-    integrand's peak, and the kernel gets f1 = psi/y^2 and
-    f2 = (c y^2 - 2 y phi + psi^2)/y^4."""
+    integrand's peak, and the kernel gets y f1 = psi/y and
+    y^2 f2 = c - 2 (centre_sq + psi)/y + (psi/y)^2."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -208,10 +210,12 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
     logw = np.log(np.outer(half, w)).ravel()
     psi = psi_f(x)
-    f1 = psi / (y * y)
-    f2 = (c * y * y - 2.0 * y * (centre_sq + psi) + psi * psi) / y ** 4
-    return kappa_from_sums(node_sums(log_f(x) + logw, 1.0, f1, f2,
-                                     [x.size]), 0.0, offset)[0]
+    f1 = psi / y
+    f2 = c - 2.0 * (centre_sq + psi) / y + f1 * f1
+    sums = node_sums(log_f(x) + logw, 1.0, f1, f2, [x.size])
+    row = kappa_from_sums(sums, y, 0.0, offset)[0]
+    # one node holding all the weight (Q0 its 1) resolves no variance
+    return row if sums[1, 0] != 1.0 else LogP(row.log_magnitude, 1, math.nan)
 
 
 @dataclass(frozen=True)

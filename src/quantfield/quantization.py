@@ -14,18 +14,18 @@ Conventions:
 Every engine integrates e^{a(s) phi} against a weight that does not depend
 on s, phi a quadratic form (|u|^2, t^2 or zeta^2), so log p is a function of
 y = Im s alone.  Each returns kappa with log p from one quadrature pass
-(``LogP``): its nodes, with the integrand's first two y-derivatives at each,
-go to ``quadrature.kappa_from_sums``, the one place that forms kappa.
-Closed forms, and the truncated circle outside its narrow rows, return
-theirs analytically.
+(``LogP``): its nodes, with y and y^2 times the integrand's first two
+y-derivatives at each, go to ``quadrature.kappa_from_sums``, the one place
+that forms kappa and applies its 1/y^2.  Closed forms, and the truncated
+circle outside its narrow rows, return theirs analytically.
 
 What the nodes hold fixed sets those derivatives.  The panel routes (spheres
 below the switch, the circle's narrow rows) hold phi's variable fixed, which
 gives the moment identity
 
-    4 kappa = Var_w[phi] / y^4 - 2 E_w[phi] / y^3 + c / y^2,    b = -c log y.
+    4 y^2 kappa = Var_w[phi/y] - 2 E_w[phi/y] + c,    b = -c log y.
 
-Its leading terms, of size |lambda|^2 / y, cancel down to kappa.  The group,
+Its leading terms, of size |lambda|^2 y, cancel down to y^2 kappa.  The group,
 torus and sphere Hermite routes instead rescale about the peak,
 u = mu y + sqrt(y) w per weight mu (t = (k+q) y + sqrt(y) v on spheres), so
 that the |mu|^2 y part of log p is linear in y and never enters kappa.
@@ -371,18 +371,20 @@ def p_group_quadrature(s, rs: RootSystem, lams: Sequence,
     present), the weights of the irreducible (``_bare_weights``) and f = P^2.
     With u = mu y + sqrt(y) w per term and top = |mu_0|^2 the largest,
     p = e^{b + top y} y^{rank/2} Q(y), Q = sum_mu mult e^{Delta y}
-    int e^{-|w|^2} f dw, Delta = |mu|^2 - top, and 4 kappa =
-    (c - rank/2)/y^2 + Q''/Q - (Q'/Q)^2, exact by tensor Gauss-Hermite in w.
+    int e^{-|w|^2} f dw, Delta = |mu|^2 - top, and 4 y^2 kappa =
+    c - rank/2 + y^2 (Q''/Q - (Q'/Q)^2), exact by tensor Gauss-Hermite in w.
     A node, a (weight, Hermite node) pair, has log-weight log mult + Delta y
-    and values f, Delta f + f', Delta^2 f + 2 Delta f' + f'', f' and f''
-    by the product rule (u_y = mu + w/(2 sqrt y), u_yy = -w/(4 y^{3/2})):
-    no node divides by f, which vanishes on root walls.  A row's nodes are
-    a segment of the flat node axis (``_chunked_sums``), weights outermost.
+    and values f, y f' + D f and y^2 f'' + 2 D y f' + D^2 f, D = Delta y, by
+    the product rule over the roots (y u_y = u - sqrt(y) w/2, y^2 u_yy =
+    -sqrt(y) w/4): no node divides by f, which vanishes on root walls.  f
+    is homogeneous in u, so it is taken at u/y and its degree's log y moved
+    into log p.  A row's nodes are a segment of the flat node axis
+    (``_chunked_sums``), weights outermost.
     A term is at most mult e^{Delta y} times the top one (its integral of f
     grows with |mu|), so each row keeps the weights that reach
     e^{-SERIES_CUT} of the largest at its own Im s (``_bare_width``): at
-    most 5e5 of them add below 2e-27 of Q, and below 1e-23 / y^2 to
-    Q''/Q."""
+    most 5e5 of them add below 2e-27 of Q, and below 1e-23 to
+    y^2 Q''/Q."""
     y, lams, one = _rows(s, lams)
     if rs.positive_roots and rs.rank > 2:
         raise ValueError("quadrature path with roots needs rank <= 2")
@@ -408,26 +410,24 @@ def p_group_quadrature(s, rs: RootSystem, lams: Sequence,
                         else (lam[r], 0.0))
         # |mu|^2 - |mu_0|^2, 0 for a lone weight in any summation order
         delta = ((mu - mu0[r]) * (mu + mu0[r])).sum(axis=1)
-        yy = y[r]
+        dy = delta * y[r]
         p0, p1, p2 = 1.0, 0.0, 0.0                # P = 1 on a torus
         if len(roots_u):
-            yc = yy[:, None]
-            sy = np.sqrt(yc)
-            u = mu * yc + sy * w[node]            # (node, axis)
-            u_y = mu + w[node] / (2.0 * sy)
-            u_yy = -w[node] / (4.0 * yc * sy)
+            # u, y u_y and y^2 u_yy, each over y: u/y = mu + w/sqrt(y)
+            h = w[node] / (2.0 * np.sqrt(y[r]))[:, None]
             for alpha in roots_u:
-                a0, a1, a2 = [(x * alpha).sum(axis=1) for x in (u, u_y, u_yy)]
+                a0, a1, a2 = [(x * alpha).sum(axis=1)
+                              for x in (mu + 2.0 * h, mu + h, -0.5 * h)]
                 p0, p1, p2 = (p0 * a0, p1 * a0 + p0 * a1,
                               p2 * a0 + 2.0 * p1 * a1 + p0 * a2)
-        p1, p2 = p1 + delta * p0, p2 + delta * (2.0 * p1 + delta * p0)
-        return log_mult + logs[node] + delta * yy, p0, p1, p2
+        p1, p2 = p1 + dy * p0, p2 + dy * (2.0 * p1 + dy * p0)
+        return log_mult + logs[node] + dy, p0, p1, p2
 
     out = kappa_from_sums(
-        _chunked_sums(widths * len(logs), nodes),
-        (_volume_exponent(m, corrected) - 0.5 * rank) / (y * y),
-        _log_volume(y, m, corrected) + log_det_M
-        + (mu0 * mu0).sum(axis=1) * y + 0.5 * rank * np.log(y))
+        _chunked_sums(widths * len(logs), nodes), y,
+        _volume_exponent(m, corrected) - 0.5 * rank,
+        _log_volume(y, m, corrected) + log_det_M + (mu0 * mu0).sum(axis=1) * y
+        + (0.5 * rank + len(roots_u)) * np.log(y))
     return out[0] if one else out
 
 
@@ -461,7 +461,7 @@ def p_torus_closed(s, m: int, lams: Sequence,
             raise ValueError("weight length != torus rank")
         norm_sq = float(lv @ lv)
         out += [LogP((m / 2.0) * math.log(v) - c * math.log(v) + norm_sq * v,
-                     1, 0.25 * (c - m / 2.0) / (v * v))
+                     1, 0.25 * (c - m / 2.0) / v / v)
                 for _, v in zip(run, ys)]
     return out[0] if one else out
 
@@ -470,13 +470,13 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
     """Bare SU(2): log of (Im s)^{-3/2} f(y), f = sum_j e^{n_j y} (1 + 2 n_j y),
     n_j = (k-2j)^2, with one k of ks per s.
 
-    kappa = (3/(2y^2) + f''/f - (f'/f)^2) / 4 with f''/f - (f'/f)^2 written
-    as a mean plus a variance over the terms of f, both free of cancellation:
-    per term the log-derivative is A = n (3 + 2ny)/(1 + 2ny), and the second
-    derivative less A^2 is -4 n^2/(1 + 2ny)^2.  A row's terms, a segment of
-    the flat node axis (``_chunked_sums``), are those of the weights
-    +-(k - 2j) that count at its own Im s (``_bare_width``, alpha.alpha =
-    4): the others are below e^{-SERIES_CUT} of the n = k^2 term.
+    4 y^2 kappa = 3/2 + y^2 (f''/f - (f'/f)^2), the second term written as
+    a mean plus a variance over the terms of f, both free of cancellation:
+    per term y A = ny (3 + 2ny)/(1 + 2ny), A its log-derivative, and
+    y^2 A' = -(2ny/(1 + 2ny))^2.  A row's terms, a segment of the flat
+    node axis (``_chunked_sums``), are those of the weights +-(k - 2j) that
+    count at its own Im s (``_bare_width``, alpha.alpha = 4): the others
+    are below e^{-SERIES_CUT} of the n = k^2 term.
     """
     y, ks, one = _rows(s, ks)
     for k in ks:
@@ -488,8 +488,8 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
     kv = np.array(ks, dtype=float)
     # j < low, then j >= max(k + 1 - low, low): a row's terms skip gap[r]
     gap = np.maximum(kv + 1.0 - 2.0 * low, 0.0)
-    ny2 = 2.0 * (kv * kv * y)
-    top = kv * kv * (3.0 + ny2) / (1.0 + ny2)         # A at n = k^2
+    ny = kv * kv * y
+    top = ny * ((3.0 + 2.0 * ny) / (1.0 + 2.0 * ny))  # y A at n = k^2
 
     def terms(r: np.ndarray, i: np.ndarray) -> tuple:
         k, yc = kv[r], y[r]
@@ -499,13 +499,13 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
         # exponents relative to the largest, k^2 y: each n y carries n y eps
         # of rounding, which would pass into the weights as a relative error
         logs = (n - k * k) * yc + np.log1p(ny2)
-        # log-derivatives centred on the largest term's, n = k^2
-        d1 = n * (3.0 + ny2) / g - top[r]
-        return logs, 1.0, d1, d1 * d1 - 4.0 * n * n / (g * g)
+        # y times the log-derivatives, centred on the largest term's
+        d1 = 0.5 * ny2 * ((3.0 + ny2) / g) - top[r]
+        return logs, 1.0, d1, d1 * d1 - (ny2 / g) ** 2
 
     out = kappa_from_sums(
-        _chunked_sums(np.minimum(2 * low, kv.astype(int) + 1), terms),
-        1.5 / (y * y), kv * kv * y - 1.5 * np.log(y))
+        _chunked_sums(np.minimum(2 * low, kv.astype(int) + 1), terms), y,
+        1.5, kv * kv * y - 1.5 * np.log(y))
     return out[0] if one else out
 
 
@@ -518,8 +518,7 @@ def _log_half_form(t: np.ndarray, q: float) -> np.ndarray:
 
     With q = (m-1)/2 the factor is t^{m-1} sqrt(D(t)/2), where
     D = 2 (sinh 2t / t)^{m-1} is ``liecore.half_form_density_sphere`` and
-    t^{m-1} the polar Jacobian of the fibre R^m.  -inf at t = 0.
-    """
+    t^{m-1} the polar Jacobian of the fibre R^m.  -inf at t = 0."""
     with np.errstate(divide="ignore"):
         return q * (np.log1p(-np.exp(-4.0 * t)) - math.log(2.0) + np.log(t))
 
@@ -656,20 +655,20 @@ def _p_sphere_hermite(y: np.ndarray, k: Sequence, m: int,
 
     With L(y) = log int e^{-v^2} e^{g(T(v, y))} dv, T = (k+q) y + sqrt(y) v,
 
-        4 kappa = q / y^2 + E[g'' T_y^2 + g' T_yy] + Var[g' T_y],
+        4 y^2 kappa = q + E[g'' (y T_y)^2 + g' y^2 T_yy] + Var[g' y T_y],
 
-    T_y = (k+q) + v / (2 sqrt y), T_yy = -v / (4 y^{3/2}), the moments taken
-    under the normalised e^{-v^2} e^g on the Hermite nodes.  g = q h + psi,
-    h the half-form term (``_log_half_form``) and psi = log phi_k - 2kt,
-    whose derivatives psi' = -4 E[i] and psi'' = 16 Var[i] are moments of
-    the series' positive terms (``_series_log_phi``): no subtraction of
-    large terms.  The q/y^2 cancels against the -q T_y^2 / t^2 that log t
-    puts into g'' T_y^2; since t - y T_y = sqrt(y) v / 2, the two are taken
-    together per node as q v ((k+q) sqrt(y) + 3v/4) / (y t^2).  A row's
-    nodes are one segment of the flat node axis (``_chunked_sums``).
-    Nodes with t <= 0 get weight zero (each row drops its own); the
-    integrand vanishes there and, above the switch, their Hermite weight
-    is below e^{-36}.
+    y T_y = (k+q) y + sqrt(y) v / 2, y^2 T_yy = -sqrt(y) v / 4, the moments
+    taken under the normalised e^{-v^2} e^g on the Hermite nodes.
+    g = q h + psi, h the half-form term (``_log_half_form``) and psi =
+    log phi_k - 2kt, whose derivatives psi' = -4 E[i] and psi'' = 16 Var[i]
+    are moments of the series' positive terms (``_series_log_phi``): no
+    subtraction of large terms.  The q cancels against the -q (y T_y / t)^2
+    that log t puts into g'' (y T_y)^2; since t - y T_y = sqrt(y) v / 2,
+    the two are taken together per node as q v ((k+q) sqrt(y) + 3v/4) y /
+    t^2.  A row's nodes are one segment of the flat node axis
+    (``_chunked_sums``).  Nodes with t <= 0 get weight zero (each row drops
+    its own); the integrand vanishes there and, above the switch, their
+    Hermite weight is below e^{-36}.
     """
     k, q = np.asarray(k), (m - 1) / 2.0
     kq, sy = k + q, np.sqrt(y)
@@ -692,33 +691,32 @@ def _p_sphere_hermite(y: np.ndarray, k: Sequence, m: int,
     psi, psi1, psi2 = _series_log_phi(t, table, first.repeat(n),
                                       width.repeat(n))
 
-    def slope(tt, psi1_, kqv, syv, vv) -> tuple:
-        # 1 - e^{-4t}, its ratio e^{-4t} / (1 - e^{-4t}), g' and T_y
+    def slope(tt, psi1_, kqv, yv, syv, vv) -> tuple:
+        # 1 - e^{-4t}, its ratio e^{-4t} / (1 - e^{-4t}), g' and y T_y
         m4t = -4.0 * tt
         one_e = -np.expm1(m4t)
         ratio = np.exp(m4t) / one_e
         return (one_e, ratio, q * (4.0 * ratio + 1.0 / tt) + psi1_,
-                kqv + vv / (2.0 * syv))
+                kqv * yv + 0.5 * syv * vv)
 
     # d1 centred on its value at the node nearest v = 0 (v sorted, symmetric)
     mid = np.arange((n - 1) // 2, t.size, n)
-    centre = np.multiply(*slope(t[mid], psi1[mid], kq, sy,
+    centre = np.multiply(*slope(t[mid], psi1[mid], kq, y, sy,
                                 v[(n - 1) // 2])[2:])
 
     def nodes(r: np.ndarray, j: np.ndarray) -> tuple:
         i = r * n + j
         tt, kqv, yv, syv, vv = t[i], kq[r], y[r], sy[r], v[j]
-        one_e, ratio, g1, t_y = slope(tt, psi1[i], kqv, syv, vv)
-        # g'' less the -q/t^2 of log t, which is folded into q/y^2 below
+        one_e, ratio, g1, t_y = slope(tt, psi1[i], kqv, yv, syv, vv)
+        # g'' less the -q/t^2 of log t, which is folded into q below
         g2_rest = psi2[i] - 16.0 * q * ratio / one_e
-        t_yy = -vv / (4.0 * yv * syv)
-        folded = q * vv * (kqv * syv + 0.75 * vv) / (yv * tt * tt)
+        folded = q * vv * (kqv * syv + 0.75 * vv) / tt * (yv / tt)
         d1 = g1 * t_y - centre[r]
         return (np.where(keep[i], log_hw[j] + _log_half_form(tt, q) + psi[i],
                          -np.inf), 1.0, d1,
-                folded + g2_rest * t_y * t_y + g1 * t_yy + d1 * d1)
+                folded + g2_rest * t_y * t_y - 0.25 * g1 * syv * vv + d1 * d1)
 
-    return kappa_from_sums(_chunked_sums(np.full(y.size, n), nodes), 0.0,
+    return kappa_from_sums(_chunked_sums(np.full(y.size, n), nodes), y, 0.0,
                            b + kq * kq * y + 0.5 * np.log(y))
 
 
@@ -783,13 +781,11 @@ def _circle_row(k: int, y: float, r: float, c: float, b: float) -> LogP:
     if hi >= CIRCLE_INTERIOR_WIDTHS:                    # G = sqrt(pi)
         return LogP(b + k * k * y + 0.5 * math.log(math.pi * y), 1,
                     0.25 * (c - 0.5) / y / y)
-    if 4.0 * k * r + u * u <= CIRCLE_NARROW:
-        # the tails below would cancel; curvature reports non-finite moments
+    if 4.0 * k * r + u * u <= CIRCLE_NARROW:     # the tails below would cancel
         peak = min(k * y, r)
-        with np.errstate(all="ignore"):
-            return integrate_log_panels(
-                lambda z: -z * z / y + 2.0 * k * z, np.array([-r, r]), 16,
-                lambda z: (z - peak) * (z + peak), peak * peak, y, c, b)
+        return integrate_log_panels(
+            lambda z: -z * z / y + 2.0 * k * z, np.array([-r, r]), 16,
+            lambda z: (z - peak) * (z + peak), peak * peak, y, c, b)
     b1, b2 = -0.5 * (u + w), 0.25 * (3.0 * u + w)     # y B', y^2 B''
     a1, a2 = 0.5 * (u - w), 0.25 * (w - 3.0 * u)      # y A', y^2 A''
     if hi > CIRCLE_TAIL_SWITCH:
@@ -821,7 +817,7 @@ def p_truncated_circle(s, ks: Sequence, r: float,
     """log of int_{-r}^{r} e^{a zeta^2 + b + 2 k zeta} d zeta (m = 1), one k
     of ks per s.  With zeta = k y + sqrt(y) v, k >= 0 (a symmetry), log p =
     b + k^2 y + (1/2) log y + log G for G = int_A^B e^{-v^2} dv, B, A =
-    (+-r - k y)/sqrt(y), and 4 kappa = (c - 1/2)/y^2 + (log G)''.  G is
+    (+-r - k y)/sqrt(y), and 4 y^2 kappa = c - 1/2 + y^2 (log G)''.  G is
     sqrt(pi) (torus:1) for B >= CIRCLE_INTERIOR_WIDTHS, one Gauss-Legendre
     panel where 4|k|r + r^2/y <= CIRCLE_NARROW, else erf or erfc, or erfcx
     by Laplace's continued fraction for B <= CIRCLE_TAIL_SWITCH."""
@@ -837,8 +833,7 @@ def p_truncated_circle(s, ks: Sequence, r: float,
 def truncated_circle_kappa_limit(r: float, s, corrected: bool) -> float:
     """kappa_inf = (1/4) d^2/dy^2 (a(y) r^2 + b(y)): the k -> infinity limit."""
     y = _as_complex(s).imag
-    c_b = 0.5 if corrected else 1.0
-    return 0.25 * (-2.0 * r * r / y ** 3 + c_b / y ** 2)
+    return 0.25 * (_volume_exponent(1, corrected) - 2.0 * r * r / y) / y / y
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +916,8 @@ def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
     log p and kappa (``_checked``).  A closed form, where one exists, is
     also evaluated in one call, checked alike and reported as
     ``cross_check``; the two kappas must agree to CLOSED_AGREEMENT_REL
-    relative to max(|kappa_closed|, m/(8 y^2)).  Either check raises
-    ArithmeticError at the first (k, s) that fails it.
+    relative to max(|kappa_closed|, m/(8 y^2), the least normal float).
+    Either check raises ArithmeticError at the first (k, s) that fails it.
     """
     one = isinstance(s, numbers.Number)
     grid = [_as_complex(v) for v in ([s] if one else s)]
@@ -936,7 +931,8 @@ def curvature(model: ModelSpec, s, ks: Optional[Sequence] = None):
     for (k, sc), quad, closed in zip(itertools.product(each, grid), quads,
                                      closeds):
         if closed is not None:
-            scale = max(abs(closed.kappa), m / 8.0 / sc.imag / sc.imag)
+            scale = max(abs(closed.kappa), m / 8.0 / sc.imag / sc.imag,
+                        np.finfo(float).tiny)
             if not abs(quad.kappa - closed.kappa) <= CLOSED_AGREEMENT_REL * scale:
                 raise ArithmeticError(
                     f"curvature paths disagree for {model.label()} at k={k}, "

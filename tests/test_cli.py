@@ -361,14 +361,15 @@ def test_one_invalid_im_s_in_a_grid_exits_2(command, model, bad, capsys):
     assert err.startswith("error:")
 
 
-# rows whose kappa is not a float: the sphere panels' y^4 underflows to 0,
-# torus:1's and bare su2's 1/(8y^2) overflows, and the circle's narrow
-# panel divides by y^4 = 0.  A torus names its k as a weight vector
+# rows whose kappa is not a float: the 1/y^2 of the sphere's, torus:1's
+# and bare su2's kappa overflows, and sphere:7's panels hold all their
+# weight on one node, which resolves no variance.  A torus names its k as
+# a weight vector
 _NON_FINITE_ROWS = [
     ("sphere:2", ["--corrected"], "3", "1e-160", "k=3, s=1e-160j"),
     ("torus:1", [], "3", "1e-160", "k=[3], s=1e-160j"),
     ("group:su2", [], "3", "1e-160", "k=3, s=1e-160j"),
-    ("circle:1e-300", [], "0", "1e-100", "k=0, s=1e-100j"),
+    ("sphere:7", ["--corrected"], "0", "1e-100", "k=0, s=1e-100j"),
 ]
 
 
@@ -383,8 +384,9 @@ def test_non_finite_row_exits_1_naming_model_k_and_s(model, flag, k, y,
 
 
 # far out in Im s kappa underflows to 0; the closed-form agreement scale
-# m/(8 y^2) and the sphere asymptote's y^3 must not overflow on the way
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# m/(8 y^2) and the sphere asymptote's y^3 must not overflow on the way,
+# nor warn
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", [["torus:1"], ["group:su2", "--corrected"]])
 def test_far_im_s_cross_check_scale_does_not_overflow(model, capsys):
     rc, out, err = run(["curvature", "--model", *model, "--k", "3",
@@ -393,7 +395,32 @@ def test_far_im_s_cross_check_scale_does_not_overflow(model, capsys):
     assert json.loads(out)["kappa"] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# rows whose kappa is a float at extreme Im s, where no intermediate may
+# overflow or underflow before the kernel's 1/y^2: each exits 0 within tol
+# of kappa, and warns of nothing.  Past Im s 1e160 kappa is 0 or
+# subnormal, and tol a few subnormal ulps
+_SUBNORMAL_ULPS = 4 * math.ulp(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, k, y, want, tol", [
+    (["circle:1"], "0", 1e300, 0.0, 0.0),
+    (["circle:1e-300"], "0", 1e-100, 2.5e199, 2.5e187),
+    (["group:su3", "--corrected"], "1/0", 1e110, 0.0, 1e-9 / 1e220),
+    (["group:su2", "--corrected"], "3", 1e160, 0.0, _SUBNORMAL_ULPS),
+    (["group:su2"], "1", 1e160, 1 / 8.0 / 1e160 / 1e160, _SUBNORMAL_ULPS),
+    (["torus:2"], "3", 1e160, 2 / 8.0 / 1e160 / 1e160, _SUBNORMAL_ULPS),
+    (["torus:3"], "2", 1e200, 0.0, 0.0),
+])
+def test_extreme_im_s_rows_exit_0_without_warning(model, k, y, want, tol,
+                                                   capsys):
+    rc, out, err = run(["curvature", "--model", *model, "--k", k,
+                        "--im-s", repr(y)], capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["kappa"] - want) <= tol
+
+
+@pytest.mark.filterwarnings("error")
 def test_far_im_s_sphere_asymptote_does_not_overflow(capsys):
     rc, out, err = run(["asymptote", "--model", "sphere:2", "--corrected",
                         "--k", "6", "--im-s", "1e120"], capsys)

@@ -13,10 +13,10 @@ from quantfield.quadrature import (fd_derivative, fd_laplacian,
                                    legendre_rule, mc_integrate, node_sums)
 
 
-def one_segment(logs, f0, f1, f2, c0=0.0, offset=0.0):
+def one_segment(logs, f0, f1, f2, c0=0.0, offset=0.0, y=1.0):
     """The kernel's LogP of one segment holding every node."""
     return kappa_from_sums(node_sums(logs, f0, f1, f2, [np.size(logs)]),
-                           c0, offset)[0]
+                           y, c0, offset)[0]
 
 
 @pytest.mark.parametrize("rule, fresh", [(hermite_rule, hermgauss),
@@ -77,11 +77,11 @@ def test_gaussian_weighted_rejects_nonnegative_a():
 def test_kernel_sum_of_exponentials(a, b, y):
     # p = sum_i e^{a_i y + b_i}: log p'' = Var[a] under the weights
     # e^{a_i y + b_i} / p, so kappa = Var[a] / 4; each term's log-derivatives
-    # are a_i and 0, passed centred on a_0
+    # are a_i and 0, passed centred on a_0 and times y and y^2
     a, b = np.array(a), np.array(b)
     logs = a * y + b
-    out = one_segment(logs, 1.0, a - a[0], (a - a[0]) ** 2,
-                      c0=0.8, offset=-2.0)
+    out = one_segment(logs, 1.0, y * (a - a[0]), (y * (a - a[0])) ** 2,
+                      c0=0.8 * y * y, offset=-2.0, y=y)
     w = np.exp(logs - logs.max())
     w /= w.sum()
     mean = float(w @ a)
@@ -99,7 +99,8 @@ def test_kernel_signed_terms(sign):
     y = 0.7
     f0 = sign * np.array([3.0, -1.0])
     rates = np.array([2.0, 1.0])
-    out = one_segment(rates * y, f0, f0 * rates, f0 * rates ** 2)
+    out = one_segment(rates * y, f0, f0 * rates * y, f0 * (rates * y) ** 2,
+                      y=y)
     p0 = 3.0 * math.exp(2 * y) - math.exp(y)
     p1 = 6.0 * math.exp(2 * y) - math.exp(y)
     p2 = 12.0 * math.exp(2 * y) - math.exp(y)
@@ -119,7 +120,7 @@ def test_kernel_zero_sum_has_sign_zero():
 def test_kernel_rows_match_one_row_calls():
     # the sums of a flat axis of rows reduce each row on its own:
     # row i, of its own width, equals the one-row call on its nodes bit for
-    # bit, with its own c0 and offset.  Row 1 has a dropped node (weight
+    # bit, with its own Im s, c0 and offset.  Row 1 has a dropped node (weight
     # e^{-inf}), row 2 none left, which gives sign 0
     rng = np.random.default_rng(3)
     widths = [9, 4, 6, 1, 13]
@@ -131,13 +132,14 @@ def test_kernel_rows_match_one_row_calls():
     f0 = np.sign(rng.normal(size=n))
     f1, f2 = rng.normal(size=(2, n))
     c0, offset = rng.normal(size=5), rng.normal(size=5)
-    rows = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), c0,
+    y = rng.uniform(0.1, 10.0, size=5)
+    rows = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), y, c0,
                            offset)
     assert len(rows) == 5
     for i, (a, w) in enumerate(zip(starts, widths)):
         at = slice(a, a + w)
         want = one_segment(logs[at], f0[at], f1[at], f2[at], c0[i],
-                           offset[i])
+                           offset[i], y[i])
         got = rows[i]
         assert (got.sign, got.log_magnitude) == (want.sign, want.log_magnitude)
         assert got.kappa == want.kappa or math.isnan(got.kappa + want.kappa)
@@ -145,16 +147,16 @@ def test_kernel_rows_match_one_row_calls():
     # the dropped node counts as absent
     live = np.delete(np.arange(starts[1], starts[2]), 2)
     alone = one_segment(logs[live], f0[live], f1[live], f2[live],
-                        c0[1], offset[1])
+                        c0[1], offset[1], y[1])
     assert rows[1].log_magnitude == pytest.approx(alone.log_magnitude,
                                                   rel=1e-15)
     assert rows[1].kappa == pytest.approx(alone.kappa, rel=1e-13, abs=1e-15)
-    # scalar c0 and offset broadcast over the rows
-    shared = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), 0.5,
+    # scalar Im s, c0 and offset broadcast over the rows
+    shared = kappa_from_sums(node_sums(logs, f0, f1, f2, widths), 2.0, 0.5,
                              -1.0)
     at = slice(starts[4], n)
     assert shared[4] == one_segment(logs[at], f0[at], f1[at], f2[at],
-                                    0.5, -1.0)
+                                    0.5, -1.0, 2.0)
 
 
 def test_log_panels_kernel_matches_moments():

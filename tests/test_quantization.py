@@ -221,12 +221,13 @@ def test_bare_su2_cli_matches_40_digits(k, y, capsys):
 
 def test_bare_su2_k0_is_the_anchor():
     # at k = 0 the only weight is 0 and Q(y) is proportional to y^{|R+|}:
-    # kappa = 3/(8 y^2) exactly
-    ys = np.logspace(-8, 3, 45)
+    # kappa = 3/(8 y^2) to 2 ulp, since no node value carries its 1/y^2
+    ys = np.r_[np.logspace(-8, 3, 45), 0.05, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0,
+               3.0, 7.0, 11.0, 50.0]
     for y, c in zip(ys, curvature(ModelSpec.group(liecore.su2(), 0, False),
                                   [complex(0, v) for v in ys])):
         want = 3.0 / (8.0 * y * y)
-        assert abs(c.kappa - want) <= 1e-14 * want
+        assert abs(c.kappa - want) <= 2.0 * math.ulp(want), (y, c.kappa)
 
 
 def test_bare_su2_weights_are_the_character():
@@ -588,6 +589,13 @@ def test_truncated_circle_erf_value():
     got = p_truncated_circle(1j, [0], 1.0, corrected=False)
     want = math.log(math.sqrt(math.pi) * math.erf(1.0))
     assert got.log_magnitude == pytest.approx(want, abs=1e-10)
+
+
+def test_truncated_circle_kappa_limit_far_im_s():
+    # (1/4) (c - 2 r^2/y) / y / y: no intermediate overflows far out in Im s
+    assert truncated_circle_kappa_limit(1.0, 1e200j, False) == 0.0
+    assert truncated_circle_kappa_limit(1.0, 2j, True) == -0.03125
+    assert truncated_circle_kappa_limit(3.0, 0.5j, False) == -35.0
 
 
 def test_truncated_circle_large_r_limit():
@@ -1056,6 +1064,20 @@ def test_sphere_large_k_follows_asymptote(m):
         assert abs(ratio - 1.0) <= 1e-4, (m, y, ratio)
 
 
+@pytest.mark.parametrize("k", (0, 6, 200))
+def test_sphere_m5_far_field_series(k):
+    # for m = 5 the far-field series is exact up to e^{-(k+2)^2 y}: log p =
+    # (k+2)^2 y + log F(x) + const, F = 1 + x/2 and x = 1/((k+2)^2 y), so
+    # kappa = (x^2 G'' + 2x G') / (4 y^2) = x (4 + x) / ((2 + x)^2 4 y^2)
+    # for G = log F.  The Hermite route's node arithmetic cancels terms
+    # about (k+2) sqrt(y) times larger than kappa
+    for y in (10.0, 1e2, 1e3, 1e4):
+        x = 1.0 / ((k + 2) ** 2 * y)
+        want = x * (4.0 + x) / (2.0 + x) ** 2 / (4.0 * y * y)
+        got = p_sphere(complex(0, y), [k], 5).kappa
+        assert got == pytest.approx(want, rel=2e-11), (y, got / want - 1)
+
+
 def test_sphere_m3_flat_at_large_k():
     for k in LARGE_K:
         for y in (1.0, 2.0):
@@ -1217,6 +1239,21 @@ def test_curvature_grid_error_names_first_failing_s(monkeypatch):
     with pytest.raises(ValueError):
         curvature(model, [1j, 2j, complex(0, math.nan)])
     assert curvature(model, []) == []
+
+
+def test_cross_check_is_relative_far_out_in_im_s(monkeypatch):
+    # at Im s 1e150 bare su2's kappa 1/(8 y^2) is a normal float: the two
+    # paths agree to 1e-9 of it, and a closed form 1e-8 off it fails
+    model = ModelSpec.group(liecore.su2(), 1, corrected=False)
+    for y in (4e149, 1e150, 1e152):
+        got = curvature(model, complex(0, y))
+        assert got.kappa == pytest.approx(1 / 8.0 / y / y, rel=1e-12)
+        assert abs(got.kappa - got.cross_check) <= 1e-9 * got.cross_check
+    closed = quantization.p_su2_closed
+    monkeypatch.setattr(quantization, "p_su2_closed", lambda s, k: [
+        replace(c, kappa=c.kappa * (1.0 + 1e-8)) for c in closed(s, k)])
+    with pytest.raises(ArithmeticError, match="disagree"):
+        curvature(model, 1e150j)
 
 
 def test_row_with_non_positive_p_is_named(monkeypatch, capsys):
