@@ -192,14 +192,14 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
                          psi_f: Callable[[np.ndarray], np.ndarray],
                          centre_sq: float, y: float, c: float,
                          offset: float) -> LogP:
-    """Composite Gauss-Legendre quadrature over fixed panels of the
-    positive exp(log_f) at one Im s y, log_f and psi_f functions of an
-    array of abscissae: log p, offset added, and kappa by the moment
-    identity.  The integrand is e^{b - phi/y} times a weight free of y,
-    b = -c log y, so per node its log has y-derivatives phi/y^2 - c/y and
-    c/y^2 - 2 phi/y^3.  psi_f gives psi = phi - centre_sq, centred at the
-    integrand's peak, and the kernel gets y f1 = psi/y and
-    y^2 f2 = c - 2 (centre_sq + psi)/y + (psi/y)^2."""
+    """Composite Gauss-Legendre quadrature over fixed panels of the positive
+    exp(log_f) at one Im s y, log_f and psi_f functions of an array of
+    abscissae: log p, offset added, and kappa by the moment identity, or
+    p = 0 where one node holds all the weight.  The integrand is
+    e^{b - phi/y} times a weight free of y, b = -c log y, so per node its
+    log has y-derivatives phi/y^2 - c/y and c/y^2 - 2 phi/y^3.  psi_f gives
+    psi = phi - centre_sq, centred at the integrand's peak, and the kernel
+    gets y f1 = psi/y and y^2 f2 = c - 2 (centre_sq + psi)/y + (psi/y)^2."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -213,9 +213,10 @@ def integrate_log_panels(log_f: Callable[[np.ndarray], np.ndarray],
     f1 = psi / y
     f2 = c - 2.0 * (centre_sq + psi) / y + f1 * f1
     sums = node_sums(log_f(x) + logw, 1.0, f1, f2, [x.size])
-    row = kappa_from_sums(sums, y, 0.0, offset)[0]
-    # one node holding all the weight (Q0 its 1) resolves no variance
-    return row if sums[1, 0] != 1.0 else LogP(row.log_magnitude, 1, math.nan)
+    # one node holding all the weight (Q0 its 1) resolves neither the
+    # variance nor the peak: no p, which the row check refuses
+    return (kappa_from_sums(sums, y, 0.0, offset)[0] if sums[1, 0] != 1.0
+            else LogP(NEG_INF, 0))
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,10 @@ MAX_BARE_SU2_INDEX = 10 ** 6
 #: (``_chunked_sums``): 64 KiB of float64, half of glibc's default 128 KiB
 #: mmap threshold.  Chunks this small come from the heap and are reused, so
 #: a call neither maps, faults in and unmaps its temporaries nor leaves L2,
-#: and a row of any width has bounded memory.
+#: and a call of any row count, or a row of any width, has bounded memory.
+#: A wider row is cut into pieces, but a sphere Hermite row never is: it
+#: centres on its own middle node, so _SPHERE_BLOCK >= SPHERE_HERMITE_ORDER
+#: (checked in ``_p_sphere_hermite``).
 _SPHERE_BLOCK = 8192
 
 #: Gauss-Hermite nodes of the sphere's rescaled route.  Its outermost node
@@ -476,7 +479,8 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
     y^2 A' = -(2ny/(1 + 2ny))^2.  A row's terms, a segment of the flat
     node axis (``_chunked_sums``), are those of the weights +-(k - 2j) that
     count at its own Im s (``_bare_width``, alpha.alpha = 4): the others
-    are below e^{-SERIES_CUT} of the n = k^2 term.
+    are below e^{-SERIES_CUT} of the n = k^2 term.  As in ``_bare_weights``,
+    each pair +-(k - 2j) is one term of multiplicity 2 (k - 2j = 0 has 1).
     """
     y, ks, one = _rows(s, ks)
     for k in ks:
@@ -486,26 +490,24 @@ def p_su2_closed(s, ks: Sequence) -> LogP | list:
     low = np.array([_bare_width(int(k) + 1, 4.0, v)
                     for k, v in zip(ks, y.tolist())], dtype=int)
     kv = np.array(ks, dtype=float)
-    # j < low, then j >= max(k + 1 - low, low): a row's terms skip gap[r]
-    gap = np.maximum(kv + 1.0 - 2.0 * low, 0.0)
     ny = kv * kv * y
     top = ny * ((3.0 + 2.0 * ny) / (1.0 + 2.0 * ny))  # y A at n = k^2
 
     def terms(r: np.ndarray, i: np.ndarray) -> tuple:
         k, yc = kv[r], y[r]
-        n = (k - 2.0 * np.where(i < low[r], i, i + gap[r])) ** 2
+        n = (k - 2.0 * i) ** 2
         ny2 = 2.0 * (n * yc)
         g = 1.0 + ny2
         # exponents relative to the largest, k^2 y: each n y carries n y eps
         # of rounding, which would pass into the weights as a relative error
-        logs = (n - k * k) * yc + np.log1p(ny2)
+        logs = ((n - k * k) * yc + np.log1p(ny2)
+                + np.where(n == 0.0, 0.0, math.log(2.0)))
         # y times the log-derivatives, centred on the largest term's
         d1 = 0.5 * ny2 * ((3.0 + ny2) / g) - top[r]
         return logs, 1.0, d1, d1 * d1 - (ny2 / g) ** 2
 
-    out = kappa_from_sums(
-        _chunked_sums(np.minimum(2 * low, kv.astype(int) + 1), terms), y,
-        1.5, kv * kv * y - 1.5 * np.log(y))
+    out = kappa_from_sums(_chunked_sums(low, terms), y, 1.5,
+                          kv * kv * y - 1.5 * np.log(y))
     return out[0] if one else out
 
 
@@ -665,54 +667,50 @@ def _p_sphere_hermite(y: np.ndarray, k: Sequence, m: int,
     subtraction of large terms.  The q cancels against the -q (y T_y / t)^2
     that log t puts into g'' (y T_y)^2; since t - y T_y = sqrt(y) v / 2,
     the two are taken together per node as q v ((k+q) sqrt(y) + 3v/4) y /
-    t^2.  A row's nodes are one segment of the flat node axis
-    (``_chunked_sums``).  Nodes with t <= 0 get weight zero (each row drops
-    its own); the integrand vanishes there and, above the switch, their
-    Hermite weight is below e^{-36}.
+    t^2.  A row's nodes are one segment of the flat node axis, and every
+    per-node value, the series included, is built in its chunk
+    (``_chunked_sums``), which holds whole rows: g' y T_y is centred on its
+    value at the row's middle node, read from the chunk.  Nodes with t <= 0
+    get weight zero (each row drops its own); the integrand vanishes there
+    and, above the switch, their Hermite weight is below e^{-36}.
     """
     k, q = np.asarray(k), (m - 1) / 2.0
     kq, sy = k + q, np.sqrt(y)
     v, hw = hermite_rule(SPHERE_HERMITE_ORDER)
-    n, log_hw = v.size, np.log(hw)
-    t = (kq[:, None] * y[:, None] + sy[:, None] * v).ravel()  # row-major
-    keep = t > 0.0
-    # each k's series once, in one table.  Above the switch every node's t
-    # rises with Im s, so a row's outermost node bounds its t from below: a
-    # row keeps the terms that count there, fewer as Im s rises
-    table, first, width = [], np.empty_like(k), np.empty_like(k)
-    for kk in dict.fromkeys(k.tolist()):
-        rows = k == kk
-        first[rows] = sum(map(len, table))
-        table.append(_sphere_series(kk, m))
-        width[rows] = _series_terms(table[-1], t[::n][rows])
-    table = np.concatenate(table)
-    # a dropped node takes the peak's t, so that every value stays finite
-    t = np.where(keep, t, (kq * y).repeat(n))
-    psi, psi1, psi2 = _series_log_phi(t, table, first.repeat(n),
-                                      width.repeat(n))
-
-    def slope(tt, psi1_, kqv, yv, syv, vv) -> tuple:
-        # 1 - e^{-4t}, its ratio e^{-4t} / (1 - e^{-4t}), g' and y T_y
-        m4t = -4.0 * tt
-        one_e = -np.expm1(m4t)
-        ratio = np.exp(m4t) / one_e
-        return (one_e, ratio, q * (4.0 * ratio + 1.0 / tt) + psi1_,
-                kqv * yv + 0.5 * syv * vv)
-
-    # d1 centred on its value at the node nearest v = 0 (v sorted, symmetric)
-    mid = np.arange((n - 1) // 2, t.size, n)
-    centre = np.multiply(*slope(t[mid], psi1[mid], kq, y, sy,
-                                v[(n - 1) // 2])[2:])
+    n, mid, log_hw = v.size, (v.size - 1) // 2, np.log(hw)
+    assert _SPHERE_BLOCK >= n, "a chunk must hold whole Hermite rows"
+    # each k's series once, in one table, a row's starting at first[row]
+    series = {kk: _sphere_series(kk, m) for kk in dict.fromkeys(k.tolist())}
+    at = dict(zip(series, np.cumsum([0] + [a.size for a in series.values()])))
+    table = np.concatenate(list(series.values()))
+    first = np.array([at[kk] for kk in k.tolist()])
 
     def nodes(r: np.ndarray, j: np.ndarray) -> tuple:
-        i = r * n + j
-        tt, kqv, yv, syv, vv = t[i], kq[r], y[r], sy[r], v[j]
-        one_e, ratio, g1, t_y = slope(tt, psi1[i], kqv, yv, syv, vv)
+        kqv, yv, syv, vv = kq[r], y[r], sy[r], v[j]
+        t = kqv * yv + syv * vv
+        keep = t > 0.0
+        # above the switch every node's t rises with Im s, so a row's
+        # outermost node bounds its t from below: a row keeps the terms that
+        # count there, fewer as Im s rises
+        kr, width = k[r[::n]], np.empty(r.size // n, dtype=np.intp)
+        for kk in dict.fromkeys(kr.tolist()):
+            own = kr == kk
+            width[own] = _series_terms(series[kk], t[::n][own])
+        # a dropped node takes the peak's t, so that every value stays finite
+        t = np.where(keep, t, kqv * yv)
+        psi, psi1, psi2 = _series_log_phi(t, table, first[r], width.repeat(n))
+        # 1 - e^{-4t} and its ratio e^{-4t} / (1 - e^{-4t})
+        m4t = -4.0 * t
+        one_e = -np.expm1(m4t)
+        ratio = np.exp(m4t) / one_e
+        g1 = q * (4.0 * ratio + 1.0 / t) + psi1
+        t_y = kqv * yv + 0.5 * syv * vv
         # g'' less the -q/t^2 of log t, which is folded into q below
-        g2_rest = psi2[i] - 16.0 * q * ratio / one_e
-        folded = q * vv * (kqv * syv + 0.75 * vv) / tt * (yv / tt)
-        d1 = g1 * t_y - centre[r]
-        return (np.where(keep[i], log_hw[j] + _log_half_form(tt, q) + psi[i],
+        g2_rest = psi2 - 16.0 * q * ratio / one_e
+        folded = q * vv * (kqv * syv + 0.75 * vv) / t * (yv / t)
+        d1 = g1 * t_y
+        d1 -= d1[mid::n].repeat(n)       # the node nearest v = 0 (v sorted)
+        return (np.where(keep, log_hw[j] + _log_half_form(t, q) + psi,
                          -np.inf), 1.0, d1,
                 folded + g2_rest * t_y * t_y - 0.25 * g1 * syv * vv + d1 * d1)
 

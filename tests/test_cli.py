@@ -361,10 +361,10 @@ def test_one_invalid_im_s_in_a_grid_exits_2(command, model, bad, capsys):
     assert err.startswith("error:")
 
 
-# rows whose kappa is not a float: the 1/y^2 of the sphere's, torus:1's
-# and bare su2's kappa overflows, and sphere:7's panels hold all their
-# weight on one node, which resolves no variance.  A torus names its k as
-# a weight vector
+# rows whose kappa is not a float: the 1/y^2 of torus:1's and bare su2's
+# kappa overflows, and the sphere's panels hold all their weight on one
+# node, which resolves neither the variance nor the peak, so p is 0.  A
+# torus names its k as a weight vector
 _NON_FINITE_ROWS = [
     ("sphere:2", ["--corrected"], "3", "1e-160", "k=3, s=1e-160j"),
     ("torus:1", [], "3", "1e-160", "k=[3], s=1e-160j"),
@@ -429,13 +429,27 @@ def test_far_im_s_sphere_asymptote_does_not_overflow(capsys):
     assert rec["asymptote"] == 0.0 and rec["ratio"] is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_p_value_needs_only_a_finite_log_p(capsys):
-    # the sphere row above whose kappa is nan has a finite log p
-    rc, out, err = run(["p-value", "--model", "sphere:2", "--corrected",
-                        "--k", "3", "--im-s", "1e-160"], capsys)
+    # torus:1's kappa overflows above, but its log p is finite:
+    # 80 ln 10 + (1/2) ln pi at Im s 1e-160
+    rc, out, err = run(["p-value", "--model", "torus:1", "--k", "3",
+                        "--im-s", "1e-160"], capsys)
     assert rc == 0, err
-    assert math.isfinite(json.loads(out)["log_p"])
+    assert json.loads(out)["log_p"] == pytest.approx(
+        80.0 * math.log(10.0) + 0.5 * math.log(math.pi), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, flag, k, y, where", [
+    row for row in _NON_FINITE_ROWS if row[0].startswith("sphere")])
+def test_p_value_refuses_a_one_node_sphere_row(model, flag, k, y, where,
+                                               capsys):
+    # the sphere's panels put all their weight on one node there: its log p
+    # (-9.05e148 and -9.05e88) misses the peak, so there is no p to print
+    rc, out, err = run(["p-value", "--model", model, *flag, "--k", k,
+                        "--im-s", y], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"numerical failure: {model} at {where}:")
 
 
 def _no_constant(name):
@@ -608,7 +622,7 @@ def test_k_and_im_s_in_one_call_print_the_one_point_records(capsys):
     # bare su2 cuts k = 10^6 at each row's own Im s, and the records equal
     # those of one call per (k, Im s).  The row at Im s 1e-12 keeps all
     # 500,001 weights: the group route (1,000,002 nodes) and the closed
-    # form (1,000,001 terms) take it in chunks, where evaluated whole it
+    # form (500,001 terms) take it in chunks, where evaluated whole it
     # peaked at 137 MB
     argv = ["sweep", "--model", "group:su2", "--k", "1,1000000",
             "--im-s", "1e-12,1"]

@@ -171,6 +171,16 @@ def test_log_panels_kernel_matches_moments():
     assert out.kappa == pytest.approx(-0.125 / (y * y), rel=1e-12)
 
 
+def test_log_panels_one_node_row_has_no_p():
+    # all the weight on one node resolves neither the variance nor the
+    # peak: p = 0, where a log p of that node alone would be printed
+    out = integrate_log_panels(
+        lambda x: np.where(np.arange(x.size) == 3, 0.0, -np.inf),
+        np.linspace(-1, 1, 3), 24, lambda x: x * x, 0.0, 1.0, 0.0, 0.0)
+    assert (out.sign, out.log_magnitude) == (0, -math.inf)
+    assert math.isnan(out.kappa)
+
+
 def test_mc_deterministic_and_correct():
     res1 = mc_integrate(lambda p: 1.0, [0.0, 0.0], 2.0, 20000, 42)
     res2 = mc_integrate(lambda p: 1.0, [0.0, 0.0], 2.0, 20000, 42)

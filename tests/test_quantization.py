@@ -372,6 +372,39 @@ def test_sphere_row_blocks(monkeypatch, k, m, y):
         assert p_sphere(grid, ks, m) == chunked
 
 
+def test_sphere_hermite_chunks_equal_one_row_calls(monkeypatch):
+    # 1,000 Hermite rows (24,000 nodes) span three chunks, each building its
+    # own rows' nodes and series; every row reads its one-row call bit for
+    # bit.  A block below the rule's order would cut a row, and is refused
+    ys = np.geomspace(1.0, 1e3, 1000)
+    ks = [(6, 150, 200)[i % 3] for i in range(ys.size)]
+    grid = [complex(0, y) for y in ys]
+    assert quantization._SPHERE_BLOCK * 2 < 24 * ys.size
+    for m in (3, 4):
+        assert min((k + (m - 1) / 2) * math.sqrt(y) for k, y in zip(ks, ys)) \
+            >= quantization.SPHERE_HERMITE_SWITCH
+        assert p_sphere(grid, ks, m) == [p_sphere(s, [k], m)
+                                         for s, k in zip(grid, ks)]
+    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 16)
+    with pytest.raises(AssertionError, match="whole Hermite rows"):
+        p_sphere(grid[:1], ks[:1], 3)
+
+
+def test_sphere_hermite_memory_is_bounded_by_the_chunk():
+    # every per-node array lives in one chunk: 2,000 rows at k = 200 kept
+    # t, psi and the (rows x 201) series cut outside the chunks, a 6.8 MB
+    # peak that grew with the rows
+    grid = [complex(0, y) for y in np.linspace(1.0, 2.0, 2000)]
+    tracemalloc.start()
+    try:
+        rows = p_sphere(grid, [200] * len(grid), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    assert all(math.isfinite(r.kappa) for r in rows)
+
+
 def _sphere_scale(k, m, y):
     """The size of a sphere kappa: the asymptote's 1/(8 (2k+m-1)^2 y^3)."""
     return 1.0 / (8.0 * (2 * k + m - 1) ** 2 * y ** 3)
@@ -1386,16 +1419,17 @@ def test_bare_su2_weights_are_cut_per_row(monkeypatch):
 
 def test_rows_wider_than_a_chunk_merge_their_pieces(monkeypatch):
     # a row wider than a chunk is cut into pieces whose sums merge in the
-    # log domain: at chunks of 16 values, bare su2 at k = 1000 (up to 1,002
+    # log domain: at chunks of 24 values, bare su2 at k = 1000 (up to 1,002
     # nodes a row) and the sphere near its switch (201 series terms a node)
-    # read what whole rows read, to rounding
+    # read what whole rows read, to rounding.  24 is the least block: a
+    # chunk holds whole sphere Hermite rows
     su2 = ModelSpec.group(liecore.su2(), 0, corrected=False)
     cases = [(su2, [1000, 3], [1e-6, 1e-3, 0.05, 1.0], 3),
              (ModelSpec.sphere(3, 0), [200, 5],
               [_switch_y(200, 3, x) for x in (6.2, 8.0, 12.0)], 3)]
     whole = [curvature(model, [complex(0, y) for y in ys], ks=ks)
              for model, ks, ys, _ in cases]
-    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 16)
+    monkeypatch.setattr(quantization, "_SPHERE_BLOCK", 24)
     for (model, ks, ys, m), rows in zip(cases, whole):
         cut = curvature(model, [complex(0, y) for y in ys], ks=ks)
         for got, want in zip(itertools.chain(*cut), itertools.chain(*rows)):
